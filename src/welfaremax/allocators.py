@@ -1,9 +1,10 @@
 """Allocation algorithms and baselines.
 
 All allocators return budget-respecting Allocations. The sequential and
-max-item algorithms share one prefix-preserving seed list; the
-superior-item algorithm selects over weighted RR sets; the baselines
-reshuffle a given seed list or greedily chase marginal welfare.
+max-item algorithms, and the round-robin and snake baselines, take their
+seeds from one prefix-preserving list (`prefix_seed_list`); the
+superior-item algorithm selects over weighted RR sets; the greedy
+baseline chases marginal welfare pair by pair.
 """
 
 from __future__ import annotations
@@ -20,11 +21,7 @@ from welfaremax.diffusion import (
 from welfaremax.graph import Graph
 from welfaremax.ris import node_selection_weighted
 from welfaremax.rng import derive_rng, derive_seed
-from welfaremax.selectors import (
-    check_superior_instance,
-    prima_plus,
-    supgrd_sampling,
-)
+from welfaremax.selectors import prima_plus, supgrd_sampling
 from welfaremax.utility import ItemCatalog, expected_truncated_utility
 
 Trace = Optional[Callable[[str], None]]
@@ -48,7 +45,7 @@ class AllocatorConfig:
 
 
 def _check_items_budgets(
-    catalog: ItemCatalog, items: Iterable[str], budgets: dict[str, int]
+    catalog: ItemCatalog, items: Iterable[str], budgets: dict[str, int], base: Allocation
 ) -> list[str]:
     items = list(items)
     if not items:
@@ -60,7 +57,33 @@ def _check_items_budgets(
             raise AllocatorError(f"missing budget for item {it!r}")
         if budgets[it] < 0:
             raise AllocatorError(f"budget for {it!r} must be >= 0")
+    if base.items() & set(items):
+        raise AllocatorError("items to allocate overlap the base allocation")
     return items
+
+
+def prefix_seed_list(
+    graph: Graph,
+    base: Allocation,
+    budgets: Iterable[int],
+    b_max: int,
+    config: AllocatorConfig,
+    trace: Trace = None,
+) -> list[int]:
+    """The b_max-long prefix-preserving seed list over the base seeds,
+    certified at every positive budget; empty when b_max is 0."""
+    if b_max == 0:
+        return []
+    return prima_plus(
+        graph,
+        config.eps,
+        config.ell,
+        base.seed_nodes(),
+        [b for b in budgets if b > 0],
+        b_max,
+        derive_rng(config.seed, "prima"),
+        trace=trace,
+    )
 
 
 def _sorted_by_utility(catalog: ItemCatalog, items: list[str], config: AllocatorConfig) -> list[str]:
@@ -90,22 +113,11 @@ def seqgrd(
     the same order, so budgets are always exhausted.
     """
     emit = trace or (lambda line: None)
-    items = _check_items_budgets(catalog, items, budgets)
-    if base.items() & set(items):
-        raise AllocatorError("items to allocate overlap the base allocation")
+    items = _check_items_budgets(catalog, items, budgets, base)
     total = sum(budgets[it] for it in items)
     if total == 0:
         return Allocation.empty()
-    seeds = prima_plus(
-        graph,
-        config.eps,
-        config.ell,
-        base.seed_nodes(),
-        [budgets[it] for it in items if budgets[it] > 0],
-        total,
-        derive_rng(config.seed, "prima"),
-        trace=trace,
-    )
+    seeds = prefix_seed_list(graph, base, [budgets[it] for it in items], total, config, trace)
     order = _sorted_by_utility(catalog, items, config)
     chosen = Allocation.empty()
     added: set[str] = set()
@@ -152,22 +164,11 @@ def seqgrd_nm(
 ) -> Allocation:
     """seqgrd without the marginal check: sorted items take consecutive blocks."""
     emit = trace or (lambda line: None)
-    items = _check_items_budgets(catalog, items, budgets)
-    if base.items() & set(items):
-        raise AllocatorError("items to allocate overlap the base allocation")
+    items = _check_items_budgets(catalog, items, budgets, base)
     total = sum(budgets[it] for it in items)
     if total == 0:
         return Allocation.empty()
-    seeds = prima_plus(
-        graph,
-        config.eps,
-        config.ell,
-        base.seed_nodes(),
-        [budgets[it] for it in items if budgets[it] > 0],
-        total,
-        derive_rng(config.seed, "prima"),
-        trace=trace,
-    )
+    seeds = prefix_seed_list(graph, base, [budgets[it] for it in items], total, config, trace)
     chosen = Allocation.empty()
     cursor = 0
     for item in _sorted_by_utility(catalog, items, config):
@@ -194,22 +195,11 @@ def maxgrd(
     worlds across candidates.
     """
     emit = trace or (lambda line: None)
-    items = _check_items_budgets(catalog, items, budgets)
-    if base.items() & set(items):
-        raise AllocatorError("items to allocate overlap the base allocation")
+    items = _check_items_budgets(catalog, items, budgets, base)
     b_top = max(budgets[it] for it in items)
     if b_top == 0:
         return Allocation.empty()
-    seeds = prima_plus(
-        graph,
-        config.eps,
-        config.ell,
-        base.seed_nodes(),
-        [budgets[it] for it in items if budgets[it] > 0],
-        b_top,
-        derive_rng(config.seed, "prima"),
-        trace=trace,
-    )
+    seeds = prefix_seed_list(graph, base, [budgets[it] for it in items], b_top, config, trace)
     best_item = None
     best_mean = -math.inf
     eval_seed = derive_seed(config.seed, "maxgrd-eval")
@@ -258,7 +248,6 @@ def supgrd(
     trace: Trace = None,
 ) -> Allocation:
     """Seed the superior item over fixed inferior seeds via weighted RR sets."""
-    check_superior_instance(catalog, base, superior)
     collection = supgrd_sampling(
         graph,
         catalog,
@@ -330,7 +319,7 @@ def greedy_marginal(
     welfare until budgets are exhausted. Desk-scale only: every round
     evaluates all feasible pairs with mc_samples simulations each."""
     emit = trace or (lambda line: None)
-    items = _check_items_budgets(catalog, items, budgets)
+    items = _check_items_budgets(catalog, items, budgets, Allocation.empty())
     total = sum(budgets[it] for it in items)
     work = graph.n * len(items) * total
     if work > config.gm_pair_cap:

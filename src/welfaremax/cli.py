@@ -26,7 +26,7 @@ from welfaremax.oracle import (
     WelfareOracle,
     optimal_allocation,
 )
-from welfaremax.ris import sample_rr, sample_marginal_rr
+from welfaremax.ris import sample_marginal_rr
 from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.utility import (
     CatalogError,
@@ -67,7 +67,6 @@ class ExperimentSpec:
     ell: float = 1.0
     mc_samples: int = 5000
     seed: int = 0
-    threads: int = 1
     out_path: Optional[str] = None
     trace_path: Optional[str] = None
     undirected: bool = False
@@ -101,18 +100,28 @@ def _read_lines(path: str, what: str) -> list[str]:
 
 def load_graph_file(path: str, undirected: bool = False, compact_ids: bool = False) -> Graph:
     lines = _read_lines(path, "graph")
+    rows = lines
     if undirected:
-        expanded = []
+        rows = []
         for line in lines:
-            expanded.append(line)
+            rows.append(line)
             parts = line.split("#", 1)[0].split()
             if len(parts) >= 2:
-                expanded.append(" ".join([parts[1], parts[0], *parts[2:]]))
-        lines = expanded
+                rows.append(" ".join([parts[1], parts[0], *parts[2:]]))
     try:
-        graph = load_edge_list(lines)
+        graph = load_edge_list(rows)
     except (EdgeListError, GraphError) as exc:
         raise CliError(2, f"bad graph {path}: {exc}") from exc
+    # the library reads a missing probability as a 0 sentinel, which here
+    # would run every diffusion without propagation; only a 0 can be one,
+    # so the text is scanned only then
+    if any(p == 0.0 for _, _, p in graph.edges):
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#") and len(line.split()) == 2:
+                raise CliError(
+                    2, f"bad graph {path}: line {lineno}: expected 'src dst prob', got {line!r}"
+                )
     if compact_ids:
         used = sorted({u for u, _, _ in graph.edges} | {v for _, v, _ in graph.edges})
         remap = {old: new for new, old in enumerate(used)}
@@ -215,7 +224,6 @@ def run(spec: ExperimentSpec) -> ResultRecord:
         alloc.merged(base),
         spec.mc_samples,
         derive_seed(spec.seed, "estimate"),
-        threads=spec.threads,
     )
     wall = time.perf_counter() - started
     return ResultRecord(spec.algorithm, alloc, est.mean, est.stderr, est.item_means, wall)
@@ -245,15 +253,8 @@ def _dispatch(algorithm, graph, catalog, base, items, budgets, config, trace):
         return allocators.greedy_marginal(graph, catalog, items, budgets, config, trace)
     if algorithm in ("round-robin", "snake"):
         total = sum(budgets[it] for it in items)
-        seeds = allocators.prima_plus(
-            graph,
-            config.eps,
-            config.ell,
-            base.seed_nodes(),
-            [budgets[it] for it in items],
-            total,
-            derive_rng(config.seed, "prima"),
-            trace=trace,
+        seeds = allocators.prefix_seed_list(
+            graph, base, [budgets[it] for it in items], total, config, trace
         )
         fn = allocators.round_robin if algorithm == "round-robin" else allocators.snake
         return fn(seeds, items, budgets)
@@ -313,8 +314,7 @@ def _cmd_estimate(args) -> int:
     cfg = load_catalog_file(args.catalog)
     alloc = load_allocation_file(args.allocation, cfg.catalog)
     est = estimate_welfare(
-        graph, cfg.catalog, alloc, args.samples, derive_seed(args.seed, "estimate"),
-        threads=args.threads,
+        graph, cfg.catalog, alloc, args.samples, derive_seed(args.seed, "estimate")
     )
     record = ResultRecord("estimate", alloc, est.mean, est.stderr, est.item_means, 0.0)
     _write_csv([record], cfg.catalog, args.out)
@@ -404,7 +404,7 @@ def _cmd_rr_stats(args) -> int:
     sizes: dict[int, int] = {}
     empties = 0
     for _ in range(args.count):
-        rr = sample_marginal_rr(graph, fixed, rng) if fixed else sample_rr(graph, rng)
+        rr = sample_marginal_rr(graph, fixed, rng)
         if rr.empty:
             empties += 1
         else:
@@ -436,7 +436,6 @@ def _spec_from_args(args, algorithm: str) -> ExperimentSpec:
         ell=args.ell,
         mc_samples=args.samples,
         seed=args.seed,
-        threads=args.threads,
         out_path=args.out,
         trace_path=args.trace,
         undirected=args.undirected,
@@ -449,7 +448,6 @@ def _add_common(parser: argparse.ArgumentParser, catalog=True) -> None:
     if catalog:
         parser.add_argument("--catalog", required=True, help="catalog config file")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
     parser.add_argument("--undirected", action="store_true", help="expand edges both ways")
     parser.add_argument("--compact-ids", action="store_true", help="remap node ids densely")

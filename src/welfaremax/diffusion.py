@@ -11,7 +11,6 @@ supersets of their current adoption with non-negative utility.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -223,29 +222,10 @@ class WelfareEstimate(NamedTuple):
     item_means: dict[str, float]
 
 
-def _simulate_range(graph, catalog, allocation, seed, lo, hi):
-    out = []
-    for idx in range(lo, hi):
-        world = PossibleWorld.sample(graph, catalog, derive_rng(seed, idx))
-        out.append(simulate(graph, catalog, allocation, world))
-    return out
-
-
-def _run_samples(graph, catalog, allocation, samples, seed, threads):
-    if threads <= 1 or samples < 2:
-        return _simulate_range(graph, catalog, allocation, seed, 0, samples)
-    # per-index RNG streams make the split immaterial to the result
-    chunk = (samples + threads - 1) // threads
-    bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(
-            lambda b: _simulate_range(graph, catalog, allocation, seed, b[0], b[1]),
-            bounds,
-        )
-        results = []
-        for part in parts:
-            results.extend(part)
-    return results
+def _worlds(graph: Graph, catalog: ItemCatalog, samples: int, seed: int):
+    """The possible worlds of one estimate: one RNG stream per sample index."""
+    for idx in range(samples):
+        yield PossibleWorld.sample(graph, catalog, derive_rng(seed, idx))
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
@@ -263,12 +243,14 @@ def estimate_welfare(
     allocation: Allocation,
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> WelfareEstimate:
     """Monte Carlo mean welfare with standard error and per-item adoption means."""
     if samples < 1:
         raise DiffusionError("samples must be >= 1")
-    results = _run_samples(graph, catalog, allocation, samples, seed, threads)
+    results = [
+        simulate(graph, catalog, allocation, world)
+        for world in _worlds(graph, catalog, samples, seed)
+    ]
     mean, stderr = _mean_stderr([r.welfare for r in results])
     item_means = {
         item: math.fsum(r.item_counts[item] for r in results) / samples
@@ -284,7 +266,6 @@ def estimate_marginal_welfare(
     base: Allocation,
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Estimate rho(candidate + base) - rho(base).
 
@@ -297,23 +278,9 @@ def estimate_marginal_welfare(
     if overlap:
         raise DiffusionError(f"candidate overlaps base allocation: {sorted(overlap)}")
     combined = candidate.merged(base)
-
-    def diff_range(lo, hi):
-        out = []
-        for idx in range(lo, hi):
-            world = PossibleWorld.sample(graph, catalog, derive_rng(seed, idx))
-            with_c = simulate(graph, catalog, combined, world).welfare
-            without = simulate(graph, catalog, base, world).welfare
-            out.append(with_c - without)
-        return out
-
-    if threads <= 1 or samples < 2:
-        diffs = diff_range(0, samples)
-    else:
-        chunk = (samples + threads - 1) // threads
-        bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            diffs = []
-            for part in pool.map(lambda b: diff_range(b[0], b[1]), bounds):
-                diffs.extend(part)
+    diffs = [
+        simulate(graph, catalog, combined, world).welfare
+        - simulate(graph, catalog, base, world).welfare
+        for world in _worlds(graph, catalog, samples, seed)
+    ]
     return _mean_stderr(diffs)

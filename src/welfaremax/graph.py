@@ -1,9 +1,8 @@
 """Directed probabilistic graph: representation, edge-list IO, cascade weights.
 
-The graph is immutable after construction, so it is safe to share across
-worker threads. Node ids are dense integers in [0, n); edge probabilities
-live in [0, 1]. Edge-list text format: one "src dst [prob]" per line,
-'#'-prefixed comment lines skipped.
+The graph is immutable after construction. Node ids are dense integers in
+[0, n); edge probabilities live in [0, 1]. Edge-list text format: one
+"src dst [prob]" per line, '#'-prefixed comment lines skipped.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ class Graph:
 
     def in_degree(self, v: int) -> int:
         return len(self.in_adj[v])
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

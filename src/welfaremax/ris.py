@@ -1,10 +1,10 @@
 """Reverse-reachable set sampling and greedy node selection.
 
-Three sampling variants share the reverse-BFS core: plain RR sets, the
-marginal variant that discards (but still counts) sets touching a fixed
-seed set, and the weighted variant that stops at the fixed seeds and
-carries a welfare-gain weight. Collections keep an inverted index so
-greedy max-coverage runs in time linear in total set size.
+Two reverse-BFS samplers: the marginal one discards (but still counts)
+sets touching a fixed seed set, and with no fixed seeds it is the plain
+RR sampler; the weighted one stops at the fixed seeds and carries a
+welfare-gain weight. Collections keep an inverted index so greedy
+max-coverage runs in time linear in total set size.
 """
 
 from __future__ import annotations
@@ -48,22 +48,8 @@ class RRCollection:
             for v in rr.members:
                 self.index.setdefault(v, []).append(sid)
 
-    def extend(self, rrs: Iterable[RRSet]) -> None:
-        for rr in rrs:
-            self.add(rr)
-
     def __len__(self) -> int:
         return len(self.sets)
-
-    def empties(self) -> int:
-        return sum(1 for rr in self.sets if rr.empty)
-
-    def covered_weight(self, seeds: Iterable[int]) -> float:
-        """Sum of weights of sets hit by `seeds` (each set counted once)."""
-        hit: set[int] = set()
-        for v in seeds:
-            hit.update(self.index.get(v, ()))
-        return sum(self.sets[sid].weight for sid in hit)
 
     def coverage_fraction(self, seeds: Iterable[int]) -> float:
         hit: set[int] = set()
@@ -74,22 +60,12 @@ class RRCollection:
 
 def sample_rr(graph: Graph, rng) -> RRSet:
     """One reverse-reachable set from a uniformly random root."""
-    if graph.n < 1:
-        raise RISError("graph has no nodes")
-    root = rng.randrange(graph.n)
-    members = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for src, p, _ in graph.in_adj[u]:
-            if src not in members and rng.random() < p:
-                members.add(src)
-                stack.append(src)
-    return RRSet(root, frozenset(members))
+    return sample_marginal_rr(graph, frozenset(), rng)
 
 
 def sample_marginal_rr(graph: Graph, fixed_seeds: frozenset[int], rng) -> RRSet:
-    """As sample_rr, but emptied if the grown set touches `fixed_seeds`.
+    """One reverse-reachable set from a uniformly random root, emptied if
+    it touches `fixed_seeds`.
 
     Empty results stay in the collection count, so coverage remains an
     unbiased estimator of the spread gained on top of the fixed seeds.

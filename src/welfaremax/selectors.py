@@ -48,13 +48,14 @@ def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def lambda_prime(n: int, k: int, eps_prime: float, ell_prime: float) -> float:
-    """Sample-size scale for the statistical test phase."""
+def lambda_prime(n: int, k: int, eps_prime: float, ell_prime: float, rounds: float) -> float:
+    """Sample-size scale for the statistical test phase; `rounds` is the
+    number of search iterations the failure probability is split over."""
     if not 1 <= k <= n:
         raise SelectorError(f"budget {k} outside [1, {n}]")
     return (
         (2.0 + 2.0 / 3.0 * eps_prime)
-        * (_log_binom(n, k) + ell_prime * math.log(n) + math.log(math.log2(n)))
+        * (_log_binom(n, k) + ell_prime * math.log(n) + math.log(rounds))
         * n
         / (eps_prime * eps_prime)
     )
@@ -155,7 +156,7 @@ def prima_plus(
         k = budgets[s_idx]
         lb = 1.0
         x = n / 2.0**i
-        theta_i = math.ceil(lambda_prime(n, k, epsp, ellp) / x)
+        theta_i = math.ceil(lambda_prime(n, k, epsp, ellp, math.log2(n)) / x)
         while len(coll) < theta_i:
             coll.add(sample_marginal_rr(graph, fixed, rng))
         if budget_switch and prev_order is not None:
@@ -251,15 +252,10 @@ def supgrd_sampling(
     """
     check_superior_instance(catalog, base_allocation, superior)
     n = graph.n
-    if n < 2:
-        raise SelectorError("need at least 2 nodes")
-    if not 1 <= b_prime <= n:
-        raise SelectorError(f"budget {b_prime} outside [1, {n}]")
-    if not 0.0 < eps < 1.0:
-        raise SelectorError("eps must lie in (0, 1)")
+    params = SamplerParams(n, eps, ell, (b_prime,))
+    epsp = params.eps_prime
+    ell_hat = params.ell_hat
     emit = trace or (lambda line: None)
-    epsp = math.sqrt(2.0) * eps
-    ell_hat = ell + math.log(2.0) / math.log(n)
     item_utils = expected_item_utilities(catalog, samples=utility_samples, rng=rng)
     u_sup = item_utils[superior]
     if u_sup <= 0.0:
@@ -267,12 +263,7 @@ def supgrd_sampling(
     ub = n * u_sup
     rounds = max(1, math.ceil(math.log2(ub))) if ub > 1.0 else 1
     # union bound over the search iterations: delta = 1 / (n^ell_hat * rounds)
-    lam_prime = (
-        (2.0 + 2.0 / 3.0 * epsp)
-        * (_log_binom(n, b_prime) + ell_hat * math.log(n) + math.log(rounds))
-        * n
-        / (epsp * epsp)
-    )
+    lam_prime = lambda_prime(n, b_prime, epsp, ell_hat, rounds)
     coll = RRCollection(n)
     lb = 1.0
     i = 1
@@ -292,13 +283,7 @@ def supgrd_sampling(
             break
         emit(f"phase=search i={i} theta={len(coll)} mcov={totals[-1]:.6g} lb={lb:.6g}")
         i += 1
-    alpha = math.sqrt(ell_hat * math.log(n) + math.log(2.0))
-    beta = math.sqrt(
-        (1.0 - 1.0 / math.e)
-        * (_log_binom(n, b_prime) + ell_hat * math.log(n) + math.log(2.0))
-    )
-    lam = 2.0 * n * ((1.0 - 1.0 / math.e) * alpha + beta) ** 2 / (eps * eps)
-    theta = math.ceil(lam / lb)
+    theta = math.ceil(lambda_star(n, b_prime, eps, ell_hat) / lb)
     fresh = RRCollection(n)
     while len(fresh) < theta:
         fresh.add(

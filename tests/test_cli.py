@@ -275,3 +275,57 @@ def test_trace_file_written(tmp_path):
     content = trace.read_text()
     assert "phase=tentative" in content
     assert "decision=defer" in content
+
+
+def test_round_robin_drops_zero_budgets(tmp_path):
+    def allocate(budgets, out):
+        return run_cli(
+            "allocate",
+            "--graph", CONFIGS / "path6.edges",
+            "--catalog", CONFIGS / "trio_blocking.cfg",
+            "--algo", "round-robin",
+            "--budgets", budgets,
+            "--samples", "50",
+            "--seed", "3",
+            "--out", out,
+        )
+
+    assert allocate("i=1,j=1,k=0", tmp_path / "zero.csv") == 0
+    assert allocate("i=1,j=1", tmp_path / "plain.csv") == 0
+    with_zero = read_csv(tmp_path / "zero.csv")[1]
+    without = read_csv(tmp_path / "plain.csv")[1]
+    assert with_zero[-1] == without[-1] == "0:i;1:j"
+
+
+def test_snake_all_budgets_zero_allocates_nothing(tmp_path):
+    out = tmp_path / "snake.csv"
+    code = run_cli(
+        "allocate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", CONFIGS / "trio_blocking.cfg",
+        "--algo", "snake",
+        "--budgets", "i=0,j=0,k=0",
+        "--samples", "50",
+        "--out", out,
+    )
+    assert code == 0
+    row = read_csv(out)[1]
+    assert row[0] == "snake"
+    assert float(row[4]) == 0.0
+    assert row[-1] == ""
+
+
+def test_two_column_edge_list_exits_2(tmp_path, capsys):
+    graph = tmp_path / "cycle.edges"
+    graph.write_text("# a cycle without probabilities\n0 1\n1 2\n2 3\n3 0\n")
+    code = run_cli(
+        "allocate",
+        "--graph", graph,
+        "--catalog", CONFIGS / "trio_blocking.cfg",
+        "--algo", "seqgrd",
+        "--budgets", "i=1",
+        "--samples", "50",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "src dst prob" in err

@@ -141,12 +141,11 @@ def test_estimate_welfare_matches_oracle_within_three_stderr():
     assert exact == pytest.approx(SpreadOracle(g).spread([0]))
 
 
-def test_estimate_welfare_deterministic_in_seed_and_threads(pair_graph, trio_catalog):
+def test_estimate_welfare_deterministic_in_seed(pair_graph, trio_catalog):
     g = graph_from("0 1 0.5\n1 2 0.7\n")
     a = estimate_welfare(g, trio_catalog, Allocation.of([(0, "i1")]), 500, seed=11)
     b = estimate_welfare(g, trio_catalog, Allocation.of([(0, "i1")]), 500, seed=11)
-    c = estimate_welfare(g, trio_catalog, Allocation.of([(0, "i1")]), 500, seed=11, threads=3)
-    assert a == b == c
+    assert a == b
     d = estimate_welfare(g, trio_catalog, Allocation.of([(0, "i1")]), 500, seed=12)
     assert d != a
 

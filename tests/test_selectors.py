@@ -25,17 +25,17 @@ from conftest import graph_from, superior_instance
 def test_lambda_prime_pinned_value():
     # (2 + 2/3) * (ln C(2,1) + 1*ln 2 + ln log2 2) * 2 / 1
     want = (2 + 2 / 3) * (math.log(2) + math.log(2) + 0.0) * 2
-    assert lambda_prime(2, 1, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
-    assert lambda_prime(2, 1, 1.0, 1.0) == pytest.approx(16 / 3 * math.log(4), rel=1e-12)
+    assert lambda_prime(2, 1, 1.0, 1.0, math.log2(2)) == pytest.approx(want, rel=1e-12)
+    assert lambda_prime(2, 1, 1.0, 1.0, math.log2(2)) == pytest.approx(16 / 3 * math.log(4), rel=1e-12)
 
 
 def test_lambda_prime_monotone_in_k():
-    vals = [lambda_prime(100, k, 0.5, 1.2) for k in range(1, 50)]
+    vals = [lambda_prime(100, k, 0.5, 1.2, math.log2(100)) for k in range(1, 50)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def test_lambda_prime_large_instance_no_overflow():
-    val = lambda_prime(10_000, 50, 0.7, 1.5)
+    val = lambda_prime(10_000, 50, 0.7, 1.5, math.log2(10_000))
     assert math.isfinite(val) and val > 0
 
 
@@ -197,6 +197,13 @@ def test_supgrd_sampling_validates_conditions():
     )
     with pytest.raises(SelectorError, match="pure competition"):
         supgrd_sampling(g, soft, Allocation.of([(0, "b")]), "a", 1, 0.3, 1.0, derive_rng(7))
+    pure = ItemCatalog(
+        ["a", "b"],
+        prices={"a": 12, "b": 12},
+        valuations={("a",): 22, ("b",): 13, ("a", "b"): 24},
+    )
+    with pytest.raises(SelectorError, match="ell must be positive"):
+        supgrd_sampling(g, pure, Allocation.of([(0, "b")]), "a", 1, 0.3, 0.0, derive_rng(7))
 
 
 def test_prima_plus_certified_bounds_stay_below_opt_statistically():
