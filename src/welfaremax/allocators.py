@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Optional
 from welfaremax.diffusion import (
     Allocation,
     estimate_marginal_welfare,
+    estimate_marginal_welfares,
     estimate_welfare,
 )
 from welfaremax.graph import Graph
@@ -191,8 +192,8 @@ def maxgrd(
     """Allocate only the single item with the best estimated marginal welfare.
 
     Seeds come from one prefix-preserving list of length max(budgets);
-    each item is scored on its budget-length prefix with common random
-    worlds across candidates.
+    each item is scored on its budget-length prefix over the same worlds,
+    which share one base run per world.
     """
     emit = trace or (lambda line: None)
     items = _check_items_budgets(catalog, items, budgets, base)
@@ -202,12 +203,15 @@ def maxgrd(
     seeds = prefix_seed_list(graph, base, [budgets[it] for it in items], b_top, config, trace)
     best_item = None
     best_mean = -math.inf
-    eval_seed = derive_seed(config.seed, "maxgrd-eval")
-    for item in items:  # catalog order given by caller; first max wins
-        cand = Allocation.of((v, item) for v in seeds[: budgets[item]])
-        mean, stderr = estimate_marginal_welfare(
-            graph, catalog, cand, base, config.mc_samples, eval_seed
-        )
+    scores = estimate_marginal_welfares(
+        graph,
+        catalog,
+        [Allocation.of((v, item) for v in seeds[: budgets[item]]) for item in items],
+        base,
+        config.mc_samples,
+        derive_seed(config.seed, "maxgrd-eval"),
+    )
+    for item, (mean, stderr) in zip(items, scores):  # caller's order; first max wins
         emit(f"phase=score item={item} marginal={mean:.6g} stderr={stderr:.6g}")
         if mean > best_mean:
             best_item, best_mean = item, mean

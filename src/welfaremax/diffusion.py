@@ -11,8 +11,11 @@ supersets of their current adoption with non-negative utility.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from welfaremax.graph import Graph
 from welfaremax.rng import derive_rng
@@ -65,34 +68,47 @@ class Allocation:
 
 
 class PossibleWorld:
-    """One joint sample of edge liveness and noise values.
+    """One joint sample of noise values and edge liveness.
 
-    Edge coins are keyed by edge id, so replaying the same world under a
-    different allocation tests identical coins; diffusion within a world is
-    fully deterministic.
+    ``live[eid]`` is 1 when edge ``eid`` of the graph the world was drawn
+    for is live, else 0. A sampled world draws its noise first, then one
+    uniform per edge in edge-id order, exactly as ``rng.random()`` would,
+    and marks an edge live when its uniform is below its probability.
+    Replaying one world under different allocations tests identical
+    edges, and diffusion within a world is fully deterministic. Each
+    node's live out-neighbours are cached on the world the first time a
+    diffusion reaches the node, so a world serves one graph only.
     """
 
-    __slots__ = ("noise", "_uniforms", "_fixed")
+    __slots__ = ("noise", "live", "_live_out")
 
-    def __init__(self, noise: NoiseWorld, uniforms=None, fixed=None):
+    def __init__(self, noise: NoiseWorld, live: bytes):
         self.noise = noise
-        self._uniforms = uniforms
-        self._fixed = fixed
+        self.live = live
+        self._live_out: dict[int, list[int]] = {}
 
     @classmethod
     def sample(cls, graph: Graph, catalog: ItemCatalog, rng) -> "PossibleWorld":
         noise = NoiseWorld.sample(catalog, rng)
-        uniforms = [rng.random() for _ in range(graph.m)]
-        return cls(noise, uniforms=uniforms)
+        return cls(noise, _edge_flags(graph.probs, rng))
 
     @classmethod
     def fixed(cls, live_edges: Iterable[bool], noise: NoiseWorld) -> "PossibleWorld":
-        return cls(noise, fixed=tuple(bool(b) for b in live_edges))
+        return cls(noise, bytes(bool(b) for b in live_edges))
 
-    def edge_live(self, edge_id: int, prob: float) -> bool:
-        if self._fixed is not None:
-            return self._fixed[edge_id]
-        return self._uniforms[edge_id] < prob
+
+def _edge_flags(probs: np.ndarray, rng) -> bytes:
+    """``bytes(rng.random() < p for p in probs)``, from one RNG call.
+
+    ``getrandbits(64 * m)`` consumes the 2m 32-bit outputs that m calls
+    to ``random()`` would, the first in the lowest word, and ``random()``
+    makes its double from a pair (a, b) as
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, which is exact in float64.
+    """
+    m = len(probs)
+    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
+    uniforms = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+    return (uniforms < probs).tobytes()
 
 
 @dataclass(frozen=True)
@@ -135,7 +151,10 @@ def simulate(
     allocation: Allocation,
     world: PossibleWorld,
 ) -> DiffusionResult:
-    """Run one deterministic diffusion in the given possible world."""
+    """Run one deterministic diffusion in the given possible world.
+
+    State is kept only for the nodes the diffusion reaches.
+    """
     if catalog.m > MAX_SIM_ITEMS:
         raise DiffusionError(f"simulator enumerates itemsets; m <= {MAX_SIM_ITEMS} required")
     n = graph.n
@@ -158,62 +177,68 @@ def simulate(
             util_cache[mask] = got = total
         return got
 
-    desire = [0] * n
-    adopt = [0] * n
-    tested = [False] * graph.m
-    live_out: list[list[int]] = [[] for _ in range(n)]
+    choice_cache: dict[int, int] = {}
+
+    def choose(desired: int, current: int) -> int:
+        key = desired << MAX_SIM_ITEMS | current
+        got = choice_cache.get(key)
+        if got is None:
+            choice_cache[key] = got = _best_feasible(desired, current, util)
+        return got
+
+    desire: dict[int, int] = {}
+    adopt: dict[int, int] = {}  # only non-empty adoptions
 
     for node, item in allocation.pairs:
         if not 0 <= node < n:
             raise DiffusionError(f"seed node {node} outside graph")
         if item not in catalog.index:
             raise DiffusionError(f"unknown item {item!r} in allocation")
-        desire[node] |= 1 << catalog.index[item]
+        desire[node] = desire.get(node, 0) | 1 << catalog.index[item]
 
     frontier: list[int] = []
-    for node in sorted(allocation.seed_nodes()):
-        chosen = _best_feasible(desire[node], 0, util)
+    for node in sorted(desire):
+        chosen = choose(desire[node], 0)
         if chosen:
             adopt[node] = chosen
             frontier.append(node)
     rounds = 1 if frontier else 0
 
+    live = world.live
+    live_out = world._live_out
+    out_adj = graph.out_adj
     while frontier:
         gained: dict[int, int] = {}
         for u in frontier:
-            for v, p, eid in graph.out_adj[u]:
-                if not tested[eid]:
-                    tested[eid] = True
-                    if world.edge_live(eid, p):
-                        live_out[u].append(v)
+            targets = live_out.get(u)
+            if targets is None:
+                targets = live_out[u] = [v for v, _, eid in out_adj[u] if live[eid]]
             au = adopt[u]
-            for v in live_out[u]:
-                new = au & ~desire[v]
+            for v in targets:
+                new = au & ~desire.get(v, 0)
                 if new:
                     gained[v] = gained.get(v, 0) | new
         next_frontier = []
         for v in sorted(gained):
-            desire[v] |= gained[v]
-            chosen = _best_feasible(desire[v], adopt[v], util)
-            if chosen != adopt[v]:
+            desired = desire[v] = desire.get(v, 0) | gained[v]
+            current = adopt.get(v, 0)
+            chosen = choose(desired, current)
+            if chosen != current:
                 adopt[v] = chosen
                 next_frontier.append(v)
         if next_frontier:
             rounds += 1
         frontier = next_frontier
 
-    adoption: dict[int, frozenset[str]] = {}
+    tally = Counter(adopt.values())
+    bundles = {mask: frozenset(catalog.itemset(mask)) for mask in tally}
     counts = {item: 0 for item in catalog.items}
-    welfare_parts = []
-    for v in range(n):
-        mask = adopt[v]
-        if mask:
-            adoption[v] = frozenset(catalog.itemset(mask))
-            welfare_parts.append(util(mask))
-            for i in range(catalog.m):
-                if mask >> i & 1:
-                    counts[catalog.items[i]] += 1
-    return DiffusionResult(adoption, math.fsum(welfare_parts), counts, rounds)
+    for mask, k in tally.items():
+        for item in bundles[mask]:
+            counts[item] += k
+    adopters = sorted(adopt)
+    adoption = {v: bundles[adopt[v]] for v in adopters}
+    return DiffusionResult(adoption, math.fsum(util(adopt[v]) for v in adopters), counts, rounds)
 
 
 class WelfareEstimate(NamedTuple):
@@ -247,16 +272,15 @@ def estimate_welfare(
     """Monte Carlo mean welfare with standard error and per-item adoption means."""
     if samples < 1:
         raise DiffusionError("samples must be >= 1")
-    results = [
-        simulate(graph, catalog, allocation, world)
-        for world in _worlds(graph, catalog, samples, seed)
-    ]
-    mean, stderr = _mean_stderr([r.welfare for r in results])
-    item_means = {
-        item: math.fsum(r.item_counts[item] for r in results) / samples
-        for item in catalog.items
-    }
-    return WelfareEstimate(mean, stderr, item_means)
+    welfares = []
+    totals = {item: 0 for item in catalog.items}
+    for world in _worlds(graph, catalog, samples, seed):
+        result = simulate(graph, catalog, allocation, world)
+        welfares.append(result.welfare)
+        for item, count in result.item_counts.items():
+            totals[item] += count
+    mean, stderr = _mean_stderr(welfares)
+    return WelfareEstimate(mean, stderr, {item: t / samples for item, t in totals.items()})
 
 
 def estimate_marginal_welfare(
@@ -267,20 +291,39 @@ def estimate_marginal_welfare(
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Estimate rho(candidate + base) - rho(base).
+    """Estimate rho(candidate + base) - rho(base), with its standard error.
 
     Replays the same possible world for both runs of each sample (worlds
     are allocation-independent), which sharply reduces variance.
     """
+    return estimate_marginal_welfares(graph, catalog, [candidate], base, samples, seed)[0]
+
+
+def estimate_marginal_welfares(
+    graph: Graph,
+    catalog: ItemCatalog,
+    candidates: list[Allocation],
+    base: Allocation,
+    samples: int,
+    seed: int,
+) -> list[tuple[float, float]]:
+    """`estimate_marginal_welfare` of each candidate over the same worlds.
+
+    Each world's base run is shared by every candidate, so the estimates
+    take (len(candidates) + 1) * samples simulations and equal what
+    separate calls with this seed return.
+    """
     if samples < 1:
         raise DiffusionError("samples must be >= 1")
-    overlap = candidate.pairs & base.pairs
-    if overlap:
-        raise DiffusionError(f"candidate overlaps base allocation: {sorted(overlap)}")
-    combined = candidate.merged(base)
-    diffs = [
-        simulate(graph, catalog, combined, world).welfare
-        - simulate(graph, catalog, base, world).welfare
-        for world in _worlds(graph, catalog, samples, seed)
-    ]
-    return _mean_stderr(diffs)
+    combined = []
+    for candidate in candidates:
+        overlap = candidate.pairs & base.pairs
+        if overlap:
+            raise DiffusionError(f"candidate overlaps base allocation: {sorted(overlap)}")
+        combined.append(candidate.merged(base))
+    diffs: list[list[float]] = [[] for _ in candidates]
+    for world in _worlds(graph, catalog, samples, seed):
+        without = simulate(graph, catalog, base, world).welfare
+        for alloc, out in zip(combined, diffs):
+            out.append(simulate(graph, catalog, alloc, world).welfare - without)
+    return [_mean_stderr(d) for d in diffs]

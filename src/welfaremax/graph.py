@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, TextIO
 
+import numpy as np
+
 
 class EdgeListError(ValueError):
     """Malformed or inconsistent edge-list input."""
@@ -23,10 +25,10 @@ class Graph:
 
     ``out_adj[u]`` and ``in_adj[v]`` hold ``(neighbor, prob, edge_id)``
     triples and are exact transposes of each other. ``edge_id`` indexes
-    into ``edges`` and is what possible worlds key their coin flips on.
+    into ``edges`` and indexes the flags of a possible world.
     """
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj")
+    __slots__ = ("n", "edges", "out_adj", "in_adj", "_probs", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]], validate: bool = True):
         self.n = int(n)
@@ -40,6 +42,16 @@ class Graph:
             in_adj[v].append((u, p, eid))
         self.out_adj = tuple(tuple(a) for a in out_adj)
         self.in_adj = tuple(tuple(a) for a in in_adj)
+        self._probs = None
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Read-only float64 edge probabilities by edge id, built on first use."""
+        if self._probs is None:
+            probs = np.fromiter((p for _, _, p in self.edges), dtype=np.float64, count=self.m)
+            probs.flags.writeable = False
+            self._probs = probs
+        return self._probs
 
     def _check(self) -> None:
         if self.n < 0:
@@ -114,7 +126,8 @@ def load_edge_list(lines: Iterable[str], on_duplicate: str = "error") -> Graph:
             edges[key] = p
             order.append(key)
         max_id = max(max_id, u, v)
-    return Graph(max_id + 1, [(u, v, edges[(u, v)]) for u, v in order])
+    # every line was checked above for what Graph._check looks for
+    return Graph(max_id + 1, [(u, v, edges[(u, v)]) for u, v in order], validate=False)
 
 
 def dump_edge_list(graph: Graph, stream: TextIO) -> None:

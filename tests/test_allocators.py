@@ -2,20 +2,23 @@ import random
 
 import pytest
 
+from welfaremax import diffusion
 from welfaremax.allocators import (
     AllocatorConfig,
     AllocatorError,
     greedy_marginal,
     max_seq,
     maxgrd,
+    prefix_seed_list,
     round_robin,
     seqgrd,
     seqgrd_nm,
     snake,
     supgrd,
 )
-from welfaremax.diffusion import Allocation
+from welfaremax.diffusion import Allocation, estimate_marginal_welfare
 from welfaremax.oracle import SpreadOracle, WelfareOracle, exact_welfare, optimal_allocation
+from welfaremax.rng import derive_seed
 from welfaremax.utility import ItemCatalog, expected_truncated_utility
 
 from conftest import graph_from, superior_instance
@@ -123,6 +126,49 @@ def test_maxgrd_single_item_matches_seqgrd_nm():
     assert maxgrd(g, cat, Allocation.empty(), ["a"], {"a": 1}, CFG) == seqgrd_nm(
         g, cat, Allocation.empty(), ["a"], {"a": 1}, CFG
     )
+
+
+def test_maxgrd_shares_worlds_and_base_runs_across_items(monkeypatch):
+    g = graph_from("0 1 0.5\n1 2 0.7\n2 3 0.5\n0 4 0.3\n4 3 0.9\n")
+    items, budgets = ["i", "j", "k"], {"i": 1, "j": 2, "k": 1}
+    cfg = AllocatorConfig(seed=9, mc_samples=40)
+    base = Allocation.of([(3, "i1")])
+    cat = ItemCatalog(
+        ["i", "j", "k", "i1"],
+        prices={"i": 1, "j": 1, "k": 1, "i1": 1},
+        valuations={("i",): 3, ("j",): 2.5, ("k",): 2, ("i1",): 2.2, ("i", "j"): 3.2},
+    )
+    seeds = prefix_seed_list(g, base, budgets.values(), 2, cfg)
+    want = [
+        estimate_marginal_welfare(
+            g, cat, Allocation.of((v, it) for v in seeds[: budgets[it]]), base, 40,
+            derive_seed(9, "maxgrd-eval"),
+        )
+        for it in items
+    ]
+    calls = {"simulate": 0, "world": 0}
+    real_simulate = diffusion.simulate
+    real_sample = diffusion.PossibleWorld.sample.__func__
+
+    def counting_simulate(*args):
+        calls["simulate"] += 1
+        return real_simulate(*args)
+
+    def counting_sample(cls, *args):
+        calls["world"] += 1
+        return real_sample(cls, *args)
+
+    monkeypatch.setattr(diffusion, "simulate", counting_simulate)
+    monkeypatch.setattr(diffusion.PossibleWorld, "sample", classmethod(counting_sample))
+    lines = []
+    alloc = maxgrd(g, cat, base, items, budgets, cfg, trace=lines.append)
+    assert calls == {"simulate": (len(items) + 1) * 40, "world": 40}
+    scores = [line for line in lines if line.startswith("phase=score")]
+    assert scores == [
+        f"phase=score item={it} marginal={m:.6g} stderr={e:.6g}" for it, (m, e) in zip(items, want)
+    ]
+    best = max(range(len(items)), key=lambda k: (want[k][0], -k))
+    assert alloc == Allocation.of((v, items[best]) for v in seeds[: budgets[items[best]]])
 
 
 def test_worked_example_welfare_gap(fork_graph, strong_weak_catalog):

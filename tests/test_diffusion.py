@@ -1,19 +1,24 @@
+import gc
+import math
 import random
+import weakref
 
 import pytest
 
 from welfaremax.diffusion import (
     Allocation,
     DiffusionError,
+    DiffusionResult,
     PossibleWorld,
     estimate_marginal_welfare,
     estimate_welfare,
     simulate,
 )
+from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle, WelfareOracle
-from welfaremax.utility import ItemCatalog, NoiseWorld
+from welfaremax.utility import ItemCatalog, NoiseSpec, NoiseWorld
 
-from conftest import graph_from, random_graph
+from conftest import graph_from, random_allocation, random_coverage_catalog, random_graph
 
 
 def certain_world(graph, catalog):
@@ -79,7 +84,7 @@ def test_single_item_adoption_equals_reachability():
         world = PossibleWorld.sample(g, cat, random.Random(trial))
         res = simulate(g, cat, alloc, world)
         # replay reachability over the same live edges
-        live = [world.edge_live(eid, p) for eid, (_, _, p) in enumerate(g.edges)]
+        live = world.live
         reach = set(alloc.seed_nodes())
         frontier = list(reach)
         while frontier:
@@ -212,3 +217,187 @@ def test_progressive_upgrades_only_grow():
     assert res.adoption[2] == frozenset({"a", "b"})
     assert res.adoption[3] == frozenset({"a", "b"})
     assert res.welfare == pytest.approx(3 - 1 + 2.5 - 1 + 2 * 2.5)
+
+
+# -- differential tests of the fast path ---------------------------------------
+
+
+def fractional_graph(rng: random.Random, n_hi=40, m_hi=160, probs=None) -> Graph:
+    """Random digraph; each edge probability is 0, 1 or uniform unless given."""
+    n = rng.randint(0, n_hi)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    rng.shuffle(pairs)
+    edges = []
+    for u, v in pairs[: rng.randint(0, min(m_hi, len(pairs)))]:
+        p = rng.choice(probs) if probs else rng.choice((0.0, 1.0, rng.random(), rng.random()))
+        edges.append((u, v, p))
+    return Graph(n, edges)
+
+
+NOISE_CATALOGS = [
+    ItemCatalog(["a"], prices={"a": 1}, valuations={("a",): 2}),
+    ItemCatalog(
+        ["a", "b"],
+        prices={"a": 1, "b": 1},
+        valuations={("a",): 2, ("b",): 2, ("a", "b"): 3},
+        noise={"a": NoiseSpec.gaussian(0.7), "b": NoiseSpec.two_point(0.4)},
+    ),
+    ItemCatalog(
+        ["a", "b", "c"],
+        prices={"a": 1, "b": 1, "c": 1},
+        valuations={("a",): 2},
+        noise={"b": NoiseSpec.truncated_gaussian(0.5, 0.6), "c": NoiseSpec.gaussian(1.0)},
+    ),
+]
+
+
+@pytest.mark.parametrize("catalog", NOISE_CATALOGS, ids=["zero", "gauss-two-point", "truncated"])
+@pytest.mark.parametrize("probs", [None, (0.0,), (1.0,), (0.0, 1.0)], ids=["mixed", "p0", "p1", "p01"])
+def test_sampled_world_flags_equal_per_edge_random_calls(catalog, probs):
+    rng = random.Random(f"flags/{probs}")
+    graphs = [Graph(3, [])] + [fractional_graph(rng, probs=probs) for _ in range(12)]
+    assert any(g.m == 0 for g in graphs)
+    for trial, g in enumerate(graphs):
+        seed = rng.getrandbits(64)
+        fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+        world = PossibleWorld.sample(g, catalog, fast_rng)
+        noise = NoiseWorld.sample(catalog, slow_rng)
+        flags = [slow_rng.random() < p for _, _, p in g.edges]
+        assert world.noise == noise, trial
+        assert [bool(b) for b in world.live] == flags, trial
+        assert fast_rng.getstate() == slow_rng.getstate(), trial
+
+
+def reference_simulate(graph, catalog, allocation, noise_world, edge_live):
+    """The simulator as it was before possible worlds cached live edges:
+    dense per-node state, edges tested through ``edge_live(eid, p)``."""
+    n = graph.n
+    noise = noise_world.values
+    util_cache = {0: 0.0}
+
+    def util(mask):
+        if mask not in util_cache:
+            total = catalog.value(mask)
+            for i in range(catalog.m):
+                if mask >> i & 1:
+                    total += noise[i] - catalog.item_prices[i]
+            util_cache[mask] = total
+        return util_cache[mask]
+
+    def best_feasible(desire, current):
+        free = desire & ~current
+        best_mask, best_u, best_size = current, util(current), bin(current).count("1")
+        sub = free
+        while sub:
+            cand = current | sub
+            u = util(cand)
+            if u >= 0.0:
+                size = bin(cand).count("1")
+                if (
+                    u > best_u
+                    or (u == best_u and size > best_size)
+                    or (u == best_u and size == best_size and cand < best_mask)
+                ):
+                    best_mask, best_u, best_size = cand, u, size
+            sub = (sub - 1) & free
+        return best_mask
+
+    desire = [0] * n
+    adopt = [0] * n
+    tested = [False] * graph.m
+    live_out = [[] for _ in range(n)]
+    for node, item in allocation.pairs:
+        desire[node] |= 1 << catalog.index[item]
+    frontier = []
+    for node in sorted(allocation.seed_nodes()):
+        chosen = best_feasible(desire[node], 0)
+        if chosen:
+            adopt[node] = chosen
+            frontier.append(node)
+    rounds = 1 if frontier else 0
+    while frontier:
+        gained = {}
+        for u in frontier:
+            for v, p, eid in graph.out_adj[u]:
+                if not tested[eid]:
+                    tested[eid] = True
+                    if edge_live(eid, p):
+                        live_out[u].append(v)
+            for v in live_out[u]:
+                new = adopt[u] & ~desire[v]
+                if new:
+                    gained[v] = gained.get(v, 0) | new
+        next_frontier = []
+        for v in sorted(gained):
+            desire[v] |= gained[v]
+            chosen = best_feasible(desire[v], adopt[v])
+            if chosen != adopt[v]:
+                adopt[v] = chosen
+                next_frontier.append(v)
+        if next_frontier:
+            rounds += 1
+        frontier = next_frontier
+    adoption = {}
+    counts = {item: 0 for item in catalog.items}
+    parts = []
+    for v in range(n):
+        if adopt[v]:
+            adoption[v] = frozenset(catalog.itemset(adopt[v]))
+            parts.append(util(adopt[v]))
+            for i in range(catalog.m):
+                if adopt[v] >> i & 1:
+                    counts[catalog.items[i]] += 1
+    return DiffusionResult(adoption, math.fsum(parts), counts, rounds)
+
+
+def assert_same_result(got, want):
+    assert got == want
+    assert list(got.adoption) == list(want.adoption)
+    assert list(got.item_counts) == list(want.item_counts)
+
+
+def test_simulate_matches_reference_on_sampled_worlds():
+    rng = random.Random(2024)
+    for trial in range(40):
+        g = fractional_graph(rng, n_hi=30, m_hi=120)
+        if g.n == 0:
+            continue
+        cat = random_coverage_catalog(rng, m_hi=4)
+        allocations = [random_allocation(rng, g, cat, pairs=rng.randint(0, 5)) for _ in range(4)]
+        seed = rng.getrandbits(64)
+        world = PossibleWorld.sample(g, cat, random.Random(seed))
+        slow_rng = random.Random(seed)
+        noise = NoiseWorld.sample(cat, slow_rng)
+        uniforms = [slow_rng.random() for _ in range(g.m)]
+        # one world replayed under several allocations shares its edge cache
+        for alloc in allocations:
+            want = reference_simulate(g, cat, alloc, noise, lambda eid, p: uniforms[eid] < p)
+            assert_same_result(simulate(g, cat, alloc, world), want)
+
+
+def test_simulate_matches_reference_on_fixed_worlds():
+    rng = random.Random(77)
+    for trial in range(40):
+        g = fractional_graph(rng, n_hi=20, m_hi=80)
+        if g.n == 0:
+            continue
+        cat = random_coverage_catalog(rng, m_hi=4)
+        flags = [rng.random() < 0.6 for _ in range(g.m)]
+        noise = NoiseWorld.sample(cat, rng)
+        world = PossibleWorld.fixed(flags, noise)
+        for _ in range(3):
+            alloc = random_allocation(rng, g, cat, pairs=rng.randint(1, 6))
+            want = reference_simulate(g, cat, alloc, noise, lambda eid, p: flags[eid])
+            assert_same_result(simulate(g, cat, alloc, world), want)
+
+
+def test_worlds_keep_no_reference_to_their_graph():
+    g = fractional_graph(random.Random(3), n_hi=30)
+    cat = NOISE_CATALOGS[1]
+    ref = weakref.ref(g)
+    worlds = [PossibleWorld.sample(g, cat, random.Random(i)) for i in range(5)]
+    simulate(g, cat, Allocation.of([(0, "a"), (1, "b")]), worlds[0])
+    estimate_welfare(g, cat, Allocation.of([(0, "a")]), 5, seed=1)
+    del g, worlds
+    gc.collect()
+    assert ref() is None
