@@ -12,7 +12,8 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +33,6 @@ from welfaremax.utility import (
     CatalogError,
     ItemCatalog,
     load_catalog_config,
-    superior_item,
     utilities_from_probabilities,
     validate,
 )
@@ -57,23 +57,6 @@ class CliError(Exception):
 
 
 @dataclass
-class ExperimentSpec:
-    graph_path: str
-    catalog_path: str
-    algorithm: str
-    budgets: dict[str, int] = field(default_factory=dict)
-    base_path: Optional[str] = None
-    eps: float = 0.5
-    ell: float = 1.0
-    mc_samples: int = 5000
-    seed: int = 0
-    out_path: Optional[str] = None
-    trace_path: Optional[str] = None
-    undirected: bool = False
-    compact_ids: bool = False
-
-
-@dataclass
 class ResultRecord:
     algorithm: str
     allocation: Allocation
@@ -89,6 +72,16 @@ def _fmt(x: float) -> str:
 
 def _fmt_alloc(alloc: Allocation) -> str:
     return ";".join(f"{n}:{i}" for n, i in alloc.sorted_pairs())
+
+
+@contextmanager
+def _output(path: Optional[str]):
+    """The file at `path`, opened for writing and closed after; stdout if no path."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as stream:
+        yield stream
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -137,7 +130,7 @@ def load_catalog_file(path: str):
         raise CliError(2, f"bad catalog {path}: {exc}") from exc
 
 
-def load_allocation_file(path: str, catalog: ItemCatalog) -> Allocation:
+def load_allocation_file(path: str, catalog: ItemCatalog, n: int) -> Allocation:
     pairs = []
     for lineno, raw in enumerate(_read_lines(path, "allocation"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -150,6 +143,8 @@ def load_allocation_file(path: str, catalog: ItemCatalog) -> Allocation:
             node = int(parts[0])
         except ValueError:
             raise CliError(2, f"allocation line {lineno}: bad node id {parts[0]!r}") from None
+        if not 0 <= node < n:
+            raise CliError(2, f"allocation line {lineno}: node {node} outside [0, {n})")
         if parts[1] not in catalog.index:
             raise CliError(2, f"allocation line {lineno}: unknown item {parts[1]!r}")
         pairs.append((node, parts[1]))
@@ -172,6 +167,8 @@ def parse_budgets(text: str, catalog: ItemCatalog) -> dict[str, int]:
             budgets[item] = int(count)
         except ValueError:
             raise CliError(2, f"budget for {item!r} must be an integer") from None
+        if budgets[item] < 0:
+            raise CliError(2, f"budget for {item!r} must be non-negative")
     if not budgets:
         raise CliError(2, "empty budget list")
     return budgets
@@ -184,49 +181,14 @@ class _TraceWriter:
             self._fh = sys.stderr
         elif path:
             self._fh = open(path, "w")
-        self._owned = path is not None and path != "-"
 
     def __call__(self, line: str) -> None:
         if self._fh is not None:
             self._fh.write(line + "\n")
 
     def close(self) -> None:
-        if self._owned and self._fh is not None:
+        if self._fh not in (None, sys.stderr):
             self._fh.close()
-
-
-def run(spec: ExperimentSpec) -> ResultRecord:
-    """Execute one allocator and estimate its welfare and adoption counts."""
-    graph = load_graph_file(spec.graph_path, spec.undirected, spec.compact_ids)
-    cfg = load_catalog_file(spec.catalog_path)
-    catalog = cfg.catalog
-    budgets = spec.budgets or cfg.budgets
-    if not budgets:
-        raise CliError(2, "no budgets given (flag or [budgets] section)")
-    base = Allocation.empty()
-    if spec.base_path:
-        base = load_allocation_file(spec.base_path, catalog)
-    trace = _TraceWriter(spec.trace_path)
-    config = allocators.AllocatorConfig(
-        eps=spec.eps, ell=spec.ell, mc_samples=spec.mc_samples, seed=spec.seed
-    )
-    items = [it for it in catalog.items if it in budgets]
-    started = time.perf_counter()
-    try:
-        alloc = _dispatch(spec.algorithm, graph, catalog, base, items, budgets, config, trace)
-    except (allocators.AllocatorError, ValueError) as exc:
-        raise CliError(2, f"{spec.algorithm}: {exc}") from exc
-    finally:
-        trace.close()
-    est = estimate_welfare(
-        graph,
-        catalog,
-        alloc.merged(base),
-        spec.mc_samples,
-        derive_seed(spec.seed, "estimate"),
-    )
-    wall = time.perf_counter() - started
-    return ResultRecord(spec.algorithm, alloc, est.mean, est.stderr, est.item_means, wall)
 
 
 def _dispatch(algorithm, graph, catalog, base, items, budgets, config, trace):
@@ -243,27 +205,23 @@ def _dispatch(algorithm, graph, catalog, base, items, budgets, config, trace):
     if algorithm == "supgrd":
         if len(items) != 1:
             raise CliError(2, "supgrd budgets must name exactly the superior item")
-        sup = superior_item(catalog)
-        if sup is None or sup != items[0]:
-            raise CliError(2, f"supgrd: budgeted item {items[0]!r} is not the superior item")
-        return allocators.supgrd(graph, catalog, base, sup, budgets[sup], config, trace)
+        # the selector rejects an item that is not the superior one
+        return allocators.supgrd(graph, catalog, base, items[0], budgets[items[0]], config, trace)
     if algorithm == "gm":
         if base:
             raise CliError(2, "gm does not take a base allocation")
         return allocators.greedy_marginal(graph, catalog, items, budgets, config, trace)
-    if algorithm in ("round-robin", "snake"):
-        total = sum(budgets[it] for it in items)
-        seeds = allocators.prefix_seed_list(
-            graph, base, [budgets[it] for it in items], total, config, trace
-        )
-        fn = allocators.round_robin if algorithm == "round-robin" else allocators.snake
-        return fn(seeds, items, budgets)
-    raise CliError(2, f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHMS)}")
+    # round-robin or snake
+    total = sum(budgets[it] for it in items)
+    seeds = allocators.prefix_seed_list(
+        graph, base, [budgets[it] for it in items], total, config, trace
+    )
+    fn = allocators.round_robin if algorithm == "round-robin" else allocators.snake
+    return fn(seeds, items, budgets)
 
 
 def _write_csv(records: list[ResultRecord], catalog: ItemCatalog, out_path: Optional[str]) -> None:
-    stream = open(out_path, "w", newline="") if out_path else sys.stdout
-    try:
+    with _output(out_path) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(
             ["algorithm", *(f"adopt_{it}" for it in catalog.items), "welfare", "stderr", "allocation"]
@@ -278,31 +236,43 @@ def _write_csv(records: list[ResultRecord], catalog: ItemCatalog, out_path: Opti
                     _fmt_alloc(rec.allocation),
                 ]
             )
-    finally:
-        if out_path:
-            stream.close()
 
 
-def _cmd_allocate(args) -> int:
-    spec = _spec_from_args(args, args.algo)
-    record = run(spec)
-    catalog = load_catalog_file(spec.catalog_path).catalog
-    _write_csv([record], catalog, spec.out_path)
-    print(f"algorithm={record.algorithm} wall={record.wall_time:.3f}s", file=sys.stderr)
-    return 0
-
-
-def _cmd_compare(args) -> int:
+def _cmd_run_allocators(args) -> int:
+    """`allocate` and `compare`: load the inputs once, then run each
+    algorithm in order and estimate its welfare under one shared seed."""
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
         if a not in ALGORITHMS:
-            raise CliError(2, f"unknown algorithm {a!r}")
+            raise CliError(2, f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}")
+    cfg = load_catalog_file(args.catalog)
+    catalog = cfg.catalog
+    budgets = parse_budgets(args.budgets, catalog) if args.budgets else cfg.budgets
+    if not budgets:
+        raise CliError(2, "no budgets given (flag or [budgets] section)")
+    graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
+    base = load_allocation_file(args.base, catalog, graph.n) if args.base else Allocation.empty()
+    items = [it for it in catalog.items if it in budgets]
+    config = allocators.AllocatorConfig(
+        eps=args.epsilon, ell=args.ell, mc_samples=args.samples, seed=args.seed
+    )
     records = []
-    for algo in algos:
-        spec = _spec_from_args(args, algo)
-        spec.out_path = None
-        records.append(run(spec))
-    catalog = load_catalog_file(args.catalog).catalog
+    trace = _TraceWriter(args.trace)
+    try:
+        for algo in algos:
+            trace(f"phase=run algorithm={algo}")
+            started = time.perf_counter()
+            try:
+                alloc = _dispatch(algo, graph, catalog, base, items, budgets, config, trace)
+            except (allocators.AllocatorError, ValueError) as exc:
+                raise CliError(2, f"{algo}: {exc}") from exc
+            est = estimate_welfare(
+                graph, catalog, alloc.merged(base), args.samples, derive_seed(args.seed, "estimate")
+            )
+            wall = time.perf_counter() - started
+            records.append(ResultRecord(algo, alloc, est.mean, est.stderr, est.item_means, wall))
+    finally:
+        trace.close()
     _write_csv(records, catalog, args.out)
     for rec in records:
         print(f"algorithm={rec.algorithm} wall={rec.wall_time:.3f}s", file=sys.stderr)
@@ -312,7 +282,7 @@ def _cmd_compare(args) -> int:
 def _cmd_estimate(args) -> int:
     graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
     cfg = load_catalog_file(args.catalog)
-    alloc = load_allocation_file(args.allocation, cfg.catalog)
+    alloc = load_allocation_file(args.allocation, cfg.catalog, graph.n)
     est = estimate_welfare(
         graph, cfg.catalog, alloc, args.samples, derive_seed(args.seed, "estimate")
     )
@@ -332,7 +302,7 @@ def _cmd_oracle(args) -> int:
     )
     base = Allocation.empty()
     if args.base:
-        base = load_allocation_file(args.base, catalog)
+        base = load_allocation_file(args.base, catalog, graph.n)
     try:
         if args.optimal:
             budgets = parse_budgets(args.budgets, catalog) if args.budgets else cfg.budgets
@@ -347,7 +317,7 @@ def _cmd_oracle(args) -> int:
         else:
             if not args.allocation:
                 raise CliError(2, "oracle needs --allocation or --optimal")
-            alloc = load_allocation_file(args.allocation, catalog)
+            alloc = load_allocation_file(args.allocation, catalog, graph.n)
             oracle = WelfareOracle(graph, catalog, limits)
             full = alloc.merged(base)
             record = ResultRecord(
@@ -378,13 +348,9 @@ def _cmd_convert_utilities(args) -> int:
         utils = utilities_from_probabilities(probs, scale=args.scale)
     except CatalogError as exc:
         raise CliError(2, str(exc)) from exc
-    out = sys.stdout if not args.out else open(args.out, "w")
-    try:
+    with _output(args.out) as out:
         for name, val in zip(names, utils):
             out.write(f"{name} = {_fmt(val)}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -400,7 +366,13 @@ def _cmd_rr_stats(args) -> int:
     rng = derive_rng(args.seed, "rr-stats")
     fixed = frozenset()
     if args.fixed:
-        fixed = frozenset(int(v) for v in args.fixed.split(",") if v.strip())
+        try:
+            fixed = frozenset(int(v) for v in args.fixed.split(",") if v.strip())
+        except ValueError:
+            raise CliError(2, f"--fixed {args.fixed!r}: expected comma-separated node ids") from None
+        outside = sorted(v for v in fixed if not 0 <= v < graph.n)
+        if outside:
+            raise CliError(2, f"--fixed node {outside[0]} outside [0, {graph.n})")
     sizes: dict[int, int] = {}
     empties = 0
     for _ in range(args.count):
@@ -409,38 +381,14 @@ def _cmd_rr_stats(args) -> int:
             empties += 1
         else:
             sizes[len(rr.members)] = sizes.get(len(rr.members), 0) + 1
-    stream = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with _output(args.out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["stat", "value"])
         writer.writerow(["sets", args.count])
         writer.writerow(["empty", empties])
         for size in sorted(sizes):
             writer.writerow([f"size_{size}", sizes[size]])
-    finally:
-        if args.out:
-            stream.close()
     return 0
-
-
-def _spec_from_args(args, algorithm: str) -> ExperimentSpec:
-    cfg = load_catalog_file(args.catalog)
-    budgets = parse_budgets(args.budgets, cfg.catalog) if args.budgets else dict(cfg.budgets)
-    return ExperimentSpec(
-        graph_path=args.graph,
-        catalog_path=args.catalog,
-        algorithm=algorithm,
-        budgets=budgets,
-        base_path=args.base,
-        eps=args.epsilon,
-        ell=args.ell,
-        mc_samples=args.samples,
-        seed=args.seed,
-        out_path=args.out,
-        trace_path=args.trace,
-        undirected=args.undirected,
-        compact_ids=args.compact_ids,
-    )
 
 
 def _add_common(parser: argparse.ArgumentParser, catalog=True) -> None:
@@ -453,36 +401,43 @@ def _add_common(parser: argparse.ArgumentParser, catalog=True) -> None:
     parser.add_argument("--compact-ids", action="store_true", help="remap node ids densely")
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by `allocate` and `compare`."""
+    parser.add_argument("--budgets", default=None, help="item=count[,item=count...]")
+    parser.add_argument("--base", default=None, help="fixed allocation file")
+    parser.add_argument("--epsilon", type=float, default=0.5)
+    parser.add_argument("--ell", type=float, default=1.0)
+    parser.add_argument("--samples", type=_at_least_one, default=5000)
+    parser.add_argument("--trace", default=None, help="trace file ('-' for stderr)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="welfaremax")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("allocate", help="run one allocator and estimate its welfare")
     _add_common(p)
-    p.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p.add_argument("--budgets", default=None, help="item=count[,item=count...]")
-    p.add_argument("--base", default=None, help="fixed allocation file")
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--ell", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=5000)
-    p.add_argument("--trace", default=None, help="trace file ('-' for stderr)")
-    p.set_defaults(fn=_cmd_allocate)
+    p.add_argument("--algo", dest="algos", required=True, choices=ALGORITHMS)
+    _add_run_flags(p)
+    p.set_defaults(fn=_cmd_run_allocators)
 
     p = sub.add_parser("compare", help="run several allocators with a shared seed")
     _add_common(p)
     p.add_argument("--algos", required=True, help="comma-separated algorithm ids")
-    p.add_argument("--budgets", default=None)
-    p.add_argument("--base", default=None)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--ell", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=5000)
-    p.add_argument("--trace", default=None)
-    p.set_defaults(fn=_cmd_compare)
+    _add_run_flags(p)
+    p.set_defaults(fn=_cmd_run_allocators)
 
     p = sub.add_parser("estimate", help="estimate welfare of a given allocation")
     _add_common(p)
     p.add_argument("--allocation", required=True, help="allocation file")
-    p.add_argument("--samples", type=int, default=5000)
+    p.add_argument("--samples", type=_at_least_one, default=5000)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("oracle", help="exact welfare by world enumeration")
@@ -506,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rr-stats", help="dump RR-set statistics as CSV")
     _add_common(p, catalog=False)
-    p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--count", type=_at_least_one, default=10000)
     p.add_argument("--fixed", default=None, help="comma-separated fixed seed nodes")
     p.set_defaults(fn=_cmd_rr_stats)
     return parser

@@ -31,10 +31,14 @@ class Graph:
     __slots__ = ("n", "edges", "out_adj", "in_adj", "_probs", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]], validate: bool = True):
+        """With ``validate=False`` the caller vouches that ``edges`` already
+        holds checked ``(int, int, float)`` tuples; they are kept as given."""
         self.n = int(n)
-        self.edges = tuple((int(u), int(v), float(p)) for u, v, p in edges)
         if validate:
+            self.edges = tuple((int(u), int(v), float(p)) for u, v, p in edges)
             self._check()
+        else:
+            self.edges = tuple(edges)
         out_adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
         in_adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
         for eid, (u, v, p) in enumerate(self.edges):

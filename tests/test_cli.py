@@ -329,3 +329,156 @@ def test_two_column_edge_list_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "src dst prob" in err
+
+
+NON_SUPERIOR = ("seqgrd", "seqgrd-nm", "maxgrd", "max-seq", "gm", "round-robin", "snake")
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["path6", "fractional"])
+def test_allocate_row_equals_compare_row(tmp_path, fractional):
+    from test_golden import FRACTIONAL_EDGES
+
+    graph = CONFIGS / "path6.edges"
+    if fractional:
+        graph = tmp_path / "fractional.edges"
+        graph.write_text(FRACTIONAL_EDGES)
+    shared = ["--graph", graph, "--catalog", CONFIGS / "trio_blocking.cfg",
+              "--samples", "40", "--seed", "5"]
+    assert run_cli("compare", *shared, "--algos", ",".join(NON_SUPERIOR),
+                   "--out", tmp_path / "cmp.csv") == 0
+    compared = read_csv(tmp_path / "cmp.csv")
+    assert [r[0] for r in compared[1:]] == list(NON_SUPERIOR)
+    for row in compared[1:]:
+        out = tmp_path / f"{row[0]}.csv"
+        assert run_cli("allocate", *shared, "--algo", row[0], "--out", out) == 0
+        assert read_csv(out) == [compared[0], row]
+
+
+def test_compare_loads_inputs_once(tmp_path, monkeypatch):
+    from welfaremax import cli
+
+    calls = {"load_graph_file": 0, "load_catalog_file": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    code = run_cli(
+        "compare",
+        "--graph", CONFIGS / "fork4.edges",
+        "--catalog", CONFIGS / "pair_strong_weak.cfg",
+        "--algos", "seqgrd,round-robin,snake",
+        "--samples", "50",
+        "--out", tmp_path / "cmp.csv",
+    )
+    assert code == 0
+    assert calls == {"load_graph_file": 1, "load_catalog_file": 1}
+
+
+def test_compare_trace_keeps_every_algorithm(tmp_path):
+    trace = tmp_path / "trace.log"
+    code = run_cli(
+        "compare",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", CONFIGS / "trio_blocking.cfg",
+        "--algos", "seqgrd,seqgrd-nm",
+        "--samples", "50",
+        "--seed", "2",
+        "--trace", trace,
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 0
+    lines = trace.read_text().splitlines()
+    first = lines.index("phase=run algorithm=seqgrd")
+    second = lines.index("phase=run algorithm=seqgrd-nm")
+    assert first == 0 < second
+    assert any(line.startswith("phase=tentative") for line in lines[first:second])
+    assert len(lines) > second + 1  # seqgrd-nm's own events follow its marker
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["allocate", "--algo", "seqgrd", "--samples", "0"],
+        ["compare", "--algos", "seqgrd,snake", "--samples", "0"],
+        ["estimate", "--allocation", CONFIGS / "genre_probs.txt", "--samples", "0"],
+        ["rr-stats", "--count", "-5"],
+    ],
+    ids=["allocate-samples", "compare-samples", "estimate-samples", "rr-stats-count"],
+)
+def test_bad_counts_exit_2(argv, capsys):
+    graph = ["--graph", CONFIGS / "path6.edges"]
+    if argv[0] != "rr-stats":
+        graph += ["--catalog", CONFIGS / "trio_blocking.cfg"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *graph)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "must be >= 1" in err
+    assert "Traceback" not in err
+
+
+def test_negative_flag_budget_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "allocate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", CONFIGS / "trio_blocking.cfg",
+        "--algo", "round-robin",
+        "--budgets", "i=1,j=-1",
+        "--samples", "50",
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'j'" in err and "non-negative" in err
+
+
+@pytest.mark.parametrize("fixed", ["999", "2,6", "-1", "x"])
+def test_rr_stats_rejects_bad_fixed_nodes(tmp_path, capsys, fixed):
+    code = run_cli(
+        "rr-stats",
+        "--graph", CONFIGS / "path6.edges",
+        "--count", "10",
+        "--fixed", fixed,
+        "--out", tmp_path / "rr.csv",
+    )
+    assert code == 2
+    assert "--fixed" in capsys.readouterr().err
+
+
+def test_supgrd_non_superior_item_exits_2(tmp_path, capsys):
+    base = tmp_path / "base.txt"
+    base.write_text("0 i\n")
+    code = run_cli(
+        "allocate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", CONFIGS / "pair_strong_weak.cfg",
+        "--algo", "supgrd",
+        "--budgets", "j=1",
+        "--base", base,
+        "--samples", "50",
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: supgrd:" in err and "'j'" in err
+
+
+@pytest.mark.parametrize("command", ["allocate", "estimate", "oracle"])
+def test_allocation_node_outside_graph_exits_2(tmp_path, capsys, command):
+    alloc = tmp_path / "alloc.txt"
+    alloc.write_text("0 i\n99 k\n")
+    argv = [command, "--graph", CONFIGS / "path6.edges", "--catalog", CONFIGS / "trio_blocking.cfg"]
+    if command == "allocate":
+        argv += ["--algo", "round-robin", "--budgets", "j=1", "--base", alloc, "--samples", "10"]
+    else:
+        argv += ["--allocation", alloc]
+    assert run_cli(*argv) == 2
+    assert "line 2: node 99 outside [0, 6)" in capsys.readouterr().err

@@ -80,6 +80,26 @@ def test_constructor_validation():
         Graph(2, [(1, 1, 0.5)])
 
 
+def test_loaded_graph_equals_validated_construction():
+    from test_golden import FRACTIONAL_EDGES
+
+    text = FRACTIONAL_EDGES + "11 0 1\n"
+    loaded = graph_from(text)
+    rows = [line.split() for line in text.splitlines()]
+    # ids and probabilities as the constructor must coerce them
+    built = Graph(12, [(float(u), v, p) for u, v, p in rows])
+    for g in (loaded, built, assign_weighted_cascade(built)):
+        for u, v, p in g.edges:
+            assert (type(u), type(v), type(p)) == (int, int, float)
+    assert loaded.edges == built.edges
+    assert loaded.out_adj == built.out_adj
+    assert loaded.in_adj == built.in_adj
+    for adj in (loaded.out_adj, loaded.in_adj):
+        for row in adj:
+            for w, p, eid in row:
+                assert (type(w), type(p), type(eid)) == (int, float, int)
+
+
 def test_adjacency_transpose():
     g = graph_from("0 1 0.5\n0 2 0.3\n2 1 0.9\n")
     out_pairs = {(u, v) for u in range(g.n) for v, _, _ in g.out_adj[u]}
