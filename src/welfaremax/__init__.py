@@ -1,7 +1,7 @@
 """Competitive item diffusion and welfare-maximizing seed allocation.
 
 Submodules:
-    graph       directed probabilistic graphs, edge-list IO, cascade weights
+    graph       directed probabilistic graphs and edge-list parsing
     utility     item catalogs, noise models, truncated-utility quantities
     diffusion   the adoption simulator and Monte Carlo welfare estimators
     ris         reverse-reachable set sampling and greedy coverage
@@ -11,13 +11,12 @@ Submodules:
     cli         experiment runner
 """
 
-from welfaremax.graph import Graph, assign_weighted_cascade, load_edge_list
+from welfaremax.graph import Graph, load_edge_list
 from welfaremax.utility import ItemCatalog, NoiseSpec, NoiseWorld
 from welfaremax.diffusion import Allocation, PossibleWorld, simulate
 
 __all__ = [
     "Graph",
-    "assign_weighted_cascade",
     "load_edge_list",
     "ItemCatalog",
     "NoiseSpec",

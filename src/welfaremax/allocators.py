@@ -23,7 +23,7 @@ from welfaremax.graph import Graph
 from welfaremax.ris import node_selection_weighted
 from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.selectors import prima_plus, supgrd_sampling
-from welfaremax.utility import ItemCatalog, expected_truncated_utility
+from welfaremax.utility import UTILITY_SAMPLES, ItemCatalog, expected_truncated_utility
 
 Trace = Optional[Callable[[str], None]]
 
@@ -93,7 +93,7 @@ def _sorted_by_utility(catalog: ItemCatalog, items: list[str], config: Allocator
     for it in items:
         rng = derive_rng(config.seed, "item-utility", it)
         utils[it], _ = expected_truncated_utility(
-            catalog, [it], samples=100_000, rng=rng
+            catalog, [it], samples=UTILITY_SAMPLES, rng=rng
         )
     return sorted(items, key=lambda it: (-utils[it], catalog.index[it]))
 

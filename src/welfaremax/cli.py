@@ -15,11 +15,11 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from welfaremax import allocators
 from welfaremax.diffusion import Allocation, estimate_welfare
-from welfaremax.graph import EdgeListError, Graph, GraphError, load_edge_list
+from welfaremax.graph import EdgeListError, Graph, load_edge_list
 from welfaremax.oracle import (
     DEFAULT_LIMITS,
     OracleLimitError,
@@ -74,13 +74,20 @@ def _fmt_alloc(alloc: Allocation) -> str:
     return ";".join(f"{n}:{i}" for n, i in alloc.sorted_pairs())
 
 
+def _open(path: str, flag: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise CliError(2, f"cannot open {flag} {path}: {exc.strerror}") from exc
+
+
 @contextmanager
 def _output(path: Optional[str]):
     """The file at `path`, opened for writing and closed after; stdout if no path."""
     if not path:
         yield sys.stdout
         return
-    with open(path, "w", newline="") as stream:
+    with _open(path, "--out") as stream:
         yield stream
 
 
@@ -93,33 +100,10 @@ def _read_lines(path: str, what: str) -> list[str]:
 
 def load_graph_file(path: str, undirected: bool = False, compact_ids: bool = False) -> Graph:
     lines = _read_lines(path, "graph")
-    rows = lines
-    if undirected:
-        rows = []
-        for line in lines:
-            rows.append(line)
-            parts = line.split("#", 1)[0].split()
-            if len(parts) >= 2:
-                rows.append(" ".join([parts[1], parts[0], *parts[2:]]))
     try:
-        graph = load_edge_list(rows)
-    except (EdgeListError, GraphError) as exc:
+        return load_edge_list(lines, undirected, compact_ids)
+    except EdgeListError as exc:
         raise CliError(2, f"bad graph {path}: {exc}") from exc
-    # the library reads a missing probability as a 0 sentinel, which here
-    # would run every diffusion without propagation; only a 0 can be one,
-    # so the text is scanned only then
-    if any(p == 0.0 for _, _, p in graph.edges):
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#") and len(line.split()) == 2:
-                raise CliError(
-                    2, f"bad graph {path}: line {lineno}: expected 'src dst prob', got {line!r}"
-                )
-    if compact_ids:
-        used = sorted({u for u, _, _ in graph.edges} | {v for _, v, _ in graph.edges})
-        remap = {old: new for new, old in enumerate(used)}
-        graph = Graph(len(used), [(remap[u], remap[v], p) for u, v, p in graph.edges])
-    return graph
 
 
 def load_catalog_file(path: str):
@@ -180,7 +164,7 @@ class _TraceWriter:
         if path == "-":
             self._fh = sys.stderr
         elif path:
-            self._fh = open(path, "w")
+            self._fh = _open(path, "--trace")
 
     def __call__(self, line: str) -> None:
         if self._fh is not None:
@@ -220,45 +204,44 @@ def _dispatch(algorithm, graph, catalog, base, items, budgets, config, trace):
     return fn(seeds, items, budgets)
 
 
-def _write_csv(records: list[ResultRecord], catalog: ItemCatalog, out_path: Optional[str]) -> None:
-    with _output(out_path) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
+def _write_csv(records: list[ResultRecord], catalog: ItemCatalog, out: TextIO) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["algorithm", *(f"adopt_{it}" for it in catalog.items), "welfare", "stderr", "allocation"]
+    )
+    for rec in records:
         writer.writerow(
-            ["algorithm", *(f"adopt_{it}" for it in catalog.items), "welfare", "stderr", "allocation"]
+            [
+                rec.algorithm,
+                *(_fmt(rec.adoption[it]) for it in catalog.items),
+                _fmt(rec.welfare),
+                _fmt(rec.stderr),
+                _fmt_alloc(rec.allocation),
+            ]
         )
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.algorithm,
-                    *(_fmt(rec.adoption[it]) for it in catalog.items),
-                    _fmt(rec.welfare),
-                    _fmt(rec.stderr),
-                    _fmt_alloc(rec.allocation),
-                ]
-            )
 
 
-def _cmd_run_allocators(args) -> int:
+def _cmd_run_allocators(args, out: TextIO) -> int:
     """`allocate` and `compare`: load the inputs once, then run each
     algorithm in order and estimate its welfare under one shared seed."""
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
         if a not in ALGORITHMS:
             raise CliError(2, f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}")
-    cfg = load_catalog_file(args.catalog)
-    catalog = cfg.catalog
-    budgets = parse_budgets(args.budgets, catalog) if args.budgets else cfg.budgets
-    if not budgets:
-        raise CliError(2, "no budgets given (flag or [budgets] section)")
-    graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
-    base = load_allocation_file(args.base, catalog, graph.n) if args.base else Allocation.empty()
-    items = [it for it in catalog.items if it in budgets]
-    config = allocators.AllocatorConfig(
-        eps=args.epsilon, ell=args.ell, mc_samples=args.samples, seed=args.seed
-    )
     records = []
-    trace = _TraceWriter(args.trace)
+    trace = _TraceWriter(args.trace)  # before the inputs load: a bad path costs no work
     try:
+        cfg = load_catalog_file(args.catalog)
+        catalog = cfg.catalog
+        budgets = parse_budgets(args.budgets, catalog) if args.budgets else cfg.budgets
+        if not budgets:
+            raise CliError(2, "no budgets given (flag or [budgets] section)")
+        graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
+        base = load_allocation_file(args.base, catalog, graph.n) if args.base else Allocation.empty()
+        items = [it for it in catalog.items if it in budgets]
+        config = allocators.AllocatorConfig(
+            eps=args.epsilon, ell=args.ell, mc_samples=args.samples, seed=args.seed
+        )
         for algo in algos:
             trace(f"phase=run algorithm={algo}")
             started = time.perf_counter()
@@ -273,13 +256,13 @@ def _cmd_run_allocators(args) -> int:
             records.append(ResultRecord(algo, alloc, est.mean, est.stderr, est.item_means, wall))
     finally:
         trace.close()
-    _write_csv(records, catalog, args.out)
+    _write_csv(records, catalog, out)
     for rec in records:
         print(f"algorithm={rec.algorithm} wall={rec.wall_time:.3f}s", file=sys.stderr)
     return 0
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args, out: TextIO) -> int:
     graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
     cfg = load_catalog_file(args.catalog)
     alloc = load_allocation_file(args.allocation, cfg.catalog, graph.n)
@@ -287,11 +270,11 @@ def _cmd_estimate(args) -> int:
         graph, cfg.catalog, alloc, args.samples, derive_seed(args.seed, "estimate")
     )
     record = ResultRecord("estimate", alloc, est.mean, est.stderr, est.item_means, 0.0)
-    _write_csv([record], cfg.catalog, args.out)
+    _write_csv([record], cfg.catalog, out)
     return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, out: TextIO) -> int:
     graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
     cfg = load_catalog_file(args.catalog)
     catalog = cfg.catalog
@@ -325,11 +308,11 @@ def _cmd_oracle(args) -> int:
             )
     except OracleLimitError as exc:
         raise CliError(3, f"oracle: {exc}") from exc
-    _write_csv([record], catalog, args.out)
+    _write_csv([record], catalog, out)
     return 0
 
 
-def _cmd_convert_utilities(args) -> int:
+def _cmd_convert_utilities(args, out: TextIO) -> int:
     lines = _read_lines(args.probs, "probabilities file")
     names, probs = [], []
     for lineno, raw in enumerate(lines, start=1):
@@ -348,20 +331,19 @@ def _cmd_convert_utilities(args) -> int:
         utils = utilities_from_probabilities(probs, scale=args.scale)
     except CatalogError as exc:
         raise CliError(2, str(exc)) from exc
-    with _output(args.out) as out:
-        for name, val in zip(names, utils):
-            out.write(f"{name} = {_fmt(val)}\n")
+    for name, val in zip(names, utils):
+        out.write(f"{name} = {_fmt(val)}\n")
     return 0
 
 
-def _cmd_validate_config(args) -> int:
+def _cmd_validate_config(args, out: TextIO) -> int:
     cfg = load_catalog_file(args.catalog)
     report = validate(cfg.catalog)
-    print(("PASS: " if report.ok else "FAIL: ") + report.message)
+    print(("PASS: " if report.ok else "FAIL: ") + report.message, file=out)
     return 0 if report.ok else 1
 
 
-def _cmd_rr_stats(args) -> int:
+def _cmd_rr_stats(args, out: TextIO) -> int:
     graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
     rng = derive_rng(args.seed, "rr-stats")
     fixed = frozenset()
@@ -381,13 +363,12 @@ def _cmd_rr_stats(args) -> int:
             empties += 1
         else:
             sizes[len(rr.members)] = sizes.get(len(rr.members), 0) + 1
-    with _output(args.out) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["stat", "value"])
-        writer.writerow(["sets", args.count])
-        writer.writerow(["empty", empties])
-        for size in sorted(sizes):
-            writer.writerow([f"size_{size}", sizes[size]])
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["stat", "value"])
+    writer.writerow(["sets", args.count])
+    writer.writerow(["empty", empties])
+    for size in sorted(sizes):
+        writer.writerow([f"size_{size}", sizes[size]])
     return 0
 
 
@@ -471,7 +452,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # --out opens before any input loads: a bad path costs no work
+        with _output(getattr(args, "out", None)) as out:
+            return args.fn(args, out)
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code

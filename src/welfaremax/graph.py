@@ -1,13 +1,13 @@
-"""Directed probabilistic graph: representation, edge-list IO, cascade weights.
+"""Directed probabilistic graph: representation and edge-list parsing.
 
 The graph is immutable after construction. Node ids are dense integers in
 [0, n); edge probabilities live in [0, 1]. Edge-list text format: one
-"src dst [prob]" per line, '#'-prefixed comment lines skipped.
+"src dst prob" per line, '#'-prefixed comment lines skipped.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
@@ -76,35 +76,30 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def load_edge_list(lines: Iterable[str], on_duplicate: str = "error") -> Graph:
+def load_edge_list(
+    lines: Iterable[str], undirected: bool = False, compact_ids: bool = False
+) -> Graph:
     """Parse an edge-list text stream into a Graph.
 
-    Each non-comment line is "src dst [prob]". When the probability column
-    is absent it is left as a 0 sentinel pending assignment (see
-    :func:`assign_weighted_cascade`). n is 1 + the largest node id seen.
-
-    on_duplicate: "error" rejects repeated (src, dst) pairs, "max" keeps the
-    larger probability. Self-loops are always rejected.
+    Each non-comment line is "src dst prob". Self-loops and repeated
+    (src, dst) pairs are rejected, each error naming its line. With
+    ``undirected``, every edge is followed by its reverse with the same
+    probability. n is 1 + the largest node id seen; with ``compact_ids``,
+    the ids in use are renumbered 0, 1, ... in ascending order instead.
     """
-    if on_duplicate not in ("error", "max"):
-        raise ValueError("on_duplicate must be 'error' or 'max'")
-    edges: dict[tuple[int, int], float] = {}
-    order: list[tuple[int, int]] = []
+    probs: dict[tuple[int, int], float] = {}  # insertion order is edge order
     max_id = -1
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) not in (2, 3):
-            raise EdgeListError(f"line {lineno}: expected 'src dst [prob]', got {line!r}")
+        if len(parts) != 3:
+            raise EdgeListError(f"line {lineno}: expected 'src dst prob', got {line!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
@@ -113,37 +108,31 @@ def load_edge_list(lines: Iterable[str], on_duplicate: str = "error") -> Graph:
             raise EdgeListError(f"line {lineno}: node ids must be non-negative")
         if u == v:
             raise EdgeListError(f"line {lineno}: self-loop at node {u}")
-        p = 0.0
-        if len(parts) == 3:
-            try:
-                p = float(parts[2])
-            except ValueError:
-                raise EdgeListError(f"line {lineno}: probability must be a number, got {parts[2]!r}") from None
-            if not (0.0 <= p <= 1.0):
-                raise EdgeListError(f"line {lineno}: probability {p} outside [0, 1]")
+        try:
+            p = float(parts[2])
+        except ValueError:
+            raise EdgeListError(f"line {lineno}: probability must be a number, got {parts[2]!r}") from None
+        if not (0.0 <= p <= 1.0):
+            raise EdgeListError(f"line {lineno}: probability {p} outside [0, 1]")
         key = (u, v)
-        if key in edges:
-            if on_duplicate == "error":
-                raise EdgeListError(f"line {lineno}: duplicate edge ({u}, {v})")
-            edges[key] = max(edges[key], p)
-        else:
-            edges[key] = p
-            order.append(key)
-        max_id = max(max_id, u, v)
+        if key in probs:
+            raise EdgeListError(f"line {lineno}: duplicate edge ({u}, {v})")
+        probs[key] = p
+        if undirected:
+            key = (v, u)
+            if key in probs:
+                raise EdgeListError(f"line {lineno}: duplicate edge ({v}, {u})")
+            probs[key] = p
+        if u > max_id:
+            max_id = u
+        if v > max_id:
+            max_id = v
+    n = max_id + 1
+    edges = [(u, v, p) for (u, v), p in probs.items()]
+    if compact_ids:
+        ids = sorted({u for u, _ in probs} | {v for _, v in probs})
+        new_id = {old: new for new, old in enumerate(ids)}
+        edges = [(new_id[u], new_id[v], p) for u, v, p in edges]
+        n = len(ids)
     # every line was checked above for what Graph._check looks for
-    return Graph(max_id + 1, [(u, v, edges[(u, v)]) for u, v in order], validate=False)
-
-
-def dump_edge_list(graph: Graph, stream: TextIO) -> None:
-    """Write the graph in edge-list format; probabilities round-trip bit-exactly."""
-    for u, v, p in graph.edges:
-        stream.write(f"{u} {v} {p:.17g}\n")
-
-
-def assign_weighted_cascade(graph: Graph) -> Graph:
-    """Return a copy where every edge (u, v) carries probability 1/d_in(v)."""
-    return Graph(
-        graph.n,
-        [(u, v, 1.0 / graph.in_degree(v)) for u, v, _ in graph.edges],
-        validate=False,
-    )
+    return Graph(n, edges, validate=False)

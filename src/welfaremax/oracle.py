@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from welfaremax.diffusion import Allocation, PossibleWorld, simulate
 from welfaremax.graph import Graph
-from welfaremax.utility import ItemCatalog, NoiseWorld
+from welfaremax.utility import ItemCatalog, NoiseWorld, finite_supports, joint_outcomes
 
 
 class OracleLimitError(ValueError):
@@ -51,26 +51,13 @@ def _edge_worlds(graph: Graph, limits: OracleLimits):
 
 
 def _noise_worlds(catalog: ItemCatalog, limits: OracleLimits):
-    supports = []
-    for spec in catalog.noise_specs:
-        sup = spec.support()
-        if sup is None:
-            raise OracleLimitError(
-                "exact welfare needs finite noise supports (zero or two-point)"
-            )
-        supports.append(sup)
-    size = 1
-    for sup in supports:
-        size *= len(sup)
+    supports = finite_supports(catalog, (1 << catalog.m) - 1)
+    if supports is None:
+        raise OracleLimitError("exact welfare needs finite noise supports (zero or two-point)")
+    size = math.prod(len(sup) for sup in supports)
     if size > limits.max_noise_support:
         raise OracleLimitError(f"joint noise support {size} exceeds limit")
-    worlds = []
-    for combo in itertools.product(*supports):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        worlds.append((prob, NoiseWorld(tuple(v for v, _ in combo))))
-    return worlds
+    return [(prob, NoiseWorld(vals)) for prob, vals in joint_outcomes(supports)]
 
 
 class WelfareOracle:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph
-from welfaremax.utility import ItemCatalog, expected_truncated_utility
+from welfaremax.utility import UTILITY_SAMPLES, ItemCatalog, expected_truncated_utility
 
 
 class RISError(ValueError):
@@ -135,7 +135,7 @@ def sample_weighted_rr(
 
 
 def expected_item_utilities(
-    catalog: ItemCatalog, samples: int = 100_000, rng=None
+    catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None
 ) -> dict[str, float]:
     """Expected truncated utility per single item (exact where possible)."""
     return {

@@ -30,7 +30,6 @@ from welfaremax.ris import (
 )
 from welfaremax.utility import (
     ItemCatalog,
-    expected_truncated_utility,
     is_pure_competition,
     superior_item,
 )
@@ -199,15 +198,6 @@ def prima_plus(
     return order
 
 
-def welfare_upper_bound(
-    graph: Graph, catalog: ItemCatalog, superior: str, samples: int = 100_000, rng=None
-) -> float:
-    """Welfare ceiling used by the superior-item search: every node adopting
-    the superior item, at its expected truncated utility."""
-    val, _ = expected_truncated_utility(catalog, [superior], samples=samples, rng=rng)
-    return graph.n * val
-
-
 def check_superior_instance(
     catalog: ItemCatalog, base_allocation: Allocation, superior: str
 ) -> None:
@@ -242,7 +232,6 @@ def supgrd_sampling(
     ell: float,
     rng,
     trace: Trace = None,
-    utility_samples: int = 100_000,
 ) -> RRCollection:
     """Weighted RR collection sized for near-optimal welfare selection.
 
@@ -256,7 +245,7 @@ def supgrd_sampling(
     epsp = params.eps_prime
     ell_hat = params.ell_hat
     emit = trace or (lambda line: None)
-    item_utils = expected_item_utilities(catalog, samples=utility_samples, rng=rng)
+    item_utils = expected_item_utilities(catalog, rng=rng)
     u_sup = item_utils[superior]
     if u_sup <= 0.0:
         raise SelectorError("superior item has zero expected truncated utility")

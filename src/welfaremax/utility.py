@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 MAX_ITEMS_ENUM = 20  # 2^m bundle enumeration guard
+UTILITY_SAMPLES = 100_000  # Monte Carlo draws per expected truncated utility
 
 
 class CatalogError(ValueError):
@@ -107,18 +108,13 @@ class NoiseWorld:
     def sample(cls, catalog: "ItemCatalog", rng) -> "NoiseWorld":
         return cls(tuple(spec.sample(rng) for spec in catalog.noise_specs))
 
-    @classmethod
-    def silent(cls, catalog: "ItemCatalog") -> "NoiseWorld":
-        return cls((0.0,) * catalog.m)
-
 
 class ItemCatalog:
     """Items with bundle valuations, additive prices and noise distributions.
 
     valuations maps itemsets (iterables of item ids) to values; the empty
-    set is implicitly 0. In the default completion mode, unlisted bundles
-    take the maximum value over their listed sub-bundles; strict mode
-    requires every bundle to be listed.
+    set is implicitly 0. Unlisted bundles take the maximum value over their
+    listed sub-bundles.
     """
 
     def __init__(
@@ -127,7 +123,6 @@ class ItemCatalog:
         prices: Mapping[str, float],
         valuations: Mapping,
         noise: Optional[Mapping[str, NoiseSpec]] = None,
-        strict: bool = False,
     ):
         self.items: tuple[str, ...] = tuple(items)
         self.m = len(self.items)
@@ -161,13 +156,6 @@ class ItemCatalog:
         if self._listed.get(0, 0.0) != 0.0:
             raise CatalogError("the empty bundle must have value 0")
         self._listed[0] = 0.0
-        self.strict = bool(strict)
-        if strict:
-            if self.m > MAX_ITEMS_ENUM:
-                raise CatalogError("strict mode requires m <= %d" % MAX_ITEMS_ENUM)
-            absent = [self.itemset(mk) for mk in range(1 << self.m) if mk not in self._listed]
-            if absent:
-                raise CatalogError(f"strict catalog missing bundles: {absent[:4]}")
         self._vcache: dict[int, float] = dict(self._listed)
 
     # -- itemset plumbing ---------------------------------------------------
@@ -196,8 +184,6 @@ class ItemCatalog:
         cached = self._vcache.get(mask)
         if cached is not None:
             return cached
-        if self.strict:  # unreachable for in-range masks, guard anyway
-            raise CatalogError(f"bundle {self.itemset(mask)} not listed")
         # single-item removals reach every listed proper sub-bundle
         best = max(
             self.value(mask & ~(1 << i))
@@ -244,8 +230,9 @@ def utility(catalog: ItemCatalog, items, noise_world: Optional[NoiseWorld] = Non
     return total
 
 
-def _finite_supports(catalog: ItemCatalog, mask: int):
-    """Per-item finite supports inside mask, or None if any is continuous."""
+def finite_supports(catalog: ItemCatalog, mask: int):
+    """Per-item finite supports inside mask, or None if any is continuous.
+    The joint support has ``math.prod(len(s) for s in supports)`` outcomes."""
     supports = []
     for i in range(catalog.m):
         if mask >> i & 1:
@@ -256,12 +243,15 @@ def _finite_supports(catalog: ItemCatalog, mask: int):
     return supports
 
 
-def _joint_outcomes(supports):
-    """Yield (noise_sum, prob) over the Cartesian product of finite supports."""
-    outcomes = [(0.0, 1.0)]
-    for sup in supports:
-        outcomes = [(s + v, q * p) for s, q in outcomes for v, p in sup]
-    return outcomes
+def joint_outcomes(supports):
+    """Yield (prob, per-item values) over the Cartesian product of finite
+    supports, in ``itertools.product`` order; each probability is the
+    product of its items' probabilities taken left to right."""
+    for combo in itertools.product(*supports):
+        prob = 1.0
+        for _, p in combo:
+            prob *= p
+        yield prob, tuple(v for v, _ in combo)
 
 
 def expected_truncated_utility(
@@ -274,10 +264,15 @@ def expected_truncated_utility(
     """
     mask = catalog.mask(items)
     base = catalog.value(mask) - catalog.price(mask)
-    supports = _finite_supports(catalog, mask)
+    supports = finite_supports(catalog, mask)
     if supports is not None:
-        mean = math.fsum(p * max(0.0, base + s) for s, p in _joint_outcomes(supports))
-        return mean, 0.0
+        parts = []
+        for prob, vals in joint_outcomes(supports):
+            noise = 0.0
+            for v in vals:  # left to right; sum() may compensate on newer Pythons
+                noise += v
+            parts.append(prob * max(0.0, base + noise))
+        return math.fsum(parts), 0.0
     if samples is None or rng is None:
         raise CatalogError("continuous noise needs samples and rng for Monte Carlo")
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
@@ -306,7 +301,7 @@ def _sample_noise_array(spec: NoiseSpec, count: int, gen) -> np.ndarray:
     return np.where(gen.random(count) < 0.5, spec.amplitude, -spec.amplitude)
 
 
-def u_min(catalog: ItemCatalog, samples: int = 100_000, rng=None) -> float:
+def u_min(catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None) -> float:
     """Minimum over single items of the expected truncated utility."""
     best = None
     for it in catalog.items:
@@ -320,7 +315,7 @@ _MAX_EXACT_JOINT = 65536
 
 def u_max(
     catalog: ItemCatalog,
-    samples: int = 100_000,
+    samples: int = UTILITY_SAMPLES,
     rng=None,
     return_stderr: bool = False,
 ):
@@ -335,21 +330,12 @@ def u_max(
     base = np.array(
         [catalog.value(mk) - catalog.price(mk) for mk in range(1 << catalog.m)]
     )
-    supports = _finite_supports(catalog, (1 << catalog.m) - 1)
-    joint_size = 1
-    if supports is not None:
-        for sup in supports:
-            joint_size *= len(sup)
-    if supports is not None and joint_size <= _MAX_EXACT_JOINT:
-        parts = []
-        for combo in itertools.product(*supports):
-            noise_vec = np.fromiter((val for val, _ in combo), float, catalog.m)
-            prob = 1.0
-            for _, p in combo:
-                prob *= p
-            bundle_noise = _mask_sums(noise_vec, catalog.m)
-            parts.append(prob * max(0.0, float(np.max(base + bundle_noise))))
-        total = math.fsum(parts)
+    supports = finite_supports(catalog, (1 << catalog.m) - 1)
+    if supports is not None and math.prod(len(s) for s in supports) <= _MAX_EXACT_JOINT:
+        total = math.fsum(
+            prob * max(0.0, float(np.max(base + _mask_sums(np.array(vals), catalog.m))))
+            for prob, vals in joint_outcomes(supports)
+        )
         return (total, 0.0) if return_stderr else total
     if rng is None:
         raise CatalogError("continuous noise needs an rng for Monte Carlo u_max")
@@ -507,7 +493,7 @@ _NOISE_KEYS = {
 }
 
 
-def load_catalog_config(lines: Iterable[str], strict_valuation: bool = False) -> CatalogConfig:
+def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
     """Parse the catalog config format.
 
     Sections: [items] with "id price=P noise=KIND [param=V ...]" lines,
@@ -593,5 +579,5 @@ def load_catalog_config(lines: Iterable[str], strict_valuation: bool = False) ->
                 raise CatalogError(f"line {lineno}: budget must be non-negative")
     if not items:
         raise CatalogError("config defines no items")
-    catalog = ItemCatalog(items, prices, valuations, noise, strict=strict_valuation)
+    catalog = ItemCatalog(items, prices, valuations, noise)
     return CatalogConfig(catalog, budgets)

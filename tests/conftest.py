@@ -6,13 +6,18 @@ import pytest
 
 from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph, load_edge_list
-from welfaremax.utility import ItemCatalog, NoiseSpec
+from welfaremax.utility import ItemCatalog, NoiseSpec, NoiseWorld
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def graph_from(text: str) -> Graph:
     return load_edge_list(io.StringIO(text))
+
+
+def silent_noise(catalog: ItemCatalog) -> NoiseWorld:
+    """A noise world in which every item's noise is 0."""
+    return NoiseWorld((0.0,) * catalog.m)
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from welfaremax.rng import derive_rng
 from welfaremax.selectors import prima_plus
 from welfaremax.utility import (
     ItemCatalog,
-    NoiseWorld,
     u_max,
     u_min,
     utilities_from_probabilities,
@@ -37,6 +36,7 @@ from conftest import (
     random_allocation,
     random_coverage_catalog,
     random_graph,
+    silent_noise,
     superior_instance,
 )
 
@@ -75,7 +75,7 @@ def test_criterion_01_two_node_fixture_exactness(trio):
     pair_low = Allocation.of([(1, "i2")])
     pair_both = Allocation.of([(1, "i2"), (1, "i3")])
 
-    world = PossibleWorld.fixed([True], NoiseWorld.silent(trio))
+    world = PossibleWorld.fixed([True], silent_noise(trio))
     checks = [
         oracle.welfare(s1) == 8.0,
         simulate(g, trio, s1, world).welfare == 8.0,

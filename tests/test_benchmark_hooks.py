@@ -6,7 +6,7 @@ tests fail instead."""
 import importlib.util
 from pathlib import Path
 
-from welfaremax import allocators, cli, diffusion, ris, selectors
+from welfaremax import allocators, cli, diffusion, graph, ris, selectors
 
 from conftest import CONFIGS
 
@@ -25,6 +25,7 @@ PATCHED = [
     (cli, "load_catalog_file"),
     (cli, "load_allocation_file"),
     (cli, "estimate_welfare"),
+    (graph, "load_edge_list"),
     (allocators, "seqgrd"),
     (allocators, "seqgrd_nm"),
     (ris, "sample_rr"),
@@ -63,6 +64,7 @@ def test_benchmark_spans_see_the_allocate_path(tmp_path):
     calls = tracer.spans.calls
     for span in ("e2e.setup", "e2e.allocate", "e2e.estimate"):
         assert calls[span] >= 1, span
+    assert calls["graph.load"] == 1  # the loader behind `graph.load_s`
     assert calls["selectors.sampling"] >= 1 and calls["ris.sample"] >= 1
     for owner, name in PATCHED:
         assert getattr(owner, name) is originals[(owner, name)], f"{owner.__name__}.{name}"

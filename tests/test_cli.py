@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from welfaremax.cli import main
+from welfaremax.cli import load_graph_file, main
 
 from conftest import CONFIGS
 
@@ -482,3 +482,59 @@ def test_allocation_node_outside_graph_exits_2(tmp_path, capsys, command):
         argv += ["--allocation", alloc]
     assert run_cli(*argv) == 2
     assert "line 2: node 99 outside [0, 6)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1 0.5\n1 2 0.5\n2 3 1.5\n", "line 3: probability 1.5 outside [0, 1]"),
+        ("0 1 0.5\n1 0 0.5\n", "line 2: duplicate edge (1, 0)"),
+    ],
+    ids=["bad-probability", "listed-both-ways"],
+)
+def test_undirected_errors_name_the_file_line(tmp_path, capsys, text, message):
+    graph = tmp_path / "g.edges"
+    graph.write_text(text)
+    assert run_cli("rr-stats", "--graph", graph, "--undirected", "--count", "1") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_undirected_compact_ids_graph(tmp_path):
+    graph = tmp_path / "sparse.edges"
+    graph.write_text("# sparse ids\n7 3 0.5\n3 12 0.25\n\n12 40 1\n40 7 0.125\n")
+    g = load_graph_file(str(graph), undirected=True, compact_ids=True)
+    assert g.n == 4
+    # each edge is followed by its reverse; ids 3, 7, 12, 40 become 0, 1, 2, 3
+    assert g.edges == (
+        (1, 0, 0.5), (0, 1, 0.5), (0, 2, 0.25), (2, 0, 0.25),
+        (2, 3, 1.0), (3, 2, 1.0), (3, 1, 0.125), (1, 3, 0.125),
+    )
+
+
+NO_INPUTS = ["--graph", "nope.edges", "--catalog", "nope.cfg"]  # neither file exists
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["allocate", *NO_INPUTS, "--algo", "seqgrd"], "--out"),
+        (["allocate", *NO_INPUTS, "--algo", "seqgrd"], "--trace"),
+        (["compare", *NO_INPUTS, "--algos", "seqgrd,snake"], "--out"),
+        (["compare", *NO_INPUTS, "--algos", "seqgrd,snake"], "--trace"),
+        (["estimate", *NO_INPUTS, "--allocation", "nope.txt"], "--out"),
+        (["oracle", *NO_INPUTS, "--allocation", "nope.txt"], "--out"),
+        (["rr-stats", "--graph", "nope.edges"], "--out"),
+        (["convert-utilities", "--probs", "nope.txt"], "--out"),
+    ],
+    ids=[
+        "allocate-out", "allocate-trace", "compare-out", "compare-trace",
+        "estimate-out", "oracle-out", "rr-stats-out", "convert-utilities-out",
+    ],
+)
+def test_unopenable_output_exits_2_before_loading(tmp_path, capsys, argv, flag):
+    # reading any input first would fail on that missing file instead
+    target = tmp_path / "missing-dir" / "x"
+    assert run_cli(*argv, flag, target) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot open {flag} {target}" in err
+    assert "Traceback" not in err

@@ -18,11 +18,17 @@ from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle, WelfareOracle
 from welfaremax.utility import ItemCatalog, NoiseSpec, NoiseWorld
 
-from conftest import graph_from, random_allocation, random_coverage_catalog, random_graph
+from conftest import (
+    graph_from,
+    random_allocation,
+    random_coverage_catalog,
+    random_graph,
+    silent_noise,
+)
 
 
 def certain_world(graph, catalog):
-    return PossibleWorld.fixed([True] * graph.m, NoiseWorld.silent(catalog))
+    return PossibleWorld.fixed([True] * graph.m, silent_noise(catalog))
 
 
 def test_single_seed_carries_item_downstream(pair_graph, trio_catalog):
@@ -69,7 +75,7 @@ def test_seed_with_no_viable_bundle_adopts_nothing():
 
 
 def test_blocked_edges_stop_propagation(pair_graph, trio_catalog):
-    world = PossibleWorld.fixed([False], NoiseWorld.silent(trio_catalog))
+    world = PossibleWorld.fixed([False], silent_noise(trio_catalog))
     res = simulate(pair_graph, trio_catalog, Allocation.of([(0, "i1")]), world)
     assert res.adoption == {0: frozenset({"i1"})}
     assert res.welfare == 4.0

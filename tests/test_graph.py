@@ -1,20 +1,18 @@
 import io
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from welfaremax.graph import (
-    EdgeListError,
-    Graph,
-    GraphError,
-    assign_weighted_cascade,
-    dump_edge_list,
-    load_edge_list,
-)
+from welfaremax.graph import EdgeListError, Graph, GraphError, load_edge_list
 
 from conftest import graph_from
+
+
+def dump_edge_list(graph: Graph, stream) -> None:
+    """Write the graph in edge-list format; probabilities round-trip bit-exactly."""
+    for u, v, p in graph.edges:
+        stream.write(f"{u} {v} {p:.17g}\n")
 
 
 def test_load_single_edge():
@@ -35,21 +33,17 @@ def test_load_skips_comments_and_blanks():
     assert g.m == 2
 
 
-def test_load_missing_probability_defaults_to_sentinel():
-    g = graph_from("0 1\n")
-    assert g.edges[0][2] == 0.0
-
-
 def test_load_malformed_line_reports_lineno():
-    with pytest.raises(EdgeListError, match="line 2"):
-        graph_from("0 1 0.5\n0 1 2 3 4\n")
+    for bad in ("0 1 2 3 4", "1 2"):  # no probability column is malformed too
+        with pytest.raises(EdgeListError, match="line 2: expected 'src dst prob'"):
+            graph_from(f"0 1 0.5\n{bad}\n")
 
 
 def test_load_bad_ids():
     with pytest.raises(EdgeListError, match="integers"):
-        graph_from("a b\n")
+        graph_from("a b 0.5\n")
     with pytest.raises(EdgeListError, match="non-negative"):
-        graph_from("-1 2\n")
+        graph_from("-1 2 0.5\n")
 
 
 def test_load_probability_out_of_range():
@@ -61,9 +55,6 @@ def test_load_duplicate_edge_rejected_by_default():
     text = "0 1 0.5\n1 2 0.5\n0 1 0.7\n"
     with pytest.raises(EdgeListError, match="line 3.*duplicate"):
         graph_from(text)
-    g = load_edge_list(io.StringIO(text), on_duplicate="max")
-    assert g.m == 2
-    assert dict(((u, v), p) for u, v, p in g.edges)[(0, 1)] == 0.7
 
 
 def test_load_self_loop_rejected():
@@ -88,7 +79,7 @@ def test_loaded_graph_equals_validated_construction():
     rows = [line.split() for line in text.splitlines()]
     # ids and probabilities as the constructor must coerce them
     built = Graph(12, [(float(u), v, p) for u, v, p in rows])
-    for g in (loaded, built, assign_weighted_cascade(built)):
+    for g in (loaded, built):
         for u, v, p in g.edges:
             assert (type(u), type(v), type(p)) == (int, int, float)
     assert loaded.edges == built.edges
@@ -105,38 +96,6 @@ def test_adjacency_transpose():
     out_pairs = {(u, v) for u in range(g.n) for v, _, _ in g.out_adj[u]}
     in_pairs = {(u, v) for v in range(g.n) for u, _, _ in g.in_adj[v]}
     assert out_pairs == in_pairs == {(0, 1), (0, 2), (2, 1)}
-
-
-def test_weighted_cascade_star():
-    g = graph_from("1 0\n2 0\n3 0\n4 0\n")
-    w = assign_weighted_cascade(g)
-    assert all(p == 0.25 for _, _, p in w.edges)
-
-
-def test_weighted_cascade_chain():
-    w = assign_weighted_cascade(graph_from("0 1\n1 2\n"))
-    assert [p for _, _, p in w.edges] == [1.0, 1.0]
-
-
-def test_weighted_cascade_mixed_degrees():
-    # in-degrees: node 3 has 3, node 4 has 1
-    g = graph_from("0 3\n1 3\n2 3\n3 4\n")
-    w = assign_weighted_cascade(g)
-    by_target = {}
-    for _, v, p in w.edges:
-        by_target.setdefault(v, []).append(p)
-    assert by_target[3] == [1 / 3] * 3
-    assert by_target[4] == [1.0]
-
-
-def test_weighted_cascade_incoming_sums_to_one():
-    g = graph_from("0 1\n2 1\n3 1\n0 2\n1 3\n2 3\n")
-    w = assign_weighted_cascade(g)
-    incoming = {}
-    for _, v, p in w.edges:
-        incoming[v] = incoming.get(v, 0.0) + p
-    for v, total in incoming.items():
-        assert math.isclose(total, 1.0, abs_tol=1e-12)
 
 
 @st.composite

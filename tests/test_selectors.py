@@ -15,11 +15,17 @@ from welfaremax.selectors import (
     lambda_star,
     prima_plus,
     supgrd_sampling,
-    welfare_upper_bound,
 )
-from welfaremax.utility import ItemCatalog
+from welfaremax.utility import ItemCatalog, expected_truncated_utility
 
 from conftest import graph_from, superior_instance
+
+
+def welfare_upper_bound(graph: Graph, catalog: ItemCatalog, superior: str) -> float:
+    """Welfare ceiling of the superior-item search: every node adopting the
+    superior item at its expected truncated utility (finite noise only)."""
+    val, _ = expected_truncated_utility(catalog, [superior])
+    return graph.n * val
 
 
 def test_lambda_prime_pinned_value():

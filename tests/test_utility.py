@@ -244,13 +244,6 @@ def test_completion_takes_best_listed_subset():
     assert cat.value(["a", "b", "c"]) == 5
 
 
-def test_strict_mode_rejects_incomplete_table():
-    with pytest.raises(CatalogError, match="missing bundles"):
-        ItemCatalog(
-            ["a", "b"], prices={"a": 0, "b": 0}, valuations={("a",): 1}, strict=True
-        )
-
-
 def test_empty_bundle_value_must_be_zero():
     with pytest.raises(CatalogError, match="empty bundle"):
         ItemCatalog(["a"], prices={"a": 0}, valuations={(): 1, ("a",): 1})
