@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -206,13 +207,14 @@ def simulate(
 
     live = world.live
     live_out = world._live_out
-    out_adj = graph.out_adj
+    out_dst, out_eid = graph.out_dst, graph.out_eid
     while frontier:
         gained: dict[int, int] = {}
         for u in frontier:
             targets = live_out.get(u)
             if targets is None:
-                targets = live_out[u] = [v for v, _, eid in out_adj[u] if live[eid]]
+                flags = map(live.__getitem__, out_eid[u])
+                targets = live_out[u] = list(compress(out_dst[u], flags))
             au = adopt[u]
             for v in targets:
                 new = au & ~desire.get(v, 0)

@@ -1,12 +1,30 @@
-"""Directed probabilistic graph: representation and edge-list parsing.
+"""Directed probabilistic graph: flat edge arrays, CSR adjacency, edge-list parsing.
 
 The graph is immutable after construction. Node ids are dense integers in
-[0, n); edge probabilities live in [0, 1]. Edge-list text format: one
-"src dst prob" per line, '#'-prefixed comment lines skipped.
+[0, n); edge probabilities live in [0, 1]. Edges are numbered in input
+order, and ``src``, ``dst`` and ``probs`` are numpy arrays indexed by edge
+id. The in-edges of node v are ``in_eids[in_ptr[v]:in_ptr[v + 1]]`` and
+its out-edges ``out_eids[out_ptr[v]:out_ptr[v + 1]]`` (CSR), each in
+edge-id order. The Python hot loops read per-node tuples sliced from that
+CSR: ``in_src[v]`` and ``in_prob[v]`` (sources and probabilities of v's
+in-edges) for reverse sampling, ``out_dst[u]`` and ``out_eid[u]`` for
+diffusion. No per-edge tuple is built on the load path.
+
+Edge-list text format: one "src dst prob" per line, '#'-prefixed comment
+lines skipped. `load_edge_list` parses with ``np.loadtxt`` and checks the
+arrays with vectorised tests. Any input that fails to parse, makes numpy
+warn or fails a check is read again by the line-by-line parser, which
+either builds the graph (it accepts a few spellings numpy does not, such
+as ``1_0`` or non-ASCII digits) or raises the `EdgeListError` naming the
+line. So the numpy path never accepts an input the line parser rejects,
+and all error messages come from the line parser. The line parser alone
+is about twice as slow on large inputs and holds a dict of every edge.
 """
 
 from __future__ import annotations
 
+import warnings
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -20,64 +38,89 @@ class GraphError(ValueError):
     """Invalid graph construction."""
 
 
+def csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR grouping of positions by ``keys`` in [0, n): group k is
+    ``order[ptr[k]:ptr[k + 1]]``, its positions in ascending order."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return ptr, np.argsort(keys, kind="stable")
+
+
+def _per_node(ptr: list[int], values: np.ndarray) -> tuple[tuple, ...]:
+    flat = tuple(values.tolist())
+    return tuple(flat[a:b] for a, b in zip(ptr, ptr[1:]))
+
+
 class Graph:
     """Directed graph with per-edge influence probabilities.
 
-    ``out_adj[u]`` and ``in_adj[v]`` hold ``(neighbor, prob, edge_id)``
-    triples and are exact transposes of each other. ``edge_id`` indexes
-    into ``edges`` and indexes the flags of a possible world.
+    ``Graph(n, edges)`` checks and copies ``(src, dst, prob)`` triples;
+    `from_arrays` adopts arrays the caller has already checked.
     """
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj", "_probs", "__weakref__")
+    __slots__ = (
+        "n", "src", "dst", "probs", "in_ptr", "in_eids", "out_ptr", "out_eids",
+        "in_src", "in_prob", "out_dst", "out_eid", "__weakref__",
+    )
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, float]], validate: bool = True):
-        """With ``validate=False`` the caller vouches that ``edges`` already
-        holds checked ``(int, int, float)`` tuples; they are kept as given."""
-        self.n = int(n)
-        if validate:
-            self.edges = tuple((int(u), int(v), float(p)) for u, v, p in edges)
-            self._check()
-        else:
-            self.edges = tuple(edges)
-        out_adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
-        in_adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v, p) in enumerate(self.edges):
-            out_adj[u].append((v, p, eid))
-            in_adj[v].append((u, p, eid))
-        self.out_adj = tuple(tuple(a) for a in out_adj)
-        self.in_adj = tuple(tuple(a) for a in in_adj)
-        self._probs = None
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
+        edges = [(int(u), int(v), float(p)) for u, v, p in edges]
+        _check(int(n), edges)
+        src, dst, probs = zip(*edges) if edges else ((), (), ())
+        self._build(int(n), np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                    np.array(probs, dtype=np.float64))
 
-    @property
-    def probs(self) -> np.ndarray:
-        """Read-only float64 edge probabilities by edge id, built on first use."""
-        if self._probs is None:
-            probs = np.fromiter((p for _, _, p in self.edges), dtype=np.float64, count=self.m)
-            probs.flags.writeable = False
-            self._probs = probs
-        return self._probs
+    @classmethod
+    def from_arrays(cls, n: int, src: np.ndarray, dst: np.ndarray, probs: np.ndarray) -> "Graph":
+        """A graph over int64 ``src``/``dst`` and float64 ``probs`` by edge id,
+        which must already satisfy what ``Graph(n, edges)`` checks."""
+        graph = cls.__new__(cls)
+        graph._build(n, src, dst, probs)
+        return graph
 
-    def _check(self) -> None:
-        if self.n < 0:
-            raise GraphError("node count must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        for u, v, p in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) references node outside [0, {self.n})")
-            if u == v:
-                raise GraphError(f"self-loop at node {u} is not allowed")
-            if not (0.0 <= p <= 1.0):
-                raise GraphError(f"edge ({u}, {v}) probability {p} outside [0, 1]")
-            if (u, v) in seen:
-                raise GraphError(f"parallel edge ({u}, {v})")
-            seen.add((u, v))
+    def _build(self, n: int, src: np.ndarray, dst: np.ndarray, probs: np.ndarray) -> None:
+        for arr in (src, dst, probs):
+            arr.flags.writeable = False
+        self.n, self.src, self.dst, self.probs = n, src, dst, probs
+        self.in_ptr, self.in_eids = csr(n, dst)
+        self.out_ptr, self.out_eids = csr(n, src)
+        in_ptr, out_ptr = self.in_ptr.tolist(), self.out_ptr.tolist()
+        self.in_src = _per_node(in_ptr, src[self.in_eids])
+        self.in_prob = _per_node(in_ptr, probs[self.in_eids])
+        self.out_dst = _per_node(out_ptr, dst[self.out_eids])
+        self.out_eid = _per_node(out_ptr, self.out_eids)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.probs)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """``(src, dst, prob)`` per edge id, built on each call; for small
+        graphs and tests, not for hot loops."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.probs.tolist()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _check(n: int, edges: list[tuple[int, int, float]]) -> None:
+    if n < 0:
+        raise GraphError("node count must be non-negative")
+    seen: set[tuple[int, int]] = set()
+    for u, v, p in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) references node outside [0, {n})")
+        if u == v:
+            raise GraphError(f"self-loop at node {u} is not allowed")
+        if not (0.0 <= p <= 1.0):
+            raise GraphError(f"edge ({u}, {v}) probability {p} outside [0, 1]")
+        if (u, v) in seen:
+            raise GraphError(f"parallel edge ({u}, {v})")
+        seen.add((u, v))
+
+
+_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("p", np.float64)])
 
 
 def load_edge_list(
@@ -91,6 +134,55 @@ def load_edge_list(
     probability. n is 1 + the largest node id seen; with ``compact_ids``,
     the ids in use are renumbered 0, 1, ... in ascending order instead.
     """
+    lines = list(lines)
+    arrays = _parse_arrays(lines, undirected)
+    if arrays is None:
+        return _load_lines(lines, undirected, compact_ids)
+    src, dst, probs = arrays
+    if compact_ids:
+        ids, inverse = np.unique(np.concatenate((src, dst)), return_inverse=True)
+        src, dst = inverse[: len(src)], inverse[len(src):]
+        n = len(ids)
+    else:
+        n = int(max(src.max(), dst.max())) + 1
+    return Graph.from_arrays(n, src, dst, probs)
+
+
+def _parse_arrays(lines: list[str], undirected: bool):
+    """``(src, dst, probs)`` from ``np.loadtxt``, or None if numpy cannot
+    parse the lines or warns while parsing them, or the edges fail any
+    check of `_load_lines`."""
+    rows = [line for line in lines if "#" not in line or not line.lstrip().startswith("#")]
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns, rather than fails, on input without rows and,
+            # in numpy 1.x, when it reads an id such as "1.0" as 1
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=_ROW, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    u, v, p = table["u"], table["v"], table["p"]
+    if not (np.all(u >= 0) and np.all(v >= 0) and np.all(u != v)):
+        return None
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # false for nan
+        return None
+    if undirected:
+        u, v = np.column_stack((u, v)).ravel(), np.column_stack((v, u)).ravel()
+        p = np.repeat(p, 2)
+    else:
+        u, v, p = u.copy(), v.copy(), p.copy()
+    width = int(max(u.max(), v.max())) + 1
+    if width > 3_037_000_499:  # width**2 would overflow int64
+        return None
+    keys = np.sort(u * width + v)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return u, v, p
+
+
+def _load_lines(lines: list[str], undirected: bool, compact_ids: bool) -> Graph:
+    """The line-by-line loader: every line checked in order, the first bad
+    one raising an `EdgeListError` that names it."""
     probs: dict[tuple[int, int], float] = {}  # insertion order is edge order
     max_id = -1
     for lineno, raw in enumerate(lines, start=1):
@@ -127,12 +219,13 @@ def load_edge_list(
             max_id = u
         if v > max_id:
             max_id = v
-    n = max_id + 1
-    edges = [(u, v, p) for (u, v), p in probs.items()]
+    n, pairs = max_id + 1, probs.keys()
     if compact_ids:
-        ids = sorted({u for u, _ in probs} | {v for _, v in probs})
+        ids = sorted({u for u, _ in pairs} | {v for _, v in pairs})
         new_id = {old: new for new, old in enumerate(ids)}
-        edges = [(new_id[u], new_id[v], p) for u, v, p in edges]
-        n = len(ids)
-    # every line was checked above for what Graph._check looks for
-    return Graph(n, edges, validate=False)
+        n, pairs = len(ids), [(new_id[u], new_id[v]) for u, v in pairs]
+    m = len(probs)
+    ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * m).reshape(m, 2)
+    return Graph.from_arrays(
+        n, ends[:, 0].copy(), ends[:, 1].copy(), np.fromiter(probs.values(), np.float64, m)
+    )

@@ -37,7 +37,7 @@ def _edge_worlds(graph: Graph, limits: OracleLimits):
         raise OracleLimitError(
             f"{graph.m} edges exceeds oracle limit {limits.max_edges}"
         )
-    probs = [p for _, _, p in graph.edges]
+    probs = graph.probs.tolist()
     worlds = []
     for flags in itertools.product((True, False), repeat=graph.m):
         w = 1.0
@@ -99,8 +99,8 @@ class SpreadOracle:
         self.worlds = []
         for prob, flags in _edge_worlds(graph, limits):
             adj = [[] for _ in range(graph.n)]
-            for eid, (u, v, _) in enumerate(graph.edges):
-                if flags[eid]:
+            for u, v, live in zip(graph.src.tolist(), graph.dst.tolist(), flags):
+                if live:
                     adj[u].append(v)
             closures = []
             for s in range(graph.n):

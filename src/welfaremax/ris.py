@@ -3,17 +3,28 @@
 Two reverse-BFS samplers: the marginal one discards (but still counts)
 sets touching a fixed seed set, and with no fixed seeds it is the plain
 RR sampler; the weighted one stops at the fixed seeds and carries a
-welfare-gain weight. Collections keep an inverted index so greedy
-max-coverage runs in time linear in total set size.
+welfare-gain weight.
+
+Each visited node draws one ``random()`` coin per candidate in-edge, one
+whose source is not yet a member, in edge-id order, reading the graph's
+per-node source and probability tuples.
+
+A collection is flat: the members of all sets end to end with per-set
+offsets and weights. Greedy max-coverage groups member slots by node with
+one stable argsort per call and works on numpy arrays, adding and
+subtracting weights in the set order a per-set loop would use, so its
+picks and totals are the same floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from array import array
+from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from welfaremax.diffusion import Allocation
-from welfaremax.graph import Graph
+from welfaremax.graph import Graph, csr
 from welfaremax.utility import UTILITY_SAMPLES, ItemCatalog, expected_truncated_utility
 
 
@@ -21,8 +32,7 @@ class RISError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RRSet:
+class RRSet(NamedTuple):
     root: int
     members: frozenset[int]
     weight: float = 1.0
@@ -30,32 +40,42 @@ class RRSet:
 
 
 class RRCollection:
-    """An ordered collection of RR sets with a node -> set-ids index.
+    """An ordered collection of RR sets, stored flat.
 
-    len() counts every set, including empties; that convention is what
-    makes n * coverage an unbiased marginal-spread estimator.
+    Set ``i`` holds ``members[offsets[i]:offsets[i + 1]]`` and weighs
+    ``weights[i]``; an empty set holds no members. len() counts every set,
+    including empties; that convention is what makes n * coverage an
+    unbiased marginal-spread estimator.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.sets: list[RRSet] = []
-        self.index: dict[int, list[int]] = {}
+        self.members = array("q")
+        self.offsets = array("q", [0])
+        self.weights = array("d")
 
     def add(self, rr: RRSet) -> None:
-        sid = len(self.sets)
-        self.sets.append(rr)
         if not rr.empty:
-            for v in rr.members:
-                self.index.setdefault(v, []).append(sid)
+            self.members.extend(rr.members)
+        self.offsets.append(len(self.members))
+        self.weights.append(rr.weight)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.weights)
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Members, offsets, and the set id of each member slot."""
+        members = np.array(self.members, dtype=np.int64)
+        offsets = np.array(self.offsets, dtype=np.int64)
+        sizes = np.diff(offsets)
+        return members, offsets, np.repeat(np.arange(len(sizes)), sizes)
 
     def coverage_fraction(self, seeds: Iterable[int]) -> float:
-        hit: set[int] = set()
-        for v in seeds:
-            hit.update(self.index.get(v, ()))
-        return len(hit) / len(self.sets) if self.sets else 0.0
+        if not len(self):
+            return 0.0
+        members, _, set_of = self._arrays()
+        hit = set_of[np.isin(members, np.fromiter(seeds, dtype=np.int64))]
+        return len(np.unique(hit)) / len(self)
 
 
 def sample_rr(graph: Graph, rng) -> RRSet:
@@ -75,12 +95,14 @@ def sample_marginal_rr(graph: Graph, fixed_seeds: frozenset[int], rng) -> RRSet:
     root = rng.randrange(graph.n)
     if root in fixed_seeds:
         return RRSet(root, frozenset(), empty=True)
+    in_src, in_prob = graph.in_src, graph.in_prob
+    random = rng.random
     members = {root}
     stack = [root]
     while stack:
         u = stack.pop()
-        for src, p, _ in graph.in_adj[u]:
-            if src not in members and rng.random() < p:
+        for src, p in zip(in_src[u], in_prob[u]):
+            if src not in members and random() < p:
                 if src in fixed_seeds:
                     # result is discarded either way; the remaining coins
                     # are independent of everything already decided
@@ -112,14 +134,16 @@ def sample_weighted_rr(
         raise RISError(f"unknown superior item {superior!r}")
     u_sup = item_utils[superior]
     sp_nodes = base_allocation.seed_nodes()
+    in_src, in_prob = graph.in_src, graph.in_prob
+    random = rng.random
     root = rng.randrange(graph.n)
     members = {root}
     level = [root]
-    while level and not any(v in sp_nodes for v in level):
+    while level and sp_nodes.isdisjoint(level):
         nxt = []
         for u in level:
-            for src, p, _ in graph.in_adj[u]:
-                if src not in members and rng.random() < p:
+            for src, p in zip(in_src[u], in_prob[u]):
+                if src not in members and random() < p:
                     members.add(src)
                     nxt.append(src)
         level = nxt
@@ -153,38 +177,32 @@ def _greedy_selection(
     n = collection.n
     if k > n:
         raise RISError(f"cannot select {k} seeds from {n} nodes")
-    excluded = set(excluded)
-    gain = [0.0] * n
-    for rr in collection.sets:
-        if rr.empty:
-            continue
-        w = rr.weight if weighted else 1.0
-        for v in rr.members:
-            gain[v] += w
-    covered = bytearray(len(collection.sets))
+    members, offsets, set_of = collection._arrays()
+    weights = np.array(collection.weights) if weighted else np.ones(len(collection))
+    slot_weights = weights[set_of]
+    # per node, bincount adds its sets' weights in set order, as a loop would
+    gain = np.bincount(members, slot_weights, n).astype(np.float64, copy=False)
+    gain[[v for v in excluded if 0 <= v < n]] = -np.inf
+    node_ptr, by_node = csr(n, members)  # a node's slots in set order
+    covered = np.zeros(len(collection), dtype=bool)
     picks: list[int] = []
     prefix: list[float] = []
-    chosen = [False] * n
     total = 0.0
     for _ in range(k):
-        best, best_gain = -1, -1.0
-        for v in range(n):
-            if chosen[v] or v in excluded:
-                continue
-            if gain[v] > best_gain:
-                best, best_gain = v, gain[v]
-        if best < 0:
+        best = int(np.argmax(gain))  # ties go to the smallest id
+        if not gain[best] > -1.0:  # excluded and chosen nodes hold -inf
             raise RISError("not enough selectable nodes")
-        chosen[best] = True
         picks.append(best)
-        for sid in collection.index.get(best, ()):
-            if not covered[sid]:
-                covered[sid] = 1
-                rr = collection.sets[sid]
-                w = rr.weight if weighted else 1.0
-                total += w
-                for u in rr.members:
-                    gain[u] -= w
+        gain[best] = -np.inf
+        sids = set_of[by_node[node_ptr[best] : node_ptr[best + 1]]]
+        sids = sids[~covered[sids]]
+        covered[sids] = True
+        for w in weights[sids].tolist():
+            total += w
+        # the member slots of the newly covered sets, in set order
+        starts, sizes = offsets[sids], offsets[sids + 1] - offsets[sids]
+        slots = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        np.subtract.at(gain, members[slots], slot_weights[slots])
         prefix.append(total)
     return picks, prefix
 
@@ -196,7 +214,7 @@ def node_selection_count(
     each prefix (empties count in the denominator). Ties break to the
     smallest node id."""
     picks, prefix = _greedy_selection(collection, k, weighted=False, excluded=excluded)
-    theta = len(collection.sets)
+    theta = len(collection)
     fractions = [t / theta if theta else 0.0 for t in prefix]
     return picks, fractions
 

@@ -396,6 +396,8 @@ def superior_item(catalog: ItemCatalog) -> Optional[str]:
 
 def utilities_from_probabilities(probs: Iterable[float], scale: float = 10000.0) -> list[float]:
     """Map adoption probabilities to expected utilities via ln(scale * p)."""
+    if not scale > 0:
+        raise CatalogError(f"scale must be positive, got {scale}")
     out = []
     for p in probs:
         if p <= 0:
@@ -493,6 +495,13 @@ _NOISE_KEYS = {
 }
 
 
+def _number(text: str, what: str, lineno: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise CatalogError(f"line {lineno}: {what} must be a number, got {text!r}") from None
+
+
 def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
     """Parse the catalog config format.
 
@@ -533,12 +542,12 @@ def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
             kind = kv.pop("noise", "zero")
             if kind not in _NOISE_KEYS:
                 raise CatalogError(f"line {lineno}: unknown noise kind {kind!r}")
-            price = float(kv.pop("price"))
+            price = _number(kv.pop("price"), "price", lineno)
             params = {}
             for key in _NOISE_KEYS[kind]:
                 if key not in kv:
                     raise CatalogError(f"line {lineno}: noise {kind!r} needs {key}=")
-                params[key] = float(kv.pop(key))
+                params[key] = _number(kv.pop(key), f"noise {key}", lineno)
             if kv:
                 raise CatalogError(f"line {lineno}: unknown keys {sorted(kv)}")
             items.append(item)
@@ -563,7 +572,7 @@ def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
                     raise CatalogError(f"line {lineno}: unknown item {it!r} in valuation")
             if ids in valuations:
                 raise CatalogError(f"line {lineno}: duplicate valuation for {ids}")
-            valuations[ids] = float(rhs)
+            valuations[ids] = _number(rhs.strip(), "valuation", lineno)
         else:
             if "=" not in line:
                 raise CatalogError(f"line {lineno}: expected 'id = count'")

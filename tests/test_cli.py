@@ -180,6 +180,35 @@ def test_convert_utilities_rejects_nonpositive(tmp_path, capsys):
     assert run_cli("convert-utilities", "--probs", probs) == 2
 
 
+@pytest.mark.parametrize("scale", ["-1", "0"])
+def test_convert_utilities_rejects_nonpositive_scale(tmp_path, capsys, scale):
+    probs = tmp_path / "p.txt"
+    probs.write_text("x 0.5\n")
+    assert run_cli("convert-utilities", "--probs", probs, "--scale", scale) == 2
+    err = capsys.readouterr().err
+    assert f"scale must be positive, got {float(scale)}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "items, valuation, message",
+    [
+        ("a price=abc noise=zero", "a = 1", "line 2: price must be a number, got 'abc'"),
+        ("a price=1 noise=gaussian sigma=wide", "a = 1", "line 2: noise sigma must be a number"),
+        ("a price=1 noise=two-point a=x", "a = 1", "line 2: noise a must be a number, got 'x'"),
+        ("a price=1", "a = lots", "line 4: valuation must be a number, got 'lots'"),
+    ],
+    ids=["price", "gaussian-sigma", "two-point-a", "valuation"],
+)
+def test_validate_config_non_numeric_values_exit_2(tmp_path, capsys, items, valuation, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[items]\n{items}\n[valuation]\n{valuation}\n")
+    assert run_cli("validate-config", "--catalog", cfg) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_validate_config_pass_and_fail(tmp_path, capsys):
     assert run_cli("validate-config", "--catalog", CONFIGS / "premium_quad.cfg") == 0
     bad = tmp_path / "bad.cfg"

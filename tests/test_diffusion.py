@@ -4,6 +4,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from welfaremax.diffusion import (
     Allocation,
@@ -16,7 +18,7 @@ from welfaremax.diffusion import (
 )
 from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle, WelfareOracle
-from welfaremax.utility import ItemCatalog, NoiseSpec, NoiseWorld
+from welfaremax.utility import ItemCatalog, NoiseSpec, NoiseWorld, utility
 
 from conftest import (
     graph_from,
@@ -95,7 +97,7 @@ def test_single_item_adoption_equals_reachability():
         frontier = list(reach)
         while frontier:
             u = frontier.pop()
-            for v, _, eid in g.out_adj[u]:
+            for v, eid in zip(g.out_dst[u], g.out_eid[u]):
                 if live[eid] and v not in reach:
                     reach.add(v)
                     frontier.append(v)
@@ -308,6 +310,9 @@ def reference_simulate(graph, catalog, allocation, noise_world, edge_live):
             sub = (sub - 1) & free
         return best_mask
 
+    out_adj = [[] for _ in range(n)]
+    for eid, (u, v, p) in enumerate(graph.edges):
+        out_adj[u].append((v, p, eid))
     desire = [0] * n
     adopt = [0] * n
     tested = [False] * graph.m
@@ -324,7 +329,7 @@ def reference_simulate(graph, catalog, allocation, noise_world, edge_live):
     while frontier:
         gained = {}
         for u in frontier:
-            for v, p, eid in graph.out_adj[u]:
+            for v, p, eid in out_adj[u]:
                 if not tested[eid]:
                     tested[eid] = True
                     if edge_live(eid, p):
@@ -407,3 +412,60 @@ def test_worlds_keep_no_reference_to_their_graph():
     del g, worlds
     gc.collect()
     assert ref() is None
+
+
+# -- properties of one diffusion ------------------------------------------------
+
+
+@st.composite
+def diffusion_cases(draw):
+    """A random graph, catalog, allocation and sampled world."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    graph = fractional_graph(rng, n_hi=12, m_hi=40) if rng.random() < 0.5 else random_graph(rng)
+    catalog = (
+        random_coverage_catalog(rng) if rng.random() < 0.7 else rng.choice(NOISE_CATALOGS)
+    )
+    allocation = random_allocation(rng, graph, catalog, pairs=rng.randint(0, 4)) if graph.n else (
+        Allocation.empty()
+    )
+    return graph, catalog, allocation, PossibleWorld.sample(graph, catalog, rng)
+
+
+@given(diffusion_cases())
+@settings(max_examples=100, deadline=None)
+def test_simulate_is_deterministic_per_world(case):
+    graph, catalog, allocation, world = case
+    result = simulate(graph, catalog, allocation, world)
+    # on the same world object, with its cached live edges, and on a copy
+    assert simulate(graph, catalog, allocation, world) == result
+    assert simulate(graph, catalog, allocation, PossibleWorld(world.noise, world.live)) == result
+
+
+@given(diffusion_cases())
+@settings(max_examples=100, deadline=None)
+def test_adoption_is_a_subset_of_desire(case):
+    graph, catalog, allocation, world = case
+    adoption = simulate(graph, catalog, allocation, world).adoption
+    # desire: a node's own seeds plus whatever its live in-neighbours adopted
+    desire = {v: set(allocation.items_at(v)) for v in range(graph.n)}
+    for eid, (u, v, _) in enumerate(graph.edges):
+        if world.live[eid]:
+            desire[v] |= adoption.get(u, frozenset())
+    assert all(bundle <= desire[v] for v, bundle in adoption.items())
+
+
+@given(diffusion_cases())
+@settings(max_examples=100, deadline=None)
+def test_adopted_bundles_have_nonnegative_utility(case):
+    graph, catalog, allocation, world = case
+    adoption = simulate(graph, catalog, allocation, world).adoption
+    assert all(utility(catalog, bundle, world.noise) >= -1e-9 for bundle in adoption.values())
+
+
+@given(diffusion_cases())
+@settings(max_examples=100, deadline=None)
+def test_welfare_is_the_sum_of_adopted_utilities(case):
+    graph, catalog, allocation, world = case
+    result = simulate(graph, catalog, allocation, world)
+    utils = [utility(catalog, bundle, world.noise) for bundle in result.adoption.values()]
+    assert result.welfare == pytest.approx(math.fsum(utils), rel=1e-12, abs=1e-9)

@@ -1,12 +1,19 @@
 import io
+import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from welfaremax import graph as graph_module
 from welfaremax.graph import EdgeListError, Graph, GraphError, load_edge_list
 
 from conftest import graph_from
+
+CSR_ARRAYS = ("src", "dst", "probs", "in_ptr", "in_eids", "out_ptr", "out_eids")
+PER_NODE = {"in_src": int, "in_prob": float, "out_dst": int, "out_eid": int}
 
 
 def dump_edge_list(graph: Graph, stream) -> None:
@@ -83,18 +90,18 @@ def test_loaded_graph_equals_validated_construction():
         for u, v, p in g.edges:
             assert (type(u), type(v), type(p)) == (int, int, float)
     assert loaded.edges == built.edges
-    assert loaded.out_adj == built.out_adj
-    assert loaded.in_adj == built.in_adj
-    for adj in (loaded.out_adj, loaded.in_adj):
-        for row in adj:
-            for w, p, eid in row:
-                assert (type(w), type(p), type(eid)) == (int, float, int)
+    for name in CSR_ARRAYS:
+        assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
+    for name, kind in PER_NODE.items():
+        assert getattr(loaded, name) == getattr(built, name), name
+        for row in getattr(loaded, name):
+            assert all(type(x) is kind for x in row), name
 
 
 def test_adjacency_transpose():
     g = graph_from("0 1 0.5\n0 2 0.3\n2 1 0.9\n")
-    out_pairs = {(u, v) for u in range(g.n) for v, _, _ in g.out_adj[u]}
-    in_pairs = {(u, v) for v in range(g.n) for u, _, _ in g.in_adj[v]}
+    out_pairs = {(u, v) for u in range(g.n) for v in g.out_dst[u]}
+    in_pairs = {(u, v) for v in range(g.n) for u in g.in_src[v]}
     assert out_pairs == in_pairs == {(0, 1), (0, 2), (2, 1)}
 
 
@@ -123,3 +130,148 @@ def test_dump_load_round_trip(edges):
     g2 = load_edge_list(io.StringIO(buf.getvalue()))
     assert g2.n == g.n
     assert sorted(g2.edges) == sorted(g.edges)  # bit-exact probabilities
+
+
+# -- the numpy loader against the line-by-line loader ---------------------------
+
+LOADER_CORPUS = [
+    "0 1 0.5\n1 2 0.25\n2 0 1\n",
+    "# header\n\n0 1 0.5\n   \n  # indented comment\n1 2 0.25\n",
+    "0 1 0.5 # inline comment\n",
+    "0 1 0.5\r\n1 2 0.25\r\n",
+    "0\t1\t0.5\n1\t2 \t 0.25\n",
+    "0 1 0.5\n1 2 0.25\n",
+    "+1 2 0.5\n",
+    "1_0 2 0.5\n",
+    "١ ٢ 0.5\n",
+    "0 1 ٠.٥\n",
+    "1.0 2 0.5\n",
+    "007 1 .5\n1 2 5e-1\n",
+    "0 1 nan\n",
+    "0 1 inf\n",
+    "0 1 -inf\n",
+    "0 1 1e-320\n1 0 -0.0\n",
+    "0 1 0.000_5\n",
+    "0 1 0x1p-1\n",
+    "0 1\n",
+    "0 1 0.5 7\n",
+    "0 1 0.5\n1 2\n",
+    "0 1 0.5\n0 1 0.7\n",
+    "0 1 0.5\n1 0 0.7\n",
+    "3 3 0.5\n",
+    "-1 2 0.5\n",
+    "-0 1 0.5\n",
+    "0 1 1.5\n",
+    "a b 0.5\n",
+    "",
+    "# only a comment\n",
+    "7 3 0.5\n3 12 0.25\n12 40 1\n40 7 0.125\n",
+    "0 99999999999999999999 0.5\n",
+    "0 5000000000 0.5\n5000000000 1 0.25\n",
+]
+
+
+def _same_graph(got: Graph, want: Graph) -> None:
+    assert got.n == want.n
+    assert np.array_equal(got.src, want.src) and np.array_equal(got.dst, want.dst)
+    assert got.probs.tobytes() == want.probs.tobytes()  # bit for bit, -0.0 included
+    for name in CSR_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in PER_NODE:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _outcome(load, lines, undirected, compact_ids):
+    try:
+        return load(lines, undirected, compact_ids)
+    except EdgeListError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+@pytest.mark.parametrize("compact_ids", [False, True], ids=["ids", "compact"])
+@pytest.mark.parametrize("keepends", [False, True], ids=["split", "stream"])
+def test_numpy_loader_equals_line_loader(undirected, compact_ids, keepends):
+    fast_runs = 0
+    for text in LOADER_CORPUS:
+        if "5000000000" in text and not compact_ids:
+            continue  # n would be 5e9: both loaders try to allocate it
+        if "99999999999999999999" in text and not compact_ids:
+            continue  # beyond int64 without renumbering
+        lines = text.splitlines(keepends=keepends)
+        want = _outcome(graph_module._load_lines, lines, undirected, compact_ids)
+        got = _outcome(load_edge_list, lines, undirected, compact_ids)
+        arrays = graph_module._parse_arrays(lines, undirected)
+        if isinstance(want, str):
+            assert arrays is None, text  # the numpy path accepts nothing the lines reject
+            assert got == want, text
+        else:
+            _same_graph(got, want)
+            fast_runs += arrays is not None
+    assert fast_runs >= 8  # the corpus exercises the numpy path, not just the fallback
+
+
+def test_numpy_warning_sends_the_input_to_the_line_loader(monkeypatch):
+    # numpy 1.x reads an id such as "1.0" as 1 with only a DeprecationWarning
+    real = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("parsed an integer from a float", DeprecationWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module.np, "loadtxt", warning_loadtxt)
+    lines = ["0 1 0.5", "1 2 0.25"]
+    assert graph_module._parse_arrays(lines, False) is None
+    _same_graph(load_edge_list(lines), graph_module._load_lines(lines, False, False))
+
+
+def test_numpy_loader_parses_probabilities_as_float_does():
+    from test_golden import FRACTIONAL_EDGES
+
+    rng = random.Random(20)
+    reprs = [line.split()[2] for line in FRACTIONAL_EDGES.splitlines()]
+    for i in range(200_000):
+        kind = i % 4
+        if kind == 0:
+            x = rng.random()
+        elif kind == 1:
+            x = rng.random() ** 40
+        elif kind == 2:
+            x = float(f"{rng.random():.{rng.randint(1, 17)}g}")
+        else:
+            x = rng.getrandbits(52) * 2.0**-1074  # subnormal
+        reprs.append(repr(x))
+    lines = [f"{i} {i + 1} {s}" for i, s in enumerate(reprs)]
+    arrays = graph_module._parse_arrays(lines, False)
+    assert arrays is not None
+    want = np.array([float(s) for s in reprs])
+    assert arrays[2].tobytes() == want.tobytes()
+
+
+@given(edge_lists())
+@settings(max_examples=80, deadline=None)
+def test_csr_arrays_are_transposes_covering_the_edges_in_id_order(edges):
+    n = 1 + max(max(u, v) for u, v, _ in edges)
+    g = Graph(n, edges)
+    assert g.edges == tuple(edges)
+    for ptr, eids, own, other, nbrs in (
+        (g.in_ptr, g.in_eids, g.dst, g.src, g.in_src),
+        (g.out_ptr, g.out_eids, g.src, g.dst, g.out_dst),
+    ):
+        assert ptr[0] == 0 and ptr[-1] == g.m and np.all(np.diff(ptr) >= 0)
+        assert sorted(eids.tolist()) == list(range(g.m))  # every edge exactly once
+        for node in range(n):
+            group = eids[ptr[node] : ptr[node + 1]].tolist()
+            assert group == sorted(group)  # edge-id order
+            assert all(own[e] == node for e in group)
+            assert list(nbrs[node]) == [int(other[e]) for e in group]
+    assert g.out_eid == tuple(tuple(g.out_eids[g.out_ptr[u] : g.out_ptr[u + 1]].tolist())
+                              for u in range(n))
+    assert g.in_prob == tuple(tuple(g.probs[g.in_eids[g.in_ptr[v] : g.in_ptr[v + 1]]].tolist())
+                              for v in range(n))
+    out_pairs = sorted((u, v, e) for u in range(n) for v, e in zip(g.out_dst[u], g.out_eid[u]))
+    in_pairs = sorted(
+        (u, v, int(e)) for v in range(n)
+        for u, e in zip(g.in_src[v], g.in_eids[g.in_ptr[v] : g.in_ptr[v + 1]])
+    )
+    assert out_pairs == in_pairs == sorted((u, v, e) for e, (u, v, _) in enumerate(edges))

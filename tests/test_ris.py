@@ -141,7 +141,7 @@ def test_weighted_rr_members_never_farther_than_fixed_seeds():
             while frontier:
                 nxt = []
                 for u in frontier:
-                    for src, _, _ in graph.in_adj[u]:
+                    for src in graph.in_src[u]:
                         if src in rr.members and src not in dist:
                             dist[src] = d + 1
                             nxt.append(src)
@@ -348,3 +348,113 @@ def test_marginal_unbiasedness_against_oracle():
     p_hat = hits / draws  # empties stay in the denominator
     sigma = math.sqrt(p_hat * (1 - p_hat) / draws)
     assert abs(g.n * p_hat - want) <= 3 * g.n * sigma
+
+
+# -- differential tests against the loop greedy ---------------------------------
+
+
+def reference_greedy(n, sets, k, weighted, excluded=()):
+    """Greedy max-coverage over per-set loops and a node -> set-ids dict."""
+    index = {}
+    for sid, rr in enumerate(sets):
+        if not rr.empty:
+            for v in rr.members:
+                index.setdefault(v, []).append(sid)
+    excluded = set(excluded)
+    gain = [0.0] * n
+    for rr in sets:
+        if rr.empty:
+            continue
+        w = rr.weight if weighted else 1.0
+        for v in rr.members:
+            gain[v] += w
+    covered = bytearray(len(sets))
+    picks, prefix, chosen, total = [], [], [False] * n, 0.0
+    for _ in range(k):
+        best, best_gain = -1, -1.0
+        for v in range(n):
+            if not chosen[v] and v not in excluded and gain[v] > best_gain:
+                best, best_gain = v, gain[v]
+        if best < 0:
+            raise RISError("not enough selectable nodes")
+        chosen[best] = True
+        picks.append(best)
+        for sid in index.get(best, ()):
+            if not covered[sid]:
+                covered[sid] = 1
+                w = sets[sid].weight if weighted else 1.0
+                total += w
+                for u in sets[sid].members:
+                    gain[u] -= w
+        prefix.append(total)
+    return picks, prefix
+
+
+def hub_graph(rng, n=600, hubs=6):
+    """Sparse random graph plus ``hubs`` nodes with hundreds of in-edges,
+    so RR sets vary in size and many of them share members."""
+    edges = []
+    for v in range(n):
+        count = rng.randint(n // 2, n - 1) if v < hubs else rng.randint(1, 3)
+        for u in rng.sample([u for u in range(n) if u != v], count):
+            p = rng.uniform(0.0, 4.0 / count) if v < hubs else rng.choice((1.0, rng.uniform(0.05, 0.3)))
+            edges.append((u, v, p))
+    rng.shuffle(edges)  # edge ids need not follow node order
+    return Graph(n, edges)
+
+
+def _both_greedies(n, sets, k, weighted, excluded=()):
+    coll = RRCollection(n)
+    for rr in sets:
+        coll.add(rr)
+    select = node_selection_weighted if weighted else node_selection_count
+    got = select(coll, k, excluded=excluded)
+    picks, prefix = reference_greedy(n, sets, k, weighted, excluded)
+    if not weighted:
+        prefix = [t / len(sets) if sets else 0.0 for t in prefix]
+    assert got == (picks, prefix)
+    return picks
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["count", "weighted"])
+def test_array_greedy_equals_loop_greedy_on_sampled_sets(weighted):
+    rng = random.Random(300)
+    graph = hub_graph(rng)
+    srng = derive_rng(11)
+    fixed = frozenset({7, 8})
+    sets = []
+    for _ in range(3000):
+        rr = sample_marginal_rr(graph, fixed, srng)
+        sets.append(rr._replace(weight=srng.uniform(0.0, 3.0)) if weighted else rr)
+    assert any(rr.empty for rr in sets)
+    for excluded in ((), fixed, set(range(0, graph.n, 7))):
+        _both_greedies(graph.n, sets, 25, weighted, excluded)
+
+
+def test_array_greedy_adds_and_subtracts_weights_in_set_order():
+    # node 1 sums 0.1 + 0.2 + 0.3 = 0.6000000000000001 in set order, just
+    # above node 0's 0.6; the reverse order gives 0.6 and a tie won by node 0
+    sets = [
+        RRSet(0, frozenset({1}), weight=0.1),
+        RRSet(1, frozenset({1}), weight=0.2),
+        RRSet(2, frozenset({1}), weight=0.3),
+        RRSet(3, frozenset({0}), weight=0.6),
+    ]
+    assert _both_greedies(2, sets, 2, True) == [1, 0]
+    # after node 4 covers the first three sets, node 2 keeps
+    # ((0.1 + 0.1 + 0.2 + 0.1) - 0.1 - 0.1 - 0.2) = 0.10000000000000003 when
+    # subtracted in set order, above node 0's 0.1; subtracting the sum or in
+    # reverse order leaves 0.09999999999999998, below it
+    sets = [
+        RRSet(0, frozenset({2, 4}), weight=0.1),
+        RRSet(1, frozenset({2, 4}), weight=0.1),
+        RRSet(2, frozenset({2, 4}), weight=0.2),
+        RRSet(3, frozenset({2}), weight=0.1),
+        RRSet(4, frozenset({0}), weight=0.1),
+        RRSet(5, frozenset({4}), weight=10.0),
+        RRSet(6, frozenset(), weight=5.0, empty=True),
+    ]
+    assert _both_greedies(5, sets, 3, True) == [4, 2, 0]
+    assert _both_greedies(5, sets, 3, True, excluded={4}) == [2, 0, 1]
+    with pytest.raises(RISError, match="not enough selectable nodes"):
+        node_selection_weighted(_collection([(0, {1}, 1.0)], n=3), 3, excluded={0})

@@ -178,7 +178,7 @@ def test_supgrd_sampling_degenerate_single_item():
     coll = supgrd_sampling(
         g, cat, Allocation.empty(), "a", 1, 0.3, 1.0, derive_rng(6), trace=lines.append
     )
-    assert all(rr.weight == 1.0 for rr in coll.sets)
+    assert all(w == 1.0 for w in coll.weights)
     final = dict(kv.split("=") for kv in lines[-1].split())
     assert final["phase"] == "final"
     lb = float(final["lb"])
