@@ -147,6 +147,8 @@ def parse_budgets(text: str, catalog: ItemCatalog) -> dict[str, int]:
         item = item.strip()
         if item not in catalog.index:
             raise CliError(2, f"budget for unknown item {item!r}")
+        if item in budgets:
+            raise CliError(2, f"duplicate budget for {item!r}")
         try:
             budgets[item] = int(count)
         except ValueError:

@@ -3,12 +3,11 @@
 The graph is immutable after construction. Node ids are dense integers in
 [0, n); edge probabilities live in [0, 1]. Edges are numbered in input
 order, and ``src``, ``dst`` and ``probs`` are numpy arrays indexed by edge
-id. The in-edges of node v are ``in_eids[in_ptr[v]:in_ptr[v + 1]]`` and
-its out-edges ``out_eids[out_ptr[v]:out_ptr[v + 1]]`` (CSR), each in
-edge-id order. The Python hot loops read per-node tuples sliced from that
-CSR: ``in_src[v]`` and ``in_prob[v]`` (sources and probabilities of v's
-in-edges) for reverse sampling, ``out_dst[u]`` and ``out_eid[u]`` for
-diffusion. No per-edge tuple is built on the load path.
+id. The Python hot loops read per-node tuples, each in edge-id order and
+sliced from a CSR grouping built once: ``in_src[v]`` and ``in_prob[v]``
+(sources and probabilities of v's in-edges) for reverse sampling,
+``out_dst[u]`` and ``out_eid[u]`` for diffusion. No per-edge tuple is
+built on the load path.
 
 Edge-list text format: one "src dst prob" per line, '#'-prefixed comment
 lines skipped. `load_edge_list` parses with ``np.loadtxt`` and checks the
@@ -59,8 +58,7 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "src", "dst", "probs", "in_ptr", "in_eids", "out_ptr", "out_eids",
-        "in_src", "in_prob", "out_dst", "out_eid", "__weakref__",
+        "n", "src", "dst", "probs", "in_src", "in_prob", "out_dst", "out_eid", "__weakref__",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
@@ -82,13 +80,13 @@ class Graph:
         for arr in (src, dst, probs):
             arr.flags.writeable = False
         self.n, self.src, self.dst, self.probs = n, src, dst, probs
-        self.in_ptr, self.in_eids = csr(n, dst)
-        self.out_ptr, self.out_eids = csr(n, src)
-        in_ptr, out_ptr = self.in_ptr.tolist(), self.out_ptr.tolist()
-        self.in_src = _per_node(in_ptr, src[self.in_eids])
-        self.in_prob = _per_node(in_ptr, probs[self.in_eids])
-        self.out_dst = _per_node(out_ptr, dst[self.out_eids])
-        self.out_eid = _per_node(out_ptr, self.out_eids)
+        in_ptr, in_eids = csr(n, dst)
+        out_ptr, out_eids = csr(n, src)
+        in_ptr, out_ptr = in_ptr.tolist(), out_ptr.tolist()
+        self.in_src = _per_node(in_ptr, src[in_eids])
+        self.in_prob = _per_node(in_ptr, probs[in_eids])
+        self.out_dst = _per_node(out_ptr, dst[out_eids])
+        self.out_eid = _per_node(out_ptr, out_eids)
 
     @property
     def m(self) -> int:

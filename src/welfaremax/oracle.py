@@ -116,14 +116,7 @@ class SpreadOracle:
             self.worlds.append((prob, closures))
 
     def spread(self, seeds: Iterable[int]) -> float:
-        seeds = list(seeds)
-        total = 0.0
-        for prob, closures in self.worlds:
-            reach = 0
-            for s in seeds:
-                reach |= closures[s]
-            total += prob * bin(reach).count("1")
-        return total
+        return self.marginal_spread(seeds, ())
 
     def marginal_spread(self, seeds: Iterable[int], base: Iterable[int]) -> float:
         seeds, base = list(seeds), list(base)

@@ -1,12 +1,13 @@
 """Sample-size schedules and stopping-rule samplers for seed selection.
 
-Two samplers live here. The prefix-preserving selector grows a marginal
-RR collection through a doubling search until greedy coverage certifies a
-lower bound on the optimal marginal spread, then regenerates a fresh
-collection sized by that bound and returns one ordered seed list whose
-every budget-length prefix is near-optimal with high probability. The
-superior-item sampler does the analogous search on the welfare scale over
-weighted RR sets and returns the final fresh collection.
+Two samplers live here, and both run one doubling search. It grows an RR
+collection until a greedy estimate certifies a lower bound on the optimum,
+budget by budget, then draws a fresh collection sized by that bound. The
+prefix-preserving selector searches on the spread scale over marginal RR
+sets and returns one ordered seed list whose every budget-length prefix is
+near-optimal with high probability. The superior-item sampler searches on
+the welfare scale over weighted RR sets, with one budget, and returns the
+fresh collection.
 
 Natural logarithms throughout; one base has to be fixed for
 reproducibility and the guarantees are base-robust up to constants.
@@ -22,6 +23,7 @@ from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph
 from welfaremax.ris import (
     RRCollection,
+    RRSet,
     expected_item_utilities,
     node_selection_count,
     node_selection_weighted,
@@ -112,6 +114,58 @@ class SamplerParams:
         return self.budgets[-1]
 
 
+def _doubling_search(
+    params: SamplerParams,
+    scale: float,
+    rounds: float,
+    sample: Callable[[], RRSet],
+    estimate: Callable[[RRCollection, int, int], float],
+    trace: Trace,
+) -> RRCollection:
+    """The stopping-rule search of IMM (Tang, Shi and Xiao, SIGMOD 2015),
+    over every budget in turn; returns a fresh final collection.
+
+    At x = scale / 2^i the search collection grows to ceil(lambda'(k) / x)
+    sets and budget k is tested: it certifies when `estimate(coll, k, i)`
+    reaches (1 + eps') x, with lower bound LB = estimate / (1 + eps'), and
+    the next budget is tested at the same x on at least ceil(lambda*(k) / LB)
+    sets; otherwise x halves. The fresh collection holds ceil(lambda*(k) / LB)
+    sets for the last budget tested, with LB = 1 if it never certified.
+    `rounds` is the number of x values the failure probability is split over.
+    """
+    n, budgets, eps = params.n, params.budgets, params.eps
+    epsp, ellp = params.eps_prime, params.ell_prime
+    emit = trace or (lambda line: None)
+    coll = RRCollection(n)
+    s_idx, i, lb, floor = 0, 1, 1.0, 0
+    while i <= math.log2(scale) - 1.0 + 1e-12 and s_idx < len(budgets):
+        k = budgets[s_idx]
+        x = scale / 2.0**i
+        theta = max(floor, math.ceil(lambda_prime(n, k, epsp, ellp, rounds) / x))
+        while len(coll) < theta:
+            coll.add(sample())
+        est = estimate(coll, k, i)
+        certified = est >= (1.0 + epsp) * x
+        lb = est / (1.0 + epsp) if certified else 1.0
+        emit(
+            f"phase={'certify' if certified else 'search'} i={i} s={s_idx} k={k} "
+            f"theta={len(coll)} est={est:.6g} lb={lb:.6g}"
+        )
+        if certified:
+            floor = math.ceil(lambda_star(n, k, eps, ellp) / lb)
+            s_idx += 1
+        else:
+            i += 1
+    # the last certified budget, or the first that did not certify (LB = 1)
+    theta = math.ceil(lambda_star(n, budgets[min(s_idx, len(budgets) - 1)], eps, ellp) / lb)
+    # allocated while `coll` lives: benchmarks/tracing.py tells them apart by id()
+    fresh = RRCollection(n)
+    while len(fresh) < theta:
+        fresh.add(sample())
+    emit(f"phase=final i={i} s={s_idx} theta={len(fresh)} lb={lb:.6g}")
+    return fresh
+
+
 def prima_plus(
     graph: Graph,
     eps: float,
@@ -139,62 +193,18 @@ def prima_plus(
             f"b_max={b_max} infeasible with {len(fixed)} fixed seeds on {n} nodes"
         )
     params = SamplerParams(n, eps, ell, tuple(budgets))
-    epsp = params.eps_prime
-    ellp = params.ell_prime
-    emit = trace or (lambda line: None)
+    orders: dict[int, list[int]] = {}  # greedy order per x; budgets certified at one x share it
 
-    coll = RRCollection(n)
-    s_idx = 0
-    i = 1
-    i_max = math.log2(n) - 1.0
-    budget_switch = False
-    prev_order: Optional[list[int]] = None
-    theta_k: Optional[int] = None
-    lb = 1.0
-    while i <= i_max + 1e-12 and s_idx < len(budgets):
-        k = budgets[s_idx]
-        lb = 1.0
-        x = n / 2.0**i
-        theta_i = math.ceil(lambda_prime(n, k, epsp, ellp, math.log2(n)) / x)
-        while len(coll) < theta_i:
-            coll.add(sample_marginal_rr(graph, fixed, rng))
-        if budget_switch and prev_order is not None:
-            order = prev_order
-        else:
-            order, _ = node_selection_count(coll, b_max, excluded=fixed)
-            prev_order = order
-        prefix = order[:k]
-        cov = coll.coverage_fraction(prefix)
-        estimate = n * cov
-        if estimate >= (1.0 + epsp) * x:
-            lb = estimate / (1.0 + epsp)
-            theta_k = math.ceil(lambda_star(n, k, eps, ellp) / lb)
-            while len(coll) < theta_k:
-                coll.add(sample_marginal_rr(graph, fixed, rng))
-            emit(
-                f"phase=certify i={i} s={s_idx} k={k} theta={len(coll)} "
-                f"cov={cov:.6g} lb={lb:.6g}"
-            )
-            s_idx += 1
-            budget_switch = True
-        else:
-            emit(
-                f"phase=search i={i} s={s_idx} k={k} theta={len(coll)} "
-                f"cov={cov:.6g} lb={lb:.6g}"
-            )
-            i += 1
-            budget_switch = False
-    if s_idx < len(budgets):
-        # doubling search stalled; fall back to the trivial lower bound
-        theta_k = math.ceil(lambda_star(n, budgets[s_idx], eps, ellp) / lb)
-    fresh = RRCollection(n)
-    while len(fresh) < theta_k:
-        fresh.add(sample_marginal_rr(graph, fixed, rng))
-    order, fractions = node_selection_count(fresh, b_max, excluded=fixed)
-    emit(
-        f"phase=final i={i} s={s_idx} theta={len(fresh)} "
-        f"cov={fractions[-1]:.6g} lb={lb:.6g}"
-    )
+    def estimate(coll: RRCollection, k: int, i: int) -> float:
+        if i not in orders:
+            orders[i], _ = node_selection_count(coll, b_max, excluded=fixed)
+        return n * coll.coverage_fraction(orders[i][:k])
+
+    def sample() -> RRSet:
+        return sample_marginal_rr(graph, fixed, rng)
+
+    fresh = _doubling_search(params, n, math.log2(n), sample, estimate, trace)
+    order, _ = node_selection_count(fresh, b_max, excluded=fixed)
     return order
 
 
@@ -235,48 +245,24 @@ def supgrd_sampling(
 ) -> RRCollection:
     """Weighted RR collection sized for near-optimal welfare selection.
 
-    Runs the geometric search for a welfare lower bound over x in
-    [1, UB], UB = n * E[U+(superior)], then discards everything and
-    returns a fresh collection of ceil(lambda / LB) weighted RR sets.
+    Runs the doubling search for a welfare lower bound LB over x in
+    [1, UB], UB = n * E[U+(superior)], with one budget, and returns the
+    fresh collection of ceil(lambda* / LB) weighted RR sets.
     """
     check_superior_instance(catalog, base_allocation, superior)
     n = graph.n
     params = SamplerParams(n, eps, ell, (b_prime,))
-    epsp = params.eps_prime
-    ell_hat = params.ell_hat
-    emit = trace or (lambda line: None)
     item_utils = expected_item_utilities(catalog, rng=rng)
     u_sup = item_utils[superior]
     if u_sup <= 0.0:
         raise SelectorError("superior item has zero expected truncated utility")
     ub = n * u_sup
-    rounds = max(1, math.ceil(math.log2(ub))) if ub > 1.0 else 1
-    # union bound over the search iterations: delta = 1 / (n^ell_hat * rounds)
-    lam_prime = lambda_prime(n, b_prime, epsp, ell_hat, rounds)
-    coll = RRCollection(n)
-    lb = 1.0
-    i = 1
-    i_max = math.log2(ub) - 1.0 if ub > 1.0 else 0.0
-    while i <= i_max + 1e-12:  # x spans [1, UB] geometrically
-        x = ub / 2.0**i
-        theta_i = math.ceil(lam_prime / x)
-        while len(coll) < theta_i:
-            coll.add(
-                sample_weighted_rr(graph, base_allocation, superior, catalog, rng, item_utils)
-            )
-        _, totals = node_selection_weighted(coll, b_prime)
-        estimate = n * totals[-1] / len(coll)
-        if estimate >= (1.0 + epsp) * x:
-            lb = estimate / (1.0 + epsp)
-            emit(f"phase=certify i={i} theta={len(coll)} mcov={totals[-1]:.6g} lb={lb:.6g}")
-            break
-        emit(f"phase=search i={i} theta={len(coll)} mcov={totals[-1]:.6g} lb={lb:.6g}")
-        i += 1
-    theta = math.ceil(lambda_star(n, b_prime, eps, ell_hat) / lb)
-    fresh = RRCollection(n)
-    while len(fresh) < theta:
-        fresh.add(
-            sample_weighted_rr(graph, base_allocation, superior, catalog, rng, item_utils)
-        )
-    emit(f"phase=final i={i} theta={len(fresh)} lb={lb:.6g}")
-    return fresh
+
+    def estimate(coll: RRCollection, k: int, i: int) -> float:
+        _, totals = node_selection_weighted(coll, k)
+        return n * totals[-1] / len(coll)
+
+    def sample() -> RRSet:
+        return sample_weighted_rr(graph, base_allocation, superior, catalog, rng, item_utils)
+
+    return _doubling_search(params, ub, max(1, math.ceil(math.log2(ub))), sample, estimate, trace)

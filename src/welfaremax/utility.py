@@ -536,6 +536,8 @@ def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
                 if "=" not in tok:
                     raise CatalogError(f"line {lineno}: expected key=value, got {tok!r}")
                 key, val = tok.split("=", 1)
+                if key in kv:
+                    raise CatalogError(f"line {lineno}: duplicate key {key!r}")
                 kv[key] = val
             if "price" not in kv:
                 raise CatalogError(f"line {lineno}: item {item!r} missing price")
@@ -580,6 +582,8 @@ def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
             item = lhs.strip()
             if item not in prices:
                 raise CatalogError(f"line {lineno}: unknown item {item!r} in budgets")
+            if item in budgets:
+                raise CatalogError(f"line {lineno}: duplicate budget for {item!r}")
             try:
                 budgets[item] = int(rhs)
             except ValueError:

@@ -209,6 +209,15 @@ def test_validate_config_non_numeric_values_exit_2(tmp_path, capsys, items, valu
     assert "Traceback" not in err
 
 
+def test_validate_config_repeated_item_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[items]\na price=1 price=5\n[valuation]\na = 9\n")
+    assert run_cli("validate-config", "--catalog", cfg) == 2
+    err = capsys.readouterr().err
+    assert "line 2: duplicate key 'price'" in err
+    assert "Traceback" not in err
+
+
 def test_validate_config_pass_and_fail(tmp_path, capsys):
     assert run_cli("validate-config", "--catalog", CONFIGS / "premium_quad.cfg") == 0
     bad = tmp_path / "bad.cfg"
@@ -467,6 +476,37 @@ def test_negative_flag_budget_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'j'" in err and "non-negative" in err
+
+
+def test_duplicate_flag_budget_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "allocate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", CONFIGS / "trio_blocking.cfg",
+        "--algo", "round-robin",
+        "--budgets", "i=1,i=2",
+        "--samples", "50",
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 2
+    assert "duplicate budget for 'i'" in capsys.readouterr().err
+
+
+def test_duplicate_section_budget_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    text = (CONFIGS / "trio_blocking.cfg").read_text()
+    cfg.write_text(text + "i = 2\n")
+    code = run_cli(
+        "allocate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", cfg,
+        "--algo", "round-robin",
+        "--samples", "50",
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 2
+    line = len(text.splitlines()) + 1
+    assert f"line {line}: duplicate budget for 'i'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fixed", ["999", "2,6", "-1", "x"])

@@ -12,7 +12,7 @@ from welfaremax.graph import EdgeListError, Graph, GraphError, load_edge_list
 
 from conftest import graph_from
 
-CSR_ARRAYS = ("src", "dst", "probs", "in_ptr", "in_eids", "out_ptr", "out_eids")
+EDGE_ARRAYS = ("src", "dst", "probs")
 PER_NODE = {"in_src": int, "in_prob": float, "out_dst": int, "out_eid": int}
 
 
@@ -90,7 +90,7 @@ def test_loaded_graph_equals_validated_construction():
         for u, v, p in g.edges:
             assert (type(u), type(v), type(p)) == (int, int, float)
     assert loaded.edges == built.edges
-    for name in CSR_ARRAYS:
+    for name in EDGE_ARRAYS:
         assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
     for name, kind in PER_NODE.items():
         assert getattr(loaded, name) == getattr(built, name), name
@@ -175,8 +175,6 @@ def _same_graph(got: Graph, want: Graph) -> None:
     assert got.n == want.n
     assert np.array_equal(got.src, want.src) and np.array_equal(got.dst, want.dst)
     assert got.probs.tobytes() == want.probs.tobytes()  # bit for bit, -0.0 included
-    for name in CSR_ARRAYS:
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
     for name in PER_NODE:
         assert getattr(got, name) == getattr(want, name), name
 
@@ -250,28 +248,16 @@ def test_numpy_loader_parses_probabilities_as_float_does():
 
 @given(edge_lists())
 @settings(max_examples=80, deadline=None)
-def test_csr_arrays_are_transposes_covering_the_edges_in_id_order(edges):
+def test_per_node_tuples_list_each_nodes_edges_in_id_order(edges):
     n = 1 + max(max(u, v) for u, v, _ in edges)
     g = Graph(n, edges)
     assert g.edges == tuple(edges)
-    for ptr, eids, own, other, nbrs in (
-        (g.in_ptr, g.in_eids, g.dst, g.src, g.in_src),
-        (g.out_ptr, g.out_eids, g.src, g.dst, g.out_dst),
-    ):
-        assert ptr[0] == 0 and ptr[-1] == g.m and np.all(np.diff(ptr) >= 0)
-        assert sorted(eids.tolist()) == list(range(g.m))  # every edge exactly once
-        for node in range(n):
-            group = eids[ptr[node] : ptr[node + 1]].tolist()
-            assert group == sorted(group)  # edge-id order
-            assert all(own[e] == node for e in group)
-            assert list(nbrs[node]) == [int(other[e]) for e in group]
-    assert g.out_eid == tuple(tuple(g.out_eids[g.out_ptr[u] : g.out_ptr[u + 1]].tolist())
-                              for u in range(n))
-    assert g.in_prob == tuple(tuple(g.probs[g.in_eids[g.in_ptr[v] : g.in_ptr[v + 1]]].tolist())
-                              for v in range(n))
-    out_pairs = sorted((u, v, e) for u in range(n) for v, e in zip(g.out_dst[u], g.out_eid[u]))
-    in_pairs = sorted(
-        (u, v, int(e)) for v in range(n)
-        for u, e in zip(g.in_src[v], g.in_eids[g.in_ptr[v] : g.in_ptr[v + 1]])
-    )
-    assert out_pairs == in_pairs == sorted((u, v, e) for e, (u, v, _) in enumerate(edges))
+    assert len(g.in_src) == len(g.in_prob) == len(g.out_dst) == len(g.out_eid) == n
+    by_id = list(enumerate(g.edges))
+    for node in range(n):
+        ins = [(u, p) for _, (u, v, p) in by_id if v == node]
+        outs = [(v, e) for e, (u, v, _) in by_id if u == node]
+        assert g.in_src[node] == tuple(u for u, _ in ins)
+        assert g.in_prob[node] == tuple(p for _, p in ins)
+        assert g.out_dst[node] == tuple(v for v, _ in outs)
+        assert g.out_eid[node] == tuple(e for _, e in outs)

@@ -4,8 +4,17 @@ import random
 import pytest
 
 from welfaremax.diffusion import Allocation
+from welfaremax import selectors
 from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle
+from welfaremax.ris import (
+    RRCollection,
+    expected_item_utilities,
+    node_selection_count,
+    node_selection_weighted,
+    sample_marginal_rr,
+    sample_weighted_rr,
+)
 from welfaremax.rng import derive_rng
 from welfaremax.selectors import (
     SamplerParams,
@@ -18,7 +27,7 @@ from welfaremax.selectors import (
 )
 from welfaremax.utility import ItemCatalog, expected_truncated_utility
 
-from conftest import graph_from, superior_instance
+from conftest import graph_from, random_graph, superior_instance
 
 
 def welfare_upper_bound(graph: Graph, catalog: ItemCatalog, superior: str) -> float:
@@ -267,3 +276,135 @@ def test_supgrd_sampling_lower_bound_below_marginal_opt():
     final = dict(kv.split("=") for kv in lines[-1].split())
     lb = float(final["lb"])
     assert lb <= opt_marginal + 1e-9 or lb == 1.0  # 1.0 is the uncertified fallback
+
+
+# -- the shared doubling search against the two searches it replaced ----------
+
+
+def _two_search_prima_plus(graph, eps, ell, fixed_seeds, budgets, b_max, rng):
+    """`prima_plus` with its own search loop, as before the selectors shared
+    one, less the top-up after the last certify (those sets went unread)."""
+    fixed = frozenset(fixed_seeds)
+    n = graph.n
+    budgets = sorted(set(budgets) | {b_max})
+    params = SamplerParams(n, eps, ell, tuple(budgets))
+    epsp, ellp = params.eps_prime, params.ell_prime
+    coll = RRCollection(n)
+    s_idx, i, lb = 0, 1, 1.0
+    budget_switch, prev_order, theta_k = False, None, None
+    while i <= math.log2(n) - 1.0 + 1e-12 and s_idx < len(budgets):
+        k = budgets[s_idx]
+        lb = 1.0
+        x = n / 2.0**i
+        theta_i = math.ceil(lambda_prime(n, k, epsp, ellp, math.log2(n)) / x)
+        while len(coll) < theta_i:
+            coll.add(sample_marginal_rr(graph, fixed, rng))
+        if budget_switch and prev_order is not None:
+            order = prev_order
+        else:
+            order, _ = node_selection_count(coll, b_max, excluded=fixed)
+            prev_order = order
+        estimate = n * coll.coverage_fraction(order[:k])
+        if estimate >= (1.0 + epsp) * x:
+            lb = estimate / (1.0 + epsp)
+            theta_k = math.ceil(lambda_star(n, k, eps, ellp) / lb)
+            s_idx += 1
+            if s_idx < len(budgets):
+                while len(coll) < theta_k:
+                    coll.add(sample_marginal_rr(graph, fixed, rng))
+            budget_switch = True
+        else:
+            i += 1
+            budget_switch = False
+    if s_idx < len(budgets):
+        theta_k = math.ceil(lambda_star(n, budgets[s_idx], eps, ellp) / lb)
+    fresh = RRCollection(n)
+    while len(fresh) < theta_k:
+        fresh.add(sample_marginal_rr(graph, fixed, rng))
+    return node_selection_count(fresh, b_max, excluded=fixed)[0]
+
+
+def _two_search_supgrd_sampling(graph, catalog, base, superior, b_prime, eps, ell, rng):
+    """`supgrd_sampling` with its own search loop, as before the selectors
+    shared one."""
+    n = graph.n
+    params = SamplerParams(n, eps, ell, (b_prime,))
+    epsp, ell_hat = params.eps_prime, params.ell_hat
+    item_utils = expected_item_utilities(catalog, rng=rng)
+    ub = n * item_utils[superior]
+    rounds = max(1, math.ceil(math.log2(ub))) if ub > 1.0 else 1
+    lam_prime = lambda_prime(n, b_prime, epsp, ell_hat, rounds)
+    coll = RRCollection(n)
+    lb, i = 1.0, 1
+    i_max = math.log2(ub) - 1.0 if ub > 1.0 else 0.0
+    while i <= i_max + 1e-12:
+        x = ub / 2.0**i
+        while len(coll) < math.ceil(lam_prime / x):
+            coll.add(sample_weighted_rr(graph, base, superior, catalog, rng, item_utils))
+        _, totals = node_selection_weighted(coll, b_prime)
+        estimate = n * totals[-1] / len(coll)
+        if estimate >= (1.0 + epsp) * x:
+            lb = estimate / (1.0 + epsp)
+            break
+        i += 1
+    theta = math.ceil(lambda_star(n, b_prime, eps, ell_hat) / lb)
+    fresh = RRCollection(n)
+    while len(fresh) < theta:
+        fresh.add(sample_weighted_rr(graph, base, superior, catalog, rng, item_utils))
+    return fresh
+
+
+def _prima_case(case: int):
+    """Graph, eps, fixed seeds, budgets, b_max and rng seed of one comparison case."""
+    if case == 24:  # weak edges: coverage never reaches (1 + eps') x, so the search stalls
+        return Graph(8, [(k, k + 1, 0.05) for k in range(7)]), 0.2, frozenset(), [1, 2], 2, 24
+    if case == 25:  # k = 1 certifies, then k = 2 fails at the same x on the reused order
+        return Graph(10, [(0, v, 0.8) for v in range(1, 10)]), 0.5, frozenset(), [1, 2], 2, 110
+    rng = random.Random(80 + case)
+    if case % 4 == 3:  # n <= 3: the search never runs and stalls at LB = 1
+        n = rng.randint(2, 3)
+        graph = Graph(n, [(u, v, 0.5) for u in range(n) for v in range(n) if u != v])
+    else:
+        graph = random_graph(rng, n_lo=5, n_hi=10, e_lo=4, e_hi=16)
+    fixed = frozenset(rng.sample(range(graph.n), rng.randint(0, 1)))
+    b_max = rng.randint(1, min(4, graph.n - len(fixed)))
+    budgets = sorted(rng.sample(range(1, b_max + 1), rng.randint(1, b_max)))
+    return graph, rng.choice((0.2, 0.3, 0.5)), fixed, budgets, b_max, case
+
+
+@pytest.mark.parametrize("case", range(26))
+def test_prima_plus_shared_search_matches_its_own_search(case):
+    graph, eps, fixed, budgets, b_max, seed = _prima_case(case)
+    ours, theirs = derive_rng(81, seed), derive_rng(81, seed)
+    got = prima_plus(graph, eps, 1.0, fixed, budgets, b_max, ours)
+    want = _two_search_prima_plus(graph, eps, 1.0, fixed, budgets, b_max, theirs)
+    assert got == want
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_supgrd_sampling_shared_search_matches_its_own_search(case):
+    rng = random.Random(90 + case)
+    graph, catalog, base = superior_instance(rng, n_hi=9, e_hi=12, equal_inferiors=case % 2 == 0)
+    b_prime = rng.randint(1, 2)
+    eps = rng.choice((0.2, 0.3, 0.5))
+    ours, theirs = derive_rng(91, case), derive_rng(91, case)
+    got = supgrd_sampling(graph, catalog, base, "sup", b_prime, eps, 1.0, ours)
+    want = _two_search_supgrd_sampling(graph, catalog, base, "sup", b_prime, eps, 1.0, theirs)
+    assert (got.members, got.offsets, got.weights) == (want.members, want.offsets, want.weights)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_prima_plus_draws_nothing_after_the_last_budget_certifies(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return sample_marginal_rr(*args)
+
+    monkeypatch.setattr(selectors, "sample_marginal_rr", counting)
+    path6 = graph_from("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n")
+    prima_plus(path6, 0.5, 1.0, frozenset(), [1, 2, 3], 3, derive_rng(0))
+    # 159 search sets and 163 fresh ones; topping the search up to the last
+    # certified size drew 4 more that nothing read
+    assert len(calls) == 159 + 163
