@@ -1,10 +1,17 @@
 """Allocation algorithms and baselines.
 
-All allocators return budget-respecting Allocations. The sequential and
-max-item algorithms, and the round-robin and snake baselines, take their
-seeds from one prefix-preserving list (`prefix_seed_list`); the
-superior-item algorithm selects over weighted RR sets; the greedy
-baseline chases marginal welfare pair by pair.
+Every allocator named in `ALGORITHMS` takes `(graph, catalog, base, items,
+budgets, config, trace=None)` and returns the budget-respecting pairs it
+adds to the fixed `base`. Each first checks that the items are known, have
+budgets >= 0 and are absent from `base`; the sequential and max-item
+algorithms and the round-robin and snake baselines then take their seeds
+from one prefix-preserving list over the base seeds (`prefix_seed_list`).
+`max_seq` and `greedy_marginal` need an empty `base`; `greedy_marginal`
+also at most `GM_PAIR_CAP` pair evaluations. `supgrd` needs one item, the
+superior one, a pure-competition catalog and a `base` covering exactly the
+other items; at budget 0 it checks these and allocates nothing. An unmet
+precondition raises a `ValueError` whose message does not name the
+algorithm.
 """
 
 from __future__ import annotations
@@ -22,10 +29,25 @@ from welfaremax.diffusion import (
 from welfaremax.graph import Graph
 from welfaremax.ris import node_selection_weighted
 from welfaremax.rng import derive_rng, derive_seed
-from welfaremax.selectors import prima_plus, supgrd_sampling
+from welfaremax.selectors import check_superior_instance, prima_plus, supgrd_sampling
 from welfaremax.utility import UTILITY_SAMPLES, ItemCatalog, expected_truncated_utility
 
 Trace = Optional[Callable[[str], None]]
+
+# CLI name -> function name; looked up on this module at call time, so a
+# function patched on the module is the one that runs
+ALGORITHMS = {
+    "seqgrd": "seqgrd",
+    "seqgrd-nm": "seqgrd_nm",
+    "maxgrd": "maxgrd",
+    "max-seq": "max_seq",
+    "supgrd": "supgrd",
+    "gm": "greedy_marginal",
+    "round-robin": "round_robin",
+    "snake": "snake",
+}
+
+GM_PAIR_CAP = 200_000  # guard on n * m * sum(budgets) for greedy_marginal
 
 
 class AllocatorError(ValueError):
@@ -38,7 +60,6 @@ class AllocatorConfig:
     ell: float = 1.0
     mc_samples: int = 5000
     seed: int = 0
-    gm_pair_cap: int = 200_000  # guard on n * m * sum(budgets) for greedy_marginal
 
     def __post_init__(self):
         if self.mc_samples < 1:
@@ -87,6 +108,14 @@ def prefix_seed_list(
     )
 
 
+def _items_and_seeds(graph, catalog, base, items, budgets, config, trace, length=sum):
+    """The checked items and their prefix-preserving seed list, as long as
+    `length` of their budgets (empty when that is 0)."""
+    items = _check_items_budgets(catalog, items, budgets, base)
+    wanted = [budgets[it] for it in items]
+    return items, prefix_seed_list(graph, base, wanted, length(wanted), config, trace)
+
+
 def _sorted_by_utility(catalog: ItemCatalog, items: list[str], config: AllocatorConfig) -> list[str]:
     """Decreasing expected truncated utility; catalog order breaks ties."""
     utils = {}
@@ -114,11 +143,9 @@ def seqgrd(
     the same order, so budgets are always exhausted.
     """
     emit = trace or (lambda line: None)
-    items = _check_items_budgets(catalog, items, budgets, base)
-    total = sum(budgets[it] for it in items)
-    if total == 0:
+    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
+    if not seeds:
         return Allocation.empty()
-    seeds = prefix_seed_list(graph, base, [budgets[it] for it in items], total, config, trace)
     order = _sorted_by_utility(catalog, items, config)
     chosen = Allocation.empty()
     added: set[str] = set()
@@ -165,11 +192,9 @@ def seqgrd_nm(
 ) -> Allocation:
     """seqgrd without the marginal check: sorted items take consecutive blocks."""
     emit = trace or (lambda line: None)
-    items = _check_items_budgets(catalog, items, budgets, base)
-    total = sum(budgets[it] for it in items)
-    if total == 0:
+    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
+    if not seeds:
         return Allocation.empty()
-    seeds = prefix_seed_list(graph, base, [budgets[it] for it in items], total, config, trace)
     chosen = Allocation.empty()
     cursor = 0
     for item in _sorted_by_utility(catalog, items, config):
@@ -196,11 +221,9 @@ def maxgrd(
     which share one base run per world.
     """
     emit = trace or (lambda line: None)
-    items = _check_items_budgets(catalog, items, budgets, base)
-    b_top = max(budgets[it] for it in items)
-    if b_top == 0:
+    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace, max)
+    if not seeds:
         return Allocation.empty()
-    seeds = prefix_seed_list(graph, base, [budgets[it] for it in items], b_top, config, trace)
     best_item = None
     best_mean = -math.inf
     scores = estimate_marginal_welfares(
@@ -222,6 +245,7 @@ def maxgrd(
 def max_seq(
     graph: Graph,
     catalog: ItemCatalog,
+    base: Allocation,
     items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
@@ -229,12 +253,14 @@ def max_seq(
 ) -> Allocation:
     """Run seqgrd and maxgrd from scratch and keep the better allocation.
 
-    Only valid without a prior allocation. Welfares are estimated on
-    common random worlds so the comparison cannot flip-flop on noise.
+    Only valid with an empty base. Welfares are estimated on common
+    random worlds so the comparison cannot flip-flop on noise.
     """
+    if base:
+        raise AllocatorError("needs an empty base allocation")
     emit = trace or (lambda line: None)
-    seq_alloc = seqgrd(graph, catalog, Allocation.empty(), items, budgets, config, trace)
-    max_alloc = maxgrd(graph, catalog, Allocation.empty(), items, budgets, config, trace)
+    seq_alloc = seqgrd(graph, catalog, base, items, budgets, config, trace)
+    max_alloc = maxgrd(graph, catalog, base, items, budgets, config, trace)
     eval_seed = derive_seed(config.seed, "max-seq-eval")
     seq_w = estimate_welfare(graph, catalog, seq_alloc, config.mc_samples, eval_seed).mean
     max_w = estimate_welfare(graph, catalog, max_alloc, config.mc_samples, eval_seed).mean
@@ -246,12 +272,20 @@ def supgrd(
     graph: Graph,
     catalog: ItemCatalog,
     base: Allocation,
-    superior: str,
-    b_prime: int,
+    items: Iterable[str],
+    budgets: dict[str, int],
     config: AllocatorConfig,
     trace: Trace = None,
 ) -> Allocation:
-    """Seed the superior item over fixed inferior seeds via weighted RR sets."""
+    """Seed the one budgeted item, which must be the superior item, over the
+    fixed inferior seeds of `base` via weighted RR sets."""
+    items = _check_items_budgets(catalog, items, budgets, base)
+    if len(items) != 1:
+        raise AllocatorError("budgets must name exactly the superior item")
+    superior, b_prime = items[0], budgets[items[0]]
+    if b_prime == 0:  # the sampler checks the instance for a positive budget
+        check_superior_instance(catalog, base, superior)
+        return Allocation.empty()
     collection = supgrd_sampling(
         graph,
         catalog,
@@ -267,53 +301,56 @@ def supgrd(
     return Allocation.of((v, superior) for v in picks)
 
 
-def round_robin(seed_list: list[int], items: Iterable[str], budgets: dict[str, int]) -> Allocation:
-    """Cycle items over the ordered seeds: s1:i1, s2:i2, ... wrapping around.
+def round_robin(
+    graph: Graph,
+    catalog: ItemCatalog,
+    base: Allocation,
+    items: Iterable[str],
+    budgets: dict[str, int],
+    config: AllocatorConfig,
+    trace: Trace = None,
+) -> Allocation:
+    """Cycle items over the ordered seeds: s1:i1, s2:i2, ... wrapping around
+    and skipping items with exhausted budgets."""
+    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
+    return _deal(seeds, items, budgets, snake_order=False)
 
-    Items with exhausted budgets are skipped; the seed list length must
-    equal the total budget.
-    """
-    return _cyclic(seed_list, list(items), budgets, snake_order=False)
 
-
-def snake(seed_list: list[int], items: Iterable[str], budgets: dict[str, int]) -> Allocation:
+def snake(
+    graph: Graph,
+    catalog: ItemCatalog,
+    base: Allocation,
+    items: Iterable[str],
+    budgets: dict[str, int],
+    config: AllocatorConfig,
+    trace: Trace = None,
+) -> Allocation:
     """Round-robin that reverses the item order on every successive pass."""
-    return _cyclic(seed_list, list(items), budgets, snake_order=True)
+    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
+    return _deal(seeds, items, budgets, snake_order=True)
 
 
-def _cyclic(seed_list, items, budgets, snake_order: bool) -> Allocation:
-    if not items:
-        raise AllocatorError("no items to allocate")
-    remaining = {}
-    for it in items:
-        if it not in budgets:
-            raise AllocatorError(f"missing budget for item {it!r}")
-        remaining[it] = budgets[it]
-    total = sum(remaining.values())
-    if len(seed_list) != total:
-        raise AllocatorError(
-            f"need exactly {total} seeds for the budgets, got {len(seed_list)}"
-        )
-    pairs = []
-    cursor = 0
-    passes = 0
-    while cursor < total:
+def _deal(
+    seeds: list[int], items: list[str], budgets: dict[str, int], snake_order: bool
+) -> Allocation:
+    """Deal `seeds` in order over passes in which every item with budget left
+    takes one seed; `seeds` holds exactly the budgets' total."""
+    remaining = {it: budgets[it] for it in items}
+    turns: list[str] = []
+    reverse = False
+    while any(remaining.values()):
         active = [it for it in items if remaining[it] > 0]
-        if snake_order and passes % 2 == 1:
-            active = list(reversed(active))
-        for it in active:
-            if cursor >= total:
-                break
-            pairs.append((seed_list[cursor], it))
+        for it in reversed(active) if reverse else active:
+            turns.append(it)
             remaining[it] -= 1
-            cursor += 1
-        passes += 1
-    return Allocation.of(pairs)
+        reverse = snake_order and not reverse
+    return Allocation.of(zip(seeds, turns))
 
 
 def greedy_marginal(
     graph: Graph,
     catalog: ItemCatalog,
+    base: Allocation,
     items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
@@ -322,14 +359,16 @@ def greedy_marginal(
     """Repeatedly add the (node, item) pair with the best estimated marginal
     welfare until budgets are exhausted. Desk-scale only: every round
     evaluates all feasible pairs with mc_samples simulations each."""
+    if base:
+        raise AllocatorError("needs an empty base allocation")
     emit = trace or (lambda line: None)
-    items = _check_items_budgets(catalog, items, budgets, Allocation.empty())
+    items = _check_items_budgets(catalog, items, budgets, base)
     total = sum(budgets[it] for it in items)
     work = graph.n * len(items) * total
-    if work > config.gm_pair_cap:
+    if work > GM_PAIR_CAP:
         raise AllocatorError(
-            f"greedy_marginal needs {work} pair evaluations, cap is "
-            f"{config.gm_pair_cap}; use seqgrd for instances this size"
+            f"needs {work} pair evaluations, cap is {GM_PAIR_CAP}; "
+            "use seqgrd for instances this size"
         )
     chosen = Allocation.empty()
     remaining = {it: budgets[it] for it in items}

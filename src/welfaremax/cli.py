@@ -37,18 +37,6 @@ from welfaremax.utility import (
     validate,
 )
 
-ALGORITHMS = (
-    "seqgrd",
-    "seqgrd-nm",
-    "maxgrd",
-    "max-seq",
-    "supgrd",
-    "gm",
-    "round-robin",
-    "snake",
-)
-
-
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -177,35 +165,6 @@ class _TraceWriter:
             self._fh.close()
 
 
-def _dispatch(algorithm, graph, catalog, base, items, budgets, config, trace):
-    if algorithm == "seqgrd":
-        return allocators.seqgrd(graph, catalog, base, items, budgets, config, trace)
-    if algorithm == "seqgrd-nm":
-        return allocators.seqgrd_nm(graph, catalog, base, items, budgets, config, trace)
-    if algorithm == "maxgrd":
-        return allocators.maxgrd(graph, catalog, base, items, budgets, config, trace)
-    if algorithm == "max-seq":
-        if base:
-            raise CliError(2, "max-seq requires an empty base allocation")
-        return allocators.max_seq(graph, catalog, items, budgets, config, trace)
-    if algorithm == "supgrd":
-        if len(items) != 1:
-            raise CliError(2, "supgrd budgets must name exactly the superior item")
-        # the selector rejects an item that is not the superior one
-        return allocators.supgrd(graph, catalog, base, items[0], budgets[items[0]], config, trace)
-    if algorithm == "gm":
-        if base:
-            raise CliError(2, "gm does not take a base allocation")
-        return allocators.greedy_marginal(graph, catalog, items, budgets, config, trace)
-    # round-robin or snake
-    total = sum(budgets[it] for it in items)
-    seeds = allocators.prefix_seed_list(
-        graph, base, [budgets[it] for it in items], total, config, trace
-    )
-    fn = allocators.round_robin if algorithm == "round-robin" else allocators.snake
-    return fn(seeds, items, budgets)
-
-
 def _write_csv(records: list[ResultRecord], catalog: ItemCatalog, out: TextIO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
@@ -228,8 +187,9 @@ def _cmd_run_allocators(args, out: TextIO) -> int:
     algorithm in order and estimate its welfare under one shared seed."""
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
-        if a not in ALGORITHMS:
-            raise CliError(2, f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}")
+        if a not in allocators.ALGORITHMS:
+            known = ", ".join(allocators.ALGORITHMS)
+            raise CliError(2, f"unknown algorithm {a!r}; choose from {known}")
     records = []
     trace = _TraceWriter(args.trace)  # before the inputs load: a bad path costs no work
     try:
@@ -247,9 +207,10 @@ def _cmd_run_allocators(args, out: TextIO) -> int:
         for algo in algos:
             trace(f"phase=run algorithm={algo}")
             started = time.perf_counter()
+            allocate = getattr(allocators, allocators.ALGORITHMS[algo])
             try:
-                alloc = _dispatch(algo, graph, catalog, base, items, budgets, config, trace)
-            except (allocators.AllocatorError, ValueError) as exc:
+                alloc = allocate(graph, catalog, base, items, budgets, config, trace)
+            except ValueError as exc:
                 raise CliError(2, f"{algo}: {exc}") from exc
             est = estimate_welfare(
                 graph, catalog, alloc.merged(base), args.samples, derive_seed(args.seed, "estimate")
@@ -407,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="run one allocator and estimate its welfare")
     _add_common(p)
-    p.add_argument("--algo", dest="algos", required=True, choices=ALGORITHMS)
+    p.add_argument("--algo", dest="algos", required=True, choices=tuple(allocators.ALGORITHMS))
     _add_run_flags(p)
     p.set_defaults(fn=_cmd_run_allocators)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph, csr
-from welfaremax.utility import UTILITY_SAMPLES, ItemCatalog, expected_truncated_utility
+from welfaremax.utility import ItemCatalog, expected_item_utilities
 
 
 class RISError(ValueError):
@@ -156,16 +156,6 @@ def sample_weighted_rr(
     if hit_items:
         weight -= max(item_utils[item] for item in hit_items)
     return RRSet(root, frozenset(members), weight=weight)
-
-
-def expected_item_utilities(
-    catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None
-) -> dict[str, float]:
-    """Expected truncated utility per single item (exact where possible)."""
-    return {
-        item: expected_truncated_utility(catalog, [item], samples=samples, rng=rng)[0]
-        for item in catalog.items
-    }
 
 
 def _greedy_selection(

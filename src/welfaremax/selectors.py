@@ -24,7 +24,6 @@ from welfaremax.graph import Graph
 from welfaremax.ris import (
     RRCollection,
     RRSet,
-    expected_item_utilities,
     node_selection_count,
     node_selection_weighted,
     sample_marginal_rr,
@@ -32,6 +31,7 @@ from welfaremax.ris import (
 )
 from welfaremax.utility import (
     ItemCatalog,
+    expected_item_utilities,
     is_pure_competition,
     superior_item,
 )
@@ -158,11 +158,12 @@ def _doubling_search(
             i += 1
     # the last certified budget, or the first that did not certify (LB = 1)
     theta = math.ceil(lambda_star(n, budgets[min(s_idx, len(budgets) - 1)], eps, ellp) / lb)
+    # announced before the draw, which is long when the search stalled
+    emit(f"phase=final i={i} s={s_idx} theta={theta} lb={lb:.6g}")
     # allocated while `coll` lives: benchmarks/tracing.py tells them apart by id()
     fresh = RRCollection(n)
     while len(fresh) < theta:
         fresh.add(sample())
-    emit(f"phase=final i={i} s={s_idx} theta={len(fresh)} lb={lb:.6g}")
     return fresh
 
 

@@ -301,13 +301,19 @@ def _sample_noise_array(spec: NoiseSpec, count: int, gen) -> np.ndarray:
     return np.where(gen.random(count) < 0.5, spec.amplitude, -spec.amplitude)
 
 
+def expected_item_utilities(
+    catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None
+) -> dict[str, float]:
+    """Expected truncated utility per single item (exact where possible)."""
+    return {
+        item: expected_truncated_utility(catalog, [item], samples=samples, rng=rng)[0]
+        for item in catalog.items
+    }
+
+
 def u_min(catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None) -> float:
     """Minimum over single items of the expected truncated utility."""
-    best = None
-    for it in catalog.items:
-        val, _ = expected_truncated_utility(catalog, [it], samples=samples, rng=rng)
-        best = val if best is None else min(best, val)
-    return best
+    return min(expected_item_utilities(catalog, samples, rng).values())
 
 
 _MAX_EXACT_JOINT = 65536

@@ -107,7 +107,7 @@ def test_criterion_02_worked_example_exactness():
     oracle = WelfareOracle(g, cat)
     w_seq = oracle.welfare(seqgrd(g, cat, Allocation.empty(), items, budgets, cfg))
     w_max = oracle.welfare(maxgrd(g, cat, Allocation.empty(), items, budgets, cfg))
-    w_best = oracle.welfare(max_seq(g, cat, items, budgets, cfg))
+    w_best = oracle.welfare(max_seq(g, cat, Allocation.empty(), items, budgets, cfg))
     elapsed = time.perf_counter() - started
     ok = (w_seq, w_max, w_best) == (22.0, 30.0, 30.0) and elapsed < 1.0
     report(2, "worked-example welfares 22/30/30", ok, f"{elapsed:.2f}s")
@@ -218,7 +218,7 @@ def test_criterion_06_superior_item_bound():
         for trial in range(10):
             runs += 1
             cfg = AllocatorConfig(eps=0.1, ell=1.0, seed=5000 + 100 * inst + trial)
-            alloc = supgrd(graph, catalog, base, "sup", 2, cfg)
+            alloc = supgrd(graph, catalog, base, ["sup"], {"sup": 2}, cfg)
             got = oracle.welfare(alloc.merged(base))
             if got >= APPROX_BOUND * opt:
                 passes += 1

@@ -1,22 +1,26 @@
+import inspect
 import random
 
 import pytest
 
 from welfaremax import diffusion
+from welfaremax import allocators
 from welfaremax.allocators import (
+    GM_PAIR_CAP,
     AllocatorConfig,
     AllocatorError,
+    _deal,
     greedy_marginal,
     max_seq,
     maxgrd,
     prefix_seed_list,
-    round_robin,
     seqgrd,
     seqgrd_nm,
-    snake,
     supgrd,
 )
 from welfaremax.diffusion import Allocation, estimate_marginal_welfare
+from welfaremax.graph import Graph
+from welfaremax.selectors import SelectorError
 from welfaremax.oracle import SpreadOracle, WelfareOracle, exact_welfare, optimal_allocation
 from welfaremax.rng import derive_seed
 from welfaremax.utility import ItemCatalog, expected_truncated_utility
@@ -177,14 +181,14 @@ def test_worked_example_welfare_gap(fork_graph, strong_weak_catalog):
     mx = maxgrd(fork_graph, strong_weak_catalog, Allocation.empty(), items, budgets, CFG)
     assert exact_welfare(fork_graph, strong_weak_catalog, seq) == 22.0
     assert exact_welfare(fork_graph, strong_weak_catalog, mx) == 30.0
-    best = max_seq(fork_graph, strong_weak_catalog, items, budgets, CFG)
+    best = max_seq(fork_graph, strong_weak_catalog, Allocation.empty(), items, budgets, CFG)
     assert best == mx
 
 
 def test_max_seq_single_item_agreement():
     g = graph_from("0 1 1\n")
     cat = ItemCatalog(["a"], prices={"a": 1}, valuations={("a",): 3})
-    alloc = max_seq(g, cat, ["a"], {"a": 1}, CFG)
+    alloc = max_seq(g, cat, Allocation.empty(), ["a"], {"a": 1}, CFG)
     assert alloc == seqgrd(g, cat, Allocation.empty(), ["a"], {"a": 1}, CFG)
 
 
@@ -212,13 +216,13 @@ def test_supgrd_validates_and_names_condition():
         valuations={("a",): 3, ("b",): 1.5, ("a", "b"): 3.6},
     )
     with pytest.raises(Exception, match="pure competition"):
-        supgrd(g, soft, Allocation.of([(0, "b")]), "a", 1, CFG)
+        supgrd(g, soft, Allocation.of([(0, "b")]), ["a"], {"a": 1}, CFG)
 
 
 def test_supgrd_base_empty_single_item_reduces_to_im():
     g = graph_from("0 1 1\n0 2 1\n0 3 1\n4 0 0.2\n")
     cat = ItemCatalog(["a"], prices={"a": 1}, valuations={("a",): 2})
-    alloc = supgrd(g, cat, Allocation.empty(), "a", 1, AllocatorConfig(eps=0.3, seed=2))
+    alloc = supgrd(g, cat, Allocation.empty(), ["a"], {"a": 1}, AllocatorConfig(eps=0.3, seed=2))
     assert alloc.pairs == frozenset({(0, "a")})  # the hub maximizes spread
 
 
@@ -226,7 +230,7 @@ def test_supgrd_near_optimal_on_small_instance():
     rng = random.Random(14)
     graph, catalog, base = superior_instance(rng, n_hi=8, e_hi=9)
     cfg = AllocatorConfig(eps=0.15, ell=1.0, seed=31)
-    alloc = supgrd(graph, catalog, base, "sup", 2, cfg)
+    alloc = supgrd(graph, catalog, base, ["sup"], {"sup": 2}, cfg)
     got = exact_welfare(graph, catalog, alloc.merged(base))
     _, opt = optimal_allocation(graph, catalog, {"sup": 2}, base)
     assert got >= 0.6 * opt
@@ -235,32 +239,29 @@ def test_supgrd_near_optimal_on_small_instance():
 def test_round_robin_and_snake_patterns():
     seeds = [10, 11, 12, 13]
     budgets = {"i": 2, "j": 2}
-    rr = round_robin(seeds, ["i", "j"], budgets)
+    rr = _deal(seeds, ["i", "j"], budgets, snake_order=False)
     assert rr.pairs == frozenset({(10, "i"), (11, "j"), (12, "i"), (13, "j")})
-    sn = snake(seeds, ["i", "j"], budgets)
+    sn = _deal(seeds, ["i", "j"], budgets, snake_order=True)
     assert sn.pairs == frozenset({(10, "i"), (11, "j"), (12, "j"), (13, "i")})
 
 
 def test_round_robin_single_item_is_block():
-    alloc = round_robin([4, 5, 6], ["only"], {"only": 3})
+    alloc = _deal([4, 5, 6], ["only"], {"only": 3}, snake_order=False)
     assert alloc.seeds_for("only") == {4, 5, 6}
-    assert alloc == snake([4, 5, 6], ["only"], {"only": 3})
+    assert alloc == _deal([4, 5, 6], ["only"], {"only": 3}, snake_order=True)
 
 
 def test_round_robin_skips_exhausted_budgets():
-    alloc = round_robin([1, 2, 3], ["a", "b"], {"a": 1, "b": 2})
+    alloc = _deal([1, 2, 3], ["a", "b"], {"a": 1, "b": 2}, snake_order=False)
     assert alloc.pairs == frozenset({(1, "a"), (2, "b"), (3, "b")})
-
-
-def test_round_robin_seed_shortage():
-    with pytest.raises(AllocatorError, match="exactly"):
-        round_robin([1], ["a", "b"], {"a": 1, "b": 1})
 
 
 def test_greedy_marginal_matches_exact_greedy_on_deterministic_graph():
     g = graph_from("0 1 1\n1 2 1\n3 4 1\n")
     cat = ItemCatalog(["a"], prices={"a": 0}, valuations={("a",): 1})
-    alloc = greedy_marginal(g, cat, ["a"], {"a": 2}, AllocatorConfig(seed=1, mc_samples=50))
+    alloc = greedy_marginal(
+        g, cat, Allocation.empty(), ["a"], {"a": 2}, AllocatorConfig(seed=1, mc_samples=50)
+    )
     # exact greedy: 0 first (spread 3), then 3 (spread 2)
     assert alloc.pairs == frozenset({(0, "a"), (3, "a")})
 
@@ -268,7 +269,12 @@ def test_greedy_marginal_matches_exact_greedy_on_deterministic_graph():
 def test_greedy_marginal_three_items_follows_oracle_trace(pair_graph, trio_catalog):
     cfg = AllocatorConfig(seed=3, mc_samples=60)
     alloc = greedy_marginal(
-        pair_graph, trio_catalog, ["i1", "i2", "i3"], {"i1": 1, "i2": 1, "i3": 1}, cfg
+        pair_graph,
+        trio_catalog,
+        Allocation.empty(),
+        ["i1", "i2", "i3"],
+        {"i1": 1, "i2": 1, "i3": 1},
+        cfg,
     )
     # replay the greedy trace with the exact oracle (p=1 makes estimates exact)
     oracle = WelfareOracle(pair_graph, trio_catalog)
@@ -293,16 +299,18 @@ def test_greedy_marginal_three_items_follows_oracle_trace(pair_graph, trio_catal
 def test_greedy_marginal_zero_budgets_yield_empty():
     g = graph_from("0 1 1\n")
     cat = ItemCatalog(["a"], prices={"a": 0}, valuations={("a",): 1})
-    alloc = greedy_marginal(g, cat, ["a"], {"a": 0}, CFG)
+    alloc = greedy_marginal(g, cat, Allocation.empty(), ["a"], {"a": 0}, CFG)
     assert alloc == Allocation.empty()
 
 
 def test_greedy_marginal_cap():
-    g = graph_from("0 1 1\n")
-    cat = ItemCatalog(["a"], prices={"a": 0}, valuations={("a",): 1})
-    cfg = AllocatorConfig(seed=0, mc_samples=10, gm_pair_cap=1)
+    # 1,001 isolated nodes x 2 items x 100 seeds = 200,200 pairs, just above the cap
+    g = Graph(1001, [])
+    cat = ItemCatalog(["a", "b"], prices={"a": 0, "b": 0}, valuations={("a",): 1, ("b",): 1})
+    assert 1001 * 2 * 100 > GM_PAIR_CAP
+    cfg = AllocatorConfig(seed=0, mc_samples=10)
     with pytest.raises(AllocatorError, match="seqgrd"):
-        greedy_marginal(g, cat, ["a"], {"a": 2}, cfg)
+        greedy_marginal(g, cat, Allocation.empty(), ["a", "b"], {"a": 50, "b": 50}, cfg)
 
 
 def test_budget_feasibility_across_allocators(fork_graph, strong_weak_catalog):
@@ -311,3 +319,35 @@ def test_budget_feasibility_across_allocators(fork_graph, strong_weak_catalog):
         alloc = fn(fork_graph, strong_weak_catalog, Allocation.empty(), items, budgets, CFG)
         for it in items:
             assert len(alloc.seeds_for(it)) <= budgets[it]
+
+
+def test_every_algorithm_names_an_allocator_with_the_common_parameters():
+    common = ["graph", "catalog", "base", "items", "budgets", "config", "trace"]
+    for name, fn_name in allocators.ALGORITHMS.items():
+        assert isinstance(fn_name, str), name  # looked up at call time, so patches apply
+        params = inspect.signature(getattr(allocators, fn_name)).parameters
+        assert list(params) == common, name
+        assert params["trace"].default is None, name
+
+
+@pytest.mark.parametrize("fn", [max_seq, greedy_marginal])
+def test_base_free_allocators_reject_a_base(fn, path_graph, blocking_catalog):
+    with pytest.raises(AllocatorError, match="empty base"):
+        fn(path_graph, blocking_catalog, Allocation.of([(5, "k")]), ["i"], {"i": 1}, CFG)
+
+
+def test_supgrd_zero_budget_checks_the_instance_and_allocates_nothing(
+    fork_graph, strong_weak_catalog
+):
+    base = Allocation.of([(3, "j")])
+    alloc = supgrd(fork_graph, strong_weak_catalog, base, ["i"], {"i": 0}, CFG)
+    assert alloc == Allocation.empty()
+    with pytest.raises(SelectorError, match="superior item is 'i'"):
+        supgrd(fork_graph, strong_weak_catalog, Allocation.of([(3, "i")]), ["j"], {"j": 0}, CFG)
+
+
+def test_supgrd_takes_exactly_one_item(fork_graph, strong_weak_catalog):
+    with pytest.raises(AllocatorError, match="exactly the superior item"):
+        supgrd(
+            fork_graph, strong_weak_catalog, Allocation.empty(), ["i", "j"], {"i": 1, "j": 1}, CFG
+        )

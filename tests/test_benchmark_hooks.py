@@ -6,6 +6,8 @@ tests fail instead."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from welfaremax import allocators, cli, diffusion, graph, ris, selectors
 
 from conftest import CONFIGS
@@ -35,7 +37,8 @@ PATCHED = [
 ]
 
 
-def test_benchmark_spans_see_the_allocate_path(tmp_path):
+@pytest.mark.parametrize("algo", ["seqgrd", "seqgrd-nm"])  # the benchmarked algorithms
+def test_benchmark_spans_see_the_allocate_path(tmp_path, algo):
     tracing = _load_tracing()
     for owner, name in PATCHED:
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
@@ -46,12 +49,12 @@ def test_benchmark_spans_see_the_allocate_path(tmp_path):
     tracer = tracing.Tracer()
     try:
         tracing.install_layers(tracer)
-        tracing.install_end_to_end(tracer, "seqgrd")
+        tracing.install_end_to_end(tracer, algo.replace("-", "_"))
         code = cli.main([
             "allocate",
             "--graph", str(CONFIGS / "path6.edges"),
             "--catalog", str(CONFIGS / "trio_blocking.cfg"),
-            "--algo", "seqgrd",
+            "--algo", algo,
             "--budgets", "i=1,j=1",
             "--base", str(base),
             "--samples", "20",

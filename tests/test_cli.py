@@ -607,3 +607,76 @@ def test_unopenable_output_exits_2_before_loading(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"error: cannot open {flag} {target}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("algo", ["seqgrd", "seqgrd-nm", "maxgrd", "round-robin", "snake"])
+def test_base_overlapping_an_allocated_item_exits_2(tmp_path, capsys, algo):
+    base = tmp_path / "base.txt"
+    base.write_text("0 i\n")
+    code = run_cli(
+        "allocate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", CONFIGS / "pair_even.cfg",
+        "--algo", algo,
+        "--budgets", "i=1,j=1",
+        "--base", base,
+        "--samples", "20",
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 2
+    assert "items to allocate overlap the base allocation" in capsys.readouterr().err
+
+
+def _supgrd(tmp_path, budgets, base_line):
+    base = tmp_path / "base.txt"
+    base.write_text(base_line + "\n")
+    return run_cli(
+        "allocate",
+        "--graph", CONFIGS / "fork4.edges",
+        "--catalog", CONFIGS / "pair_strong_weak.cfg",
+        "--algo", "supgrd",
+        "--budgets", budgets,
+        "--base", base,
+        "--samples", "20",
+        "--out", tmp_path / "o.csv",
+    )
+
+
+def test_supgrd_zero_budget_allocates_nothing(tmp_path):
+    assert _supgrd(tmp_path, "i=0", "3 j") == 0
+    row = read_csv(tmp_path / "o.csv")[1]
+    assert row[0] == "supgrd"
+    assert row[-1] == ""
+
+
+def test_supgrd_zero_budget_on_an_inferior_item_exits_2(tmp_path, capsys):
+    assert _supgrd(tmp_path, "j=0", "3 i") == 2
+    assert "supgrd: superior item is 'i', not 'j'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "algo, budgets, base_line, message",
+    [
+        ("max-seq", "i=1", "3 j", "max-seq: needs an empty base allocation"),
+        ("gm", "i=1", "3 j", "gm: needs an empty base allocation"),
+        ("supgrd", "i=1,j=1", None, "supgrd: budgets must name exactly the superior item"),
+    ],
+    ids=["max-seq-base", "gm-base", "supgrd-two-items"],
+)
+def test_algorithm_preconditions_exit_2(tmp_path, capsys, algo, budgets, base_line, message):
+    argv = [
+        "allocate",
+        "--graph", CONFIGS / "fork4.edges",
+        "--catalog", CONFIGS / "pair_strong_weak.cfg",
+        "--algo", algo,
+        "--budgets", budgets,
+        "--samples", "20",
+        "--out", tmp_path / "o.csv",
+    ]
+    if base_line:
+        (tmp_path / "base.txt").write_text(base_line + "\n")
+        argv += ["--base", tmp_path / "base.txt"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count(algo) == 1

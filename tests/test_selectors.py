@@ -408,3 +408,28 @@ def test_prima_plus_draws_nothing_after_the_last_budget_certifies(monkeypatch):
     # 159 search sets and 163 fresh ones; topping the search up to the last
     # certified size drew 4 more that nothing read
     assert len(calls) == 159 + 163
+
+
+@pytest.mark.parametrize("selector", ["prima_plus", "supgrd_sampling"])
+def test_final_line_announces_the_fresh_collection_before_drawing_it(monkeypatch, selector):
+    events = []
+    for name in ("sample_marginal_rr", "sample_weighted_rr"):
+        real = getattr(selectors, name)
+
+        def recording(*args, real=real):
+            events.append("sample")
+            return real(*args)
+
+        monkeypatch.setattr(selectors, name, recording)
+    if selector == "prima_plus":
+        path6 = graph_from("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n")
+        prima_plus(path6, 0.5, 1.0, frozenset(), [1, 2, 3], 3, derive_rng(0), events.append)
+    else:
+        graph, catalog, base = superior_instance(random.Random(3), n_hi=8, e_hi=9)
+        supgrd_sampling(graph, catalog, base, "sup", 2, 0.5, 1.0, derive_rng(1), events.append)
+    final = [k for k, ev in enumerate(events) if ev.startswith("phase=final")]
+    assert len(final) == 1
+    theta = int(dict(kv.split("=") for kv in events[final[0]].split())["theta"])
+    # every event after the line is a draw of the fresh collection, theta in all
+    assert events[final[0] + 1 :] == ["sample"] * theta
+    assert "sample" in events[: final[0]]
