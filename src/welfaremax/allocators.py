@@ -30,7 +30,7 @@ from welfaremax.graph import Graph
 from welfaremax.ris import node_selection_weighted
 from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.selectors import check_superior_instance, prima_plus, supgrd_sampling
-from welfaremax.utility import UTILITY_SAMPLES, ItemCatalog, expected_truncated_utility
+from welfaremax.utility import ItemCatalog, expected_item_utilities
 
 Trace = Optional[Callable[[str], None]]
 
@@ -116,17 +116,6 @@ def _items_and_seeds(graph, catalog, base, items, budgets, config, trace, length
     return items, prefix_seed_list(graph, base, wanted, length(wanted), config, trace)
 
 
-def _sorted_by_utility(catalog: ItemCatalog, items: list[str], config: AllocatorConfig) -> list[str]:
-    """Decreasing expected truncated utility; catalog order breaks ties."""
-    utils = {}
-    for it in items:
-        rng = derive_rng(config.seed, "item-utility", it)
-        utils[it], _ = expected_truncated_utility(
-            catalog, [it], samples=UTILITY_SAMPLES, rng=rng
-        )
-    return sorted(items, key=lambda it: (-utils[it], catalog.index[it]))
-
-
 def seqgrd(
     graph: Graph,
     catalog: ItemCatalog,
@@ -140,29 +129,38 @@ def seqgrd(
 
     Items whose tentative seed block does not improve estimated welfare
     are deferred; deferred items consume the remaining seeds afterward in
-    the same order, so budgets are always exhausted.
+    the same order, so budgets are always exhausted. Every check runs on
+    the same worlds, so a step's base runs are the previous step's runs
+    with its block if kept, without it if deferred: (T + 1) * mc_samples
+    simulations for T items.
     """
     emit = trace or (lambda line: None)
     items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
     if not seeds:
         return Allocation.empty()
-    order = _sorted_by_utility(catalog, items, config)
+    utils = expected_item_utilities(catalog, rng=derive_rng(config.seed, "item-utility"))
+    order = sorted(items, key=lambda it: (-utils[it], catalog.index[it]))  # ties: catalog order
     chosen = Allocation.empty()
     added: set[str] = set()
     cursor = 0
-    for step, item in enumerate(order):
+    world_seed = derive_seed(config.seed, "marginal")
+    without = None  # welfare of chosen + base per world, once known
+    for item in order:
         block = seeds[cursor : cursor + budgets[item]]
         tentative = Allocation.of((v, item) for v in block)
-        mean, stderr = estimate_marginal_welfare(
+        mean, stderr, with_runs, without_runs = estimate_marginal_welfare(
             graph,
             catalog,
             tentative,
             chosen.merged(base),
             config.mc_samples,
-            derive_seed(config.seed, "marginal", step),
+            world_seed,
+            without=without,
+            runs=True,
         )
         # a noisy ~0 marginal must not pass; require a clearly positive one
         keep = mean > 2.0 * stderr
+        without = with_runs if keep else without_runs
         emit(
             f"phase=tentative item={item} seeds={';'.join(map(str, block))} "
             f"marginal={mean:.6g} stderr={stderr:.6g} decision={'keep' if keep else 'defer'}"
@@ -195,9 +193,10 @@ def seqgrd_nm(
     items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
     if not seeds:
         return Allocation.empty()
+    utils = expected_item_utilities(catalog, rng=derive_rng(config.seed, "item-utility"))
     chosen = Allocation.empty()
     cursor = 0
-    for item in _sorted_by_utility(catalog, items, config):
+    for item in sorted(items, key=lambda it: (-utils[it], catalog.index[it])):  # ties: catalog order
         block = seeds[cursor : cursor + budgets[item]]
         cursor += budgets[item]
         chosen = chosen.merged(Allocation.of((v, item) for v in block))

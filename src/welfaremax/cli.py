@@ -29,6 +29,7 @@ from welfaremax.oracle import (
 )
 from welfaremax.ris import sample_marginal_rr
 from welfaremax.rng import derive_rng, derive_seed
+from welfaremax.selectors import RRLimitError
 from welfaremax.utility import (
     CatalogError,
     ItemCatalog,
@@ -186,6 +187,8 @@ def _cmd_run_allocators(args, out: TextIO) -> int:
     """`allocate` and `compare`: load the inputs once, then run each
     algorithm in order and estimate its welfare under one shared seed."""
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise CliError(2, "no algorithms given")
     for a in algos:
         if a not in allocators.ALGORITHMS:
             known = ", ".join(allocators.ALGORITHMS)
@@ -210,6 +213,8 @@ def _cmd_run_allocators(args, out: TextIO) -> int:
             allocate = getattr(allocators, allocators.ALGORITHMS[algo])
             try:
                 alloc = allocate(graph, catalog, base, items, budgets, config, trace)
+            except RRLimitError as exc:
+                raise CliError(3, f"{algo}: {exc}") from exc
             except ValueError as exc:
                 raise CliError(2, f"{algo}: {exc}") from exc
             est = estimate_welfare(

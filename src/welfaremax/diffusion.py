@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -292,13 +292,23 @@ def estimate_marginal_welfare(
     base: Allocation,
     samples: int,
     seed: int,
-) -> tuple[float, float]:
+    without: Optional[list[float]] = None,
+    runs: bool = False,
+):
     """Estimate rho(candidate + base) - rho(base), with its standard error.
 
     Replays the same possible world for both runs of each sample (worlds
     are allocation-independent), which sharply reduces variance.
+    `without`, if given, is the base's welfare in each world of this seed
+    and sample count, from an earlier run, and stands in for the base
+    runs. With `runs`, returns ``(mean, stderr, with_runs, without_runs)``,
+    the per-world welfares with and without the candidate.
     """
-    return estimate_marginal_welfares(graph, catalog, [candidate], base, samples, seed)[0]
+    base_runs, (with_runs,) = _marginal_runs(
+        graph, catalog, [candidate], base, samples, seed, without
+    )
+    mean, stderr = _mean_stderr([w - b for w, b in zip(with_runs, base_runs)])
+    return (mean, stderr, with_runs, base_runs) if runs else (mean, stderr)
 
 
 def estimate_marginal_welfares(
@@ -315,17 +325,28 @@ def estimate_marginal_welfares(
     take (len(candidates) + 1) * samples simulations and equal what
     separate calls with this seed return.
     """
+    base_runs, with_runs = _marginal_runs(graph, catalog, candidates, base, samples, seed)
+    return [_mean_stderr([w - b for w, b in zip(runs, base_runs)]) for runs in with_runs]
+
+
+def _marginal_runs(graph, catalog, candidates, base, samples, seed, without=None):
+    """The base's welfare per world (`without`, if given) and each
+    candidate's merged with the base, base run first in each world."""
     if samples < 1:
         raise DiffusionError("samples must be >= 1")
+    if without is not None and len(without) != samples:
+        raise DiffusionError(f"{len(without)} base runs given for {samples} samples")
     combined = []
     for candidate in candidates:
         overlap = candidate.pairs & base.pairs
         if overlap:
             raise DiffusionError(f"candidate overlaps base allocation: {sorted(overlap)}")
         combined.append(candidate.merged(base))
-    diffs: list[list[float]] = [[] for _ in candidates]
+    base_runs = [] if without is None else list(without)
+    with_runs: list[list[float]] = [[] for _ in candidates]
     for world in _worlds(graph, catalog, samples, seed):
-        without = simulate(graph, catalog, base, world).welfare
-        for alloc, out in zip(combined, diffs):
-            out.append(simulate(graph, catalog, alloc, world).welfare - without)
-    return [_mean_stderr(d) for d in diffs]
+        if without is None:
+            base_runs.append(simulate(graph, catalog, base, world).welfare)
+        for alloc, out in zip(combined, with_runs):
+            out.append(simulate(graph, catalog, alloc, world).welfare)
+    return base_runs, with_runs

@@ -5,9 +5,13 @@ sets touching a fixed seed set, and with no fixed seeds it is the plain
 RR sampler; the weighted one stops at the fixed seeds and carries a
 welfare-gain weight.
 
-Each visited node draws one ``random()`` coin per candidate in-edge, one
-whose source is not yet a member, in edge-id order, reading the graph's
-per-node source and probability tuples.
+A visited node whose in-edges share one probability p (every node of a
+weighted-cascade graph) finds its live in-edges by geometric skips, as in
+SUBSIM (Guo, Tang, Tang, Xiao and Yuan, SIGMOD 2020): from one live edge
+the next lies floor(log(1 - U) / log(1 - p)) edges on, one ``random()``
+per live edge plus one, none at all for p = 0 or p = 1. Any other node
+draws one ``random()`` coin per candidate in-edge, one whose source is not
+yet a member, in edge-id order.
 
 A collection is flat: the members of all sets end to end with per-set
 offsets and weights. Greedy max-coverage groups member slots by node with
@@ -19,6 +23,7 @@ picks and totals are the same floats.
 from __future__ import annotations
 
 from array import array
+from math import inf, log
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -78,6 +83,29 @@ class RRCollection:
         return len(np.unique(hit)) / len(self)
 
 
+def _live_sources(srcs: tuple, probs: tuple, logq: Optional[float], members, random) -> list:
+    """Sources of a node's live in-edges that are not in `members`, in edge
+    order. `srcs`, `probs` and `logq` are the node's `Graph` tuples and
+    shared log(1 - p); `random` is the sampler's ``rng.random``."""
+    if logq is None:
+        return [src for src, p in zip(srcs, probs) if src not in members and random() < p]
+    if logq == -inf:  # p = 1
+        return [src for src in srcs if src not in members]
+    if logq == 0.0:  # p = 0
+        return []
+    live = []
+    d = len(srcs)
+    # random() can return 0 but never 1; a position stays a float, because
+    # the skip of a subnormal p overflows to inf
+    pos = log(1.0 - random()) / logq
+    while pos < d:
+        i = int(pos)
+        if srcs[i] not in members:
+            live.append(srcs[i])
+        pos = i + 1 + log(1.0 - random()) / logq
+    return live
+
+
 def sample_rr(graph: Graph, rng) -> RRSet:
     """One reverse-reachable set from a uniformly random root."""
     return sample_marginal_rr(graph, frozenset(), rng)
@@ -95,20 +123,20 @@ def sample_marginal_rr(graph: Graph, fixed_seeds: frozenset[int], rng) -> RRSet:
     root = rng.randrange(graph.n)
     if root in fixed_seeds:
         return RRSet(root, frozenset(), empty=True)
-    in_src, in_prob = graph.in_src, graph.in_prob
+    in_src, in_prob, in_logq = graph.in_src, graph.in_prob, graph.in_logq
     random = rng.random
     members = {root}
     stack = [root]
     while stack:
         u = stack.pop()
-        for src, p in zip(in_src[u], in_prob[u]):
-            if src not in members and random() < p:
-                if src in fixed_seeds:
-                    # result is discarded either way; the remaining coins
-                    # are independent of everything already decided
-                    return RRSet(root, frozenset(), empty=True)
-                members.add(src)
-                stack.append(src)
+        live = _live_sources(in_src[u], in_prob[u], in_logq[u], members, random)
+        if live:
+            if not fixed_seeds.isdisjoint(live):
+                # result is discarded either way; the coins not yet drawn
+                # are independent of everything already decided
+                return RRSet(root, frozenset(), empty=True)
+            members.update(live)
+            stack += live
     return RRSet(root, frozenset(members))
 
 
@@ -134,7 +162,7 @@ def sample_weighted_rr(
         raise RISError(f"unknown superior item {superior!r}")
     u_sup = item_utils[superior]
     sp_nodes = base_allocation.seed_nodes()
-    in_src, in_prob = graph.in_src, graph.in_prob
+    in_src, in_prob, in_logq = graph.in_src, graph.in_prob, graph.in_logq
     random = rng.random
     root = rng.randrange(graph.n)
     members = {root}
@@ -142,10 +170,9 @@ def sample_weighted_rr(
     while level and sp_nodes.isdisjoint(level):
         nxt = []
         for u in level:
-            for src, p in zip(in_src[u], in_prob[u]):
-                if src not in members and random() < p:
-                    members.add(src)
-                    nxt.append(src)
+            live = _live_sources(in_src[u], in_prob[u], in_logq[u], members, random)
+            members.update(live)
+            nxt += live
         level = nxt
     hit_items = [
         item

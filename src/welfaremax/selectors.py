@@ -38,9 +38,20 @@ from welfaremax.utility import (
 
 Trace = Optional[Callable[[str], None]]
 
+MAX_RR_SETS = 10_000_000  # most RR sets one planned collection may hold
+
 
 class SelectorError(ValueError):
     pass
+
+
+class RRLimitError(ValueError):
+    """A planned RR collection larger than `MAX_RR_SETS`."""
+
+
+def _check_plan(theta: int) -> None:
+    if theta > MAX_RR_SETS:
+        raise RRLimitError(f"planned {theta} RR sets, cap is {MAX_RR_SETS}")
 
 
 def _log_binom(n: int, k: int) -> float:
@@ -132,6 +143,8 @@ def _doubling_search(
     sets; otherwise x halves. The fresh collection holds ceil(lambda*(k) / LB)
     sets for the last budget tested, with LB = 1 if it never certified.
     `rounds` is the number of x values the failure probability is split over.
+    Each planned size is checked against `MAX_RR_SETS` before any set of it
+    is drawn.
     """
     n, budgets, eps = params.n, params.budgets, params.eps
     epsp, ellp = params.eps_prime, params.ell_prime
@@ -142,6 +155,7 @@ def _doubling_search(
         k = budgets[s_idx]
         x = scale / 2.0**i
         theta = max(floor, math.ceil(lambda_prime(n, k, epsp, ellp, rounds) / x))
+        _check_plan(theta)
         while len(coll) < theta:
             coll.add(sample())
         est = estimate(coll, k, i)
@@ -160,6 +174,7 @@ def _doubling_search(
     theta = math.ceil(lambda_star(n, budgets[min(s_idx, len(budgets) - 1)], eps, ellp) / lb)
     # announced before the draw, which is long when the search stalled
     emit(f"phase=final i={i} s={s_idx} theta={theta} lb={lb:.6g}")
+    _check_plan(theta)
     # allocated while `coll` lives: benchmarks/tracing.py tells them apart by id()
     fresh = RRCollection(n)
     while len(fresh) < theta:

@@ -22,7 +22,7 @@ from welfaremax.diffusion import Allocation, estimate_marginal_welfare
 from welfaremax.graph import Graph
 from welfaremax.selectors import SelectorError
 from welfaremax.oracle import SpreadOracle, WelfareOracle, exact_welfare, optimal_allocation
-from welfaremax.rng import derive_seed
+from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.utility import ItemCatalog, expected_truncated_utility
 
 from conftest import graph_from, superior_instance
@@ -351,3 +351,55 @@ def test_supgrd_takes_exactly_one_item(fork_graph, strong_weak_catalog):
         supgrd(
             fork_graph, strong_weak_catalog, Allocation.empty(), ["i", "j"], {"i": 1, "j": 1}, CFG
         )
+
+
+def test_seqgrd_marginal_checks_share_one_set_of_worlds(monkeypatch, path_graph, blocking_catalog):
+    items, budgets = ["i", "j", "k"], {"i": 1, "j": 1, "k": 1}
+    checks = []
+    real_estimate = allocators.estimate_marginal_welfare
+
+    def recording(graph, catalog, candidate, base, samples, seed, **kwargs):
+        got = real_estimate(graph, catalog, candidate, base, samples, seed, **kwargs)
+        checks.append((candidate, base, samples, seed, got[:2]))
+        return got
+
+    sims = []
+    real_simulate = diffusion.simulate
+    monkeypatch.setattr(allocators, "estimate_marginal_welfare", recording)
+    monkeypatch.setattr(diffusion, "simulate", lambda *args: sims.append(1) or real_simulate(*args))
+    lines = []
+    seqgrd(path_graph, blocking_catalog, Allocation.empty(), items, budgets, CFG, lines.append)
+    decisions = [ln.split("decision=")[1] for ln in lines if ln.startswith("phase=tentative")]
+    # a kept step and a deferred step both hand their worlds to a later step
+    assert decisions == ["keep", "defer", "keep"]
+    assert len(sims) == (len(items) + 1) * CFG.mc_samples
+    assert len(checks) == len(items)
+    for candidate, base, samples, seed, got in checks:
+        assert seed == derive_seed(CFG.seed, "marginal")
+        plain = estimate_marginal_welfare(path_graph, blocking_catalog, candidate, base, samples, seed)
+        assert got == plain  # bit for bit
+
+
+@pytest.mark.parametrize("fn", [seqgrd, seqgrd_nm], ids=["seqgrd", "seqgrd-nm"])
+def test_sequential_order_comes_from_one_item_utility_call(monkeypatch, fn, path_graph):
+    # j and k tie on utility; catalog order (k before j) breaks the tie
+    cat = ItemCatalog(
+        ["k", "i", "j"],
+        prices={"i": 1, "j": 1, "k": 1},
+        valuations={("i",): 3, ("j",): 2, ("k",): 2},
+    )
+    calls = []
+    real = allocators.expected_item_utilities
+
+    def recording(catalog, **kwargs):
+        calls.append(kwargs["rng"].getstate())
+        return real(catalog, **kwargs)
+
+    monkeypatch.setattr(allocators, "expected_item_utilities", recording)
+    lines = []
+    fn(path_graph, cat, Allocation.empty(), ["j", "i", "k"], {"i": 1, "j": 1, "k": 1}, CFG,
+       lines.append)
+    assert calls == [derive_rng(CFG.seed, "item-utility").getstate()]
+    first = "phase=tentative" if fn is seqgrd else "phase=assign"
+    order = [ln.split()[1] for ln in lines if ln.startswith(first)]
+    assert order == ["item=i", "item=k", "item=j"]

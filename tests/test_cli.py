@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from welfaremax import selectors
 from welfaremax.cli import load_graph_file, main
 
 from conftest import CONFIGS
@@ -680,3 +681,30 @@ def test_algorithm_preconditions_exit_2(tmp_path, capsys, algo, budgets, base_li
     err = capsys.readouterr().err
     assert message in err
     assert err.count(algo) == 1
+
+
+def test_empty_algorithm_list_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "compare",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", CONFIGS / "trio_blocking.cfg",
+        "--algos", ",",
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 2
+    assert "no algorithms given" in capsys.readouterr().err
+
+
+def test_rr_set_cap_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(selectors, "MAX_RR_SETS", 10)
+    code = run_cli(
+        "allocate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", CONFIGS / "trio_blocking.cfg",
+        "--algo", "seqgrd",
+        "--samples", "20",
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: seqgrd: planned" in err and "RR sets, cap is 10" in err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from welfaremax import diffusion
 from welfaremax.diffusion import (
     Allocation,
     DiffusionError,
@@ -469,3 +470,30 @@ def test_welfare_is_the_sum_of_adopted_utilities(case):
     result = simulate(graph, catalog, allocation, world)
     utils = [utility(catalog, bundle, world.noise) for bundle in result.adoption.values()]
     assert result.welfare == pytest.approx(math.fsum(utils), rel=1e-12, abs=1e-9)
+
+
+def test_marginal_base_runs_can_be_passed_in(monkeypatch):
+    g = graph_from("0 1 0.5\n1 2 0.7\n2 3 0.5\n3 4 0.3\n0 5 0.5\n5 4 0.7\n")
+    cat = ItemCatalog(
+        ["a", "b"],
+        prices={"a": 1, "b": 1},
+        valuations={("a",): 3, ("b",): 2.5, ("a", "b"): 3.2},
+    )
+    base, cand = Allocation.of([(5, "b")]), Allocation.of([(0, "a")])
+    mean, stderr, with_runs, without_runs = estimate_marginal_welfare(
+        g, cat, cand, base, 50, seed=21, runs=True
+    )
+    assert (mean, stderr) == estimate_marginal_welfare(g, cat, cand, base, 50, seed=21)
+    # the runs are each world's welfare, as the plain estimator sees them
+    assert math.fsum(without_runs) / 50 == estimate_welfare(g, cat, base, 50, seed=21).mean
+    assert math.fsum(with_runs) / 50 == estimate_welfare(g, cat, cand.merged(base), 50, 21).mean
+    sims = []
+    real = diffusion.simulate
+    monkeypatch.setattr(diffusion, "simulate", lambda *a: sims.append(a[2]) or real(*a))
+    again = estimate_marginal_welfare(
+        g, cat, cand, base, 50, seed=21, without=without_runs, runs=True
+    )
+    assert again == (mean, stderr, with_runs, without_runs)
+    assert sims == [cand.merged(base)] * 50  # no base run
+    with pytest.raises(DiffusionError, match="49 base runs given for 50 samples"):
+        estimate_marginal_welfare(g, cat, cand, base, 50, seed=21, without=without_runs[1:])

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import warnings
 
@@ -261,3 +262,42 @@ def test_per_node_tuples_list_each_nodes_edges_in_id_order(edges):
         assert g.in_prob[node] == tuple(p for _, p in ins)
         assert g.out_dst[node] == tuple(v for v, _ in outs)
         assert g.out_eid[node] == tuple(e for _, e in outs)
+
+
+def _python_logq(graph: Graph, node: int):
+    probs = set(graph.in_prob[node])
+    if len(probs) != 1:
+        return None
+    (p,) = probs
+    return -math.inf if p == 1.0 else math.log1p(-p)
+
+
+def _shared_prob_edges(rng: random.Random, n: int) -> list[tuple[int, int, float]]:
+    choices = (0.0, -0.0, 1.0, 0.5, 1e-300, 5e-324, 1.0 - 2.0**-53, rng.random())
+    edges = []
+    for v in range(n):
+        sources = rng.sample([u for u in range(n) if u != v], rng.randint(0, min(6, n - 1)))
+        shared = rng.choice(choices + (1.0 / max(1, len(sources)),))
+        for u in sources:
+            p = shared if rng.random() < 0.8 else rng.choice(choices)
+            edges.append((u, v, p))
+    rng.shuffle(edges)
+    return edges
+
+
+def test_shared_logq_matches_a_per_node_computation():
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = Graph(n, _shared_prob_edges(rng, n))
+        want = tuple(_python_logq(g, node) for node in range(n))
+        assert g.in_logq == want
+        assert [type(x) for x in g.in_logq] == [type(x) for x in want]
+
+
+@given(edge_lists())
+@settings(max_examples=60, deadline=None)
+def test_shared_logq_matches_a_per_node_computation_on_any_probabilities(edges):
+    n = 1 + max(max(u, v) for u, v, _ in edges)
+    g = Graph(n, edges)
+    assert g.in_logq == tuple(_python_logq(g, node) for node in range(n))

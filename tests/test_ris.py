@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from welfaremax import ris
 from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle, WelfareOracle
@@ -458,3 +459,227 @@ def test_array_greedy_adds_and_subtracts_weights_in_set_order():
     assert _both_greedies(5, sets, 3, True, excluded={4}) == [2, 0, 1]
     with pytest.raises(RISError, match="not enough selectable nodes"):
         node_selection_weighted(_collection([(0, {1}, 1.0)], n=3), 3, excluded={0})
+
+
+# -- geometric-skip sampling ----------------------------------------------------
+
+# node 0 is a hub with 120 in-edges at one p from the zero-in-degree leaves
+# 7..126; node 2's in-edges are certain, node 3's never live, 1 and 5 share
+# one p, 4 and 6 mix probabilities
+HUB_P = 0.03
+LEAVES = range(7, 127)
+CORE_EDGES = [
+    (0, 1, 0.5), (2, 1, 0.5),
+    (1, 2, 1.0), (6, 2, 1.0),
+    (0, 3, 0.0),
+    (1, 4, 0.3), (3, 4, 0.8), (0, 4, 0.6),
+    (4, 5, 0.25), (2, 5, 0.25), (0, 5, 0.25),
+    (5, 6, 0.4), (3, 6, 0.9),
+]
+
+
+def skip_graph() -> Graph:
+    return Graph(127, CORE_EDGES + [(leaf, 0, HUB_P) for leaf in LEAVES])
+
+
+def core_graph(seed_leaves) -> Graph:
+    """The nodes and edges that seeds among {0..6} and `seed_leaves` can
+    reach; the other leaves are unreachable, so their edges change no spread
+    or welfare of such seeds, and the oracle need not enumerate them."""
+    return Graph(9, CORE_EDGES + [(leaf, 0, HUB_P) for leaf in seed_leaves])
+
+
+def per_edge_coin_rr(graph, fixed_seeds, rng):
+    """The marginal sampler as it was before geometric skips: one coin per
+    candidate in-edge, in edge-id order."""
+    root = rng.randrange(graph.n)
+    if root in fixed_seeds:
+        return RRSet(root, frozenset(), empty=True)
+    members, stack = {root}, [root]
+    while stack:
+        u = stack.pop()
+        for src, p in zip(graph.in_src[u], graph.in_prob[u]):
+            if src not in members and rng.random() < p:
+                if src in fixed_seeds:
+                    return RRSet(root, frozenset(), empty=True)
+                members.add(src)
+                stack.append(src)
+    return RRSet(root, frozenset(members))
+
+
+def per_edge_coin_weighted_rr(graph, base, superior, rng, item_utils):
+    """The weighted sampler as it was before geometric skips."""
+    sp_nodes = base.seed_nodes()
+    root = rng.randrange(graph.n)
+    members, level = {root}, [root]
+    while level and sp_nodes.isdisjoint(level):
+        nxt = []
+        for u in level:
+            for src, p in zip(graph.in_src[u], graph.in_prob[u]):
+                if src not in members and rng.random() < p:
+                    members.add(src)
+                    nxt.append(src)
+        level = nxt
+    hit = [it for node in members & sp_nodes for it in base.items_at(node)]
+    weight = item_utils[superior] - (max(item_utils[it] for it in hit) if hit else 0.0)
+    return RRSet(root, frozenset(members), weight=weight)
+
+
+def test_skip_graph_has_every_kind_of_node():
+    g = skip_graph()
+    assert len(g.in_src[0]) >= 100 and g.in_logq[0] == math.log1p(-HUB_P)
+    assert g.in_logq[2] == -math.inf and g.in_logq[3] == 0.0
+    assert g.in_logq[1] == math.log(0.5) and g.in_logq[5] == math.log1p(-0.25)
+    assert g.in_logq[4] is None and g.in_logq[6] is None
+    assert all(g.in_logq[leaf] is None and not g.in_src[leaf] for leaf in LEAVES)
+
+
+def _mean_and_sigma(values):
+    mean = math.fsum(values) / len(values)
+    var = math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    return mean, math.sqrt(var / len(values))
+
+
+def test_skip_plain_coverage_matches_spread_oracle():
+    g = skip_graph()
+    seeds = {7, 8, 4}
+    want = SpreadOracle(core_graph([7, 8])).spread(seeds)
+    rng = derive_rng(501)
+    vals = [g.n * bool(seeds & sample_rr(g, rng).members) for _ in range(60_000)]
+    mean, sigma = _mean_and_sigma(vals)
+    assert abs(mean - want) <= 3 * sigma
+
+
+def test_skip_marginal_coverage_matches_spread_oracle():
+    g = skip_graph()
+    fixed, seeds = frozenset({2}), {7, 8, 6}
+    want = SpreadOracle(core_graph([7, 8])).marginal_spread(seeds, fixed)
+    rng = derive_rng(502)
+    vals = []
+    for _ in range(60_000):
+        rr = sample_marginal_rr(g, fixed, rng)
+        vals.append(g.n * (not rr.empty and bool(seeds & rr.members)))
+    mean, sigma = _mean_and_sigma(vals)
+    assert abs(mean - want) <= 3 * sigma
+
+
+def _skip_superior_instance():
+    catalog = ItemCatalog(
+        ["sup", "inf"],
+        prices={"sup": 1, "inf": 1},
+        valuations={("sup",): 2.0, ("inf",): 1.2, ("sup", "inf"): 2.0},
+    )
+    return catalog, Allocation.of([(1, "inf")])
+
+
+def test_skip_weighted_identity_matches_welfare_oracle():
+    g = skip_graph()
+    catalog, base = _skip_superior_instance()
+    seeds = {7, 8, 5}
+    cand = Allocation.of((v, "sup") for v in seeds)
+    want = WelfareOracle(core_graph([7, 8]), catalog).marginal(cand, base)
+    utils = expected_item_utilities(catalog)
+    rng = derive_rng(503)
+    vals = []
+    for _ in range(60_000):
+        rr = sample_weighted_rr(g, base, "sup", catalog, rng, utils)
+        vals.append(g.n * rr.weight * bool(seeds & rr.members))
+    mean, sigma = _mean_and_sigma(vals)
+    assert abs(mean - want) <= 3 * sigma
+
+
+def test_hub_live_in_edges_are_binomial():
+    g = skip_graph()
+    d = len(g.in_src[0])
+    rng = derive_rng(504)
+    draws = 50_000
+    counts = [
+        len(ris._live_sources(g.in_src[0], g.in_prob[0], g.in_logq[0], {0}, rng.random))
+        for _ in range(draws)
+    ]
+    mean, sigma = _mean_and_sigma(counts)
+    assert abs(mean - d * HUB_P) <= 3 * sigma
+    p0 = (1.0 - HUB_P) ** d
+    zeros = sum(c == 0 for c in counts) / draws
+    assert abs(zeros - p0) <= 3 * math.sqrt(p0 * (1.0 - p0) / draws)
+
+
+def test_certain_and_impossible_nodes_draw_no_coins():
+    g = skip_graph()
+    rng = random.Random(5)
+    state = rng.getstate()
+    assert ris._live_sources(g.in_src[2], g.in_prob[2], g.in_logq[2], set(), rng.random) == [1, 6]
+    assert ris._live_sources(g.in_src[2], g.in_prob[2], g.in_logq[2], {1}, rng.random) == [6]
+    assert ris._live_sources(g.in_src[3], g.in_prob[3], g.in_logq[3], set(), rng.random) == []
+    assert rng.getstate() == state
+
+
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic of integer samples."""
+    top = max(max(a), max(b)) + 1
+    fa, fb = [0] * top, [0] * top
+    for x in a:
+        fa[x] += 1
+    for x in b:
+        fb[x] += 1
+    worst = ca = cb = 0
+    for x in range(top):
+        ca, cb = ca + fa[x], cb + fb[x]
+        worst = max(worst, abs(ca / len(a) - cb / len(b)))
+    return worst
+
+
+def weighted_cascade_graph(rng, n=400, links=3):
+    """Preferential attachment with p = 1 / in-degree, so every node with
+    in-edges shares one p and the early nodes are hubs."""
+    pairs, ends = set(), [0, 1]
+    pairs.add((0, 1))
+    for v in range(2, n):
+        for _ in range(links):
+            u = rng.choice(ends)
+            if u != v:
+                pairs.add((u, v) if rng.random() < 0.5 else (v, u))
+                ends += [u, v]
+    indeg = [0] * n
+    for _, v in pairs:
+        indeg[v] += 1
+    return Graph(n, [(u, v, 1.0 / indeg[v]) for u, v in sorted(pairs)])
+
+
+def _same_size_distribution(new_sizes, old_sizes):
+    draws = len(new_sizes)
+    # 1.95 sqrt(2 / draws) is the two-sample KS bound at the 0.001 level
+    assert _ks_distance(new_sizes, old_sizes) <= 1.95 * math.sqrt(2.0 / draws)
+    new_mean, new_sigma = _mean_and_sigma(new_sizes)
+    old_mean, old_sigma = _mean_and_sigma(old_sizes)
+    assert abs(new_mean - old_mean) <= 3 * math.hypot(new_sigma, old_sigma)
+
+
+@pytest.mark.parametrize("fixed", [frozenset(), frozenset({0, 3})], ids=["plain", "marginal"])
+@pytest.mark.parametrize("graph_kind", ["skip", "cascade"])
+def test_skip_rr_sizes_match_the_per_edge_coin_sampler(graph_kind, fixed):
+    g = skip_graph() if graph_kind == "skip" else weighted_cascade_graph(random.Random(505))
+    new_rng, old_rng = derive_rng(506, "new"), derive_rng(506, "old")
+    draws = 20_000
+
+    def size(rr):
+        return 0 if rr.empty else len(rr.members)
+
+    new = [size(sample_marginal_rr(g, fixed, new_rng)) for _ in range(draws)]
+    old = [size(per_edge_coin_rr(g, fixed, old_rng)) for _ in range(draws)]
+    _same_size_distribution(new, old)
+
+
+def test_skip_weighted_rr_sizes_and_weights_match_the_per_edge_coin_sampler():
+    g = weighted_cascade_graph(random.Random(507))
+    catalog, _ = _skip_superior_instance()
+    base = Allocation.of([(0, "inf"), (9, "inf")])
+    utils = expected_item_utilities(catalog)
+    new_rng, old_rng = derive_rng(508, "new"), derive_rng(508, "old")
+    draws = 20_000
+    new = [sample_weighted_rr(g, base, "sup", catalog, new_rng, utils) for _ in range(draws)]
+    old = [per_edge_coin_weighted_rr(g, base, "sup", old_rng, utils) for _ in range(draws)]
+    _same_size_distribution([len(rr.members) for rr in new], [len(rr.members) for rr in old])
+    new_w, new_s = _mean_and_sigma([rr.weight for rr in new])
+    old_w, old_s = _mean_and_sigma([rr.weight for rr in old])
+    assert abs(new_w - old_w) <= 3 * math.hypot(new_s, old_s)

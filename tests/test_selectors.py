@@ -17,6 +17,7 @@ from welfaremax.ris import (
 )
 from welfaremax.rng import derive_rng
 from welfaremax.selectors import (
+    RRLimitError,
     SamplerParams,
     SelectorError,
     check_superior_instance,
@@ -433,3 +434,41 @@ def test_final_line_announces_the_fresh_collection_before_drawing_it(monkeypatch
     # every event after the line is a draw of the fresh collection, theta in all
     assert events[final[0] + 1 :] == ["sample"] * theta
     assert "sample" in events[: final[0]]
+
+
+def _recording_samplers(monkeypatch, events):
+    for name in ("sample_marginal_rr", "sample_weighted_rr"):
+        real = getattr(selectors, name)
+
+        def recording(*args, real=real):
+            events.append("sample")
+            return real(*args)
+
+        monkeypatch.setattr(selectors, name, recording)
+
+
+@pytest.mark.parametrize("selector", ["prima_plus", "supgrd_sampling"])
+def test_search_plan_over_the_rr_set_cap_raises_before_any_draw(monkeypatch, selector):
+    events = []
+    _recording_samplers(monkeypatch, events)
+    monkeypatch.setattr(selectors, "MAX_RR_SETS", 5)
+    with pytest.raises(RRLimitError, match="cap is 5"):
+        if selector == "prima_plus":
+            path6 = graph_from("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n")
+            prima_plus(path6, 0.5, 1.0, frozenset(), [1, 2, 3], 3, derive_rng(0))
+        else:
+            graph, catalog, base = superior_instance(random.Random(3), n_hi=8, e_hi=9)
+            supgrd_sampling(graph, catalog, base, "sup", 2, 0.5, 1.0, derive_rng(1))
+    assert events == []
+
+
+def test_final_plan_over_the_rr_set_cap_raises_before_drawing_it(monkeypatch):
+    events = []
+    _recording_samplers(monkeypatch, events)
+    # the search grows to 159 sets and the final collection would hold 163
+    monkeypatch.setattr(selectors, "MAX_RR_SETS", 160)
+    path6 = graph_from("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n")
+    with pytest.raises(RRLimitError, match="planned 163 RR sets, cap is 160"):
+        prima_plus(path6, 0.5, 1.0, frozenset(), [1, 2, 3], 3, derive_rng(0), events.append)
+    assert events.count("sample") == 159
+    assert events[-1].startswith("phase=final") and "theta=163" in events[-1]
