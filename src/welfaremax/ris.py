@@ -1,9 +1,10 @@
 """Reverse-reachable set sampling and greedy node selection.
 
-Two reverse-BFS samplers: the marginal one discards (but still counts)
-sets touching a fixed seed set, and with no fixed seeds it is the plain
-RR sampler; the weighted one stops at the fixed seeds and carries a
-welfare-gain weight.
+One level-synchronous reverse BFS grows every RR set, finishing the first
+level that touches a stop set. The marginal sampler stops at the fixed
+seeds and discards (but still counts) a set that reached one; with no
+fixed seeds it is the plain RR sampler. The weighted sampler stops at the
+base seeds and carries a welfare-gain weight.
 
 A visited node whose in-edges share one probability p (every node of a
 weighted-cascade graph) finds its live in-edges by geometric skips, as in
@@ -83,27 +84,38 @@ class RRCollection:
         return len(np.unique(hit)) / len(self)
 
 
-def _live_sources(srcs: tuple, probs: tuple, logq: Optional[float], members, random) -> list:
-    """Sources of a node's live in-edges that are not in `members`, in edge
-    order. `srcs`, `probs` and `logq` are the node's `Graph` tuples and
-    shared log(1 - p); `random` is the sampler's ``rng.random``."""
-    if logq is None:
-        return [src for src, p in zip(srcs, probs) if src not in members and random() < p]
-    if logq == -inf:  # p = 1
-        return [src for src in srcs if src not in members]
-    if logq == 0.0:  # p = 0
-        return []
-    live = []
-    d = len(srcs)
-    # random() can return 0 but never 1; a position stays a float, because
-    # the skip of a subnormal p overflows to inf
-    pos = log(1.0 - random()) / logq
-    while pos < d:
-        i = int(pos)
-        if srcs[i] not in members:
-            live.append(srcs[i])
-        pos = i + 1 + log(1.0 - random()) / logq
-    return live
+def _reverse_bfs(graph: Graph, root: int, stop: frozenset[int], rng) -> set[int]:
+    """Nodes reached from `root` over live in-edges, level by level: the
+    first level that touches `stop` is finished and the search ends there
+    (at once, with no draw, if `root` is in `stop`). A node's live sources
+    exclude the members from before its own expansion."""
+    in_src, in_prob, in_logq = graph.in_src, graph.in_prob, graph.in_logq
+    random = rng.random
+    members, level = {root}, [root]
+    while level and stop.isdisjoint(level):
+        nxt = []
+        for u in level:
+            srcs, logq = in_src[u], in_logq[u]
+            if logq is None:
+                live = [s for s, p in zip(srcs, in_prob[u]) if s not in members and random() < p]
+            elif logq == -inf:  # p = 1
+                live = [s for s in srcs if s not in members]
+            elif logq == 0.0:  # p = 0
+                continue
+            else:
+                live, d = [], len(srcs)
+                # random() can return 0 but never 1; a position stays a float,
+                # because the skip of a subnormal p overflows to inf
+                pos = log(1.0 - random()) / logq
+                while pos < d:
+                    i = int(pos)
+                    if srcs[i] not in members:
+                        live.append(srcs[i])
+                    pos = i + 1 + log(1.0 - random()) / logq
+            members.update(live)
+            nxt += live
+        level = nxt
+    return members
 
 
 def sample_rr(graph: Graph, rng) -> RRSet:
@@ -121,22 +133,9 @@ def sample_marginal_rr(graph: Graph, fixed_seeds: frozenset[int], rng) -> RRSet:
     if graph.n < 1:
         raise RISError("graph has no nodes")
     root = rng.randrange(graph.n)
-    if root in fixed_seeds:
+    members = _reverse_bfs(graph, root, fixed_seeds, rng)
+    if not fixed_seeds.isdisjoint(members):
         return RRSet(root, frozenset(), empty=True)
-    in_src, in_prob, in_logq = graph.in_src, graph.in_prob, graph.in_logq
-    random = rng.random
-    members = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        live = _live_sources(in_src[u], in_prob[u], in_logq[u], members, random)
-        if live:
-            if not fixed_seeds.isdisjoint(live):
-                # result is discarded either way; the coins not yet drawn
-                # are independent of everything already decided
-                return RRSet(root, frozenset(), empty=True)
-            members.update(live)
-            stack += live
     return RRSet(root, frozenset(members))
 
 
@@ -150,38 +149,21 @@ def sample_weighted_rr(
 ) -> RRSet:
     """Weighted RR set for converting nodes to the superior item.
 
-    Level-synchronous reverse BFS that finishes the first level touching a
-    fixed seed and then stops, so every member sits no farther from the
-    root than the fixed seeds do. The weight is the superior item's
-    expected truncated utility minus the best such utility among items
-    held by reached fixed seeds (zero items reached: nothing subtracted).
+    The reverse BFS stops at the first level touching a fixed seed, so
+    every member sits no farther from the root than the fixed seeds do.
+    The weight is the superior item's expected truncated utility minus the
+    best such utility among items held by reached fixed seeds (zero items
+    reached: nothing subtracted).
     """
     if item_utils is None:
         item_utils = expected_item_utilities(catalog)
     if superior not in catalog.index:
         raise RISError(f"unknown superior item {superior!r}")
-    u_sup = item_utils[superior]
     sp_nodes = base_allocation.seed_nodes()
-    in_src, in_prob, in_logq = graph.in_src, graph.in_prob, graph.in_logq
-    random = rng.random
     root = rng.randrange(graph.n)
-    members = {root}
-    level = [root]
-    while level and sp_nodes.isdisjoint(level):
-        nxt = []
-        for u in level:
-            live = _live_sources(in_src[u], in_prob[u], in_logq[u], members, random)
-            members.update(live)
-            nxt += live
-        level = nxt
-    hit_items = [
-        item
-        for node in members & sp_nodes
-        for item in base_allocation.items_at(node)
-    ]
-    weight = u_sup
-    if hit_items:
-        weight -= max(item_utils[item] for item in hit_items)
+    members = _reverse_bfs(graph, root, sp_nodes, rng)
+    hit = (item for node in members & sp_nodes for item in base_allocation.items_at(node))
+    weight = item_utils[superior] - max((item_utils[item] for item in hit), default=0.0)
     return RRSet(root, frozenset(members), weight=weight)
 
 

@@ -49,9 +49,20 @@ class RRLimitError(ValueError):
     """A planned RR collection larger than `MAX_RR_SETS`."""
 
 
-def _check_plan(theta: int) -> None:
-    if theta > MAX_RR_SETS:
+def _planned(size: float) -> float:
+    """ceil(size), or an inf or nan size as it is, which `_check_plan` refuses."""
+    return math.ceil(size) if math.isfinite(size) else size
+
+
+def _check_plan(theta: float) -> None:
+    if not theta <= MAX_RR_SETS:
         raise RRLimitError(f"planned {theta} RR sets, cap is {MAX_RR_SETS}")
+
+
+def _over_eps_squared(x: float, eps: float) -> float:
+    """x / eps^2, or inf where eps^2 underflows to zero."""
+    eps2 = eps * eps
+    return x / eps2 if eps2 else math.inf
 
 
 def _log_binom(n: int, k: int) -> float:
@@ -65,11 +76,11 @@ def lambda_prime(n: int, k: int, eps_prime: float, ell_prime: float, rounds: flo
     number of search iterations the failure probability is split over."""
     if not 1 <= k <= n:
         raise SelectorError(f"budget {k} outside [1, {n}]")
-    return (
+    return _over_eps_squared(
         (2.0 + 2.0 / 3.0 * eps_prime)
         * (_log_binom(n, k) + ell_prime * math.log(n) + math.log(rounds))
-        * n
-        / (eps_prime * eps_prime)
+        * n,
+        eps_prime,
     )
 
 
@@ -82,7 +93,7 @@ def lambda_star(n: int, k: int, eps: float, ell_prime: float) -> float:
         (1.0 - 1.0 / math.e)
         * (_log_binom(n, k) + ell_prime * math.log(n) + math.log(2.0))
     )
-    return 2.0 * n * ((1.0 - 1.0 / math.e) * alpha + beta) ** 2 / (eps * eps)
+    return _over_eps_squared(2.0 * n * ((1.0 - 1.0 / math.e) * alpha + beta) ** 2, eps)
 
 
 @dataclass(frozen=True)
@@ -99,8 +110,8 @@ class SamplerParams:
             raise SelectorError("need at least 2 nodes")
         if not 0.0 < self.eps < 1.0:
             raise SelectorError("eps must lie in (0, 1)")
-        if self.ell <= 0.0:
-            raise SelectorError("ell must be positive")
+        if not 0.0 < self.ell < math.inf:  # nan fails too
+            raise SelectorError(f"ell must be positive and finite, got {self.ell}")
         if not self.budgets or list(self.budgets) != sorted(set(self.budgets)):
             raise SelectorError("budgets must be non-empty, ascending, distinct")
         if self.budgets[0] < 1:
@@ -144,17 +155,17 @@ def _doubling_search(
     sets for the last budget tested, with LB = 1 if it never certified.
     `rounds` is the number of x values the failure probability is split over.
     Each planned size is checked against `MAX_RR_SETS` before any set of it
-    is drawn.
+    is drawn, and before it is rounded up: an inf or nan plan fails too.
     """
     n, budgets, eps = params.n, params.budgets, params.eps
     epsp, ellp = params.eps_prime, params.ell_prime
     emit = trace or (lambda line: None)
     coll = RRCollection(n)
-    s_idx, i, lb, floor = 0, 1, 1.0, 0
+    s_idx, i, lb, floor = 0, 1, 1.0, 0.0
     while i <= math.log2(scale) - 1.0 + 1e-12 and s_idx < len(budgets):
         k = budgets[s_idx]
         x = scale / 2.0**i
-        theta = max(floor, math.ceil(lambda_prime(n, k, epsp, ellp, rounds) / x))
+        theta = _planned(max(lambda_prime(n, k, epsp, ellp, rounds) / x, floor))
         _check_plan(theta)
         while len(coll) < theta:
             coll.add(sample())
@@ -166,12 +177,12 @@ def _doubling_search(
             f"theta={len(coll)} est={est:.6g} lb={lb:.6g}"
         )
         if certified:
-            floor = math.ceil(lambda_star(n, k, eps, ellp) / lb)
+            floor = lambda_star(n, k, eps, ellp) / lb
             s_idx += 1
         else:
             i += 1
     # the last certified budget, or the first that did not certify (LB = 1)
-    theta = math.ceil(lambda_star(n, budgets[min(s_idx, len(budgets) - 1)], eps, ellp) / lb)
+    theta = _planned(lambda_star(n, budgets[min(s_idx, len(budgets) - 1)], eps, ellp) / lb)
     # announced before the draw, which is long when the search stalled
     emit(f"phase=final i={i} s={s_idx} theta={theta} lb={lb:.6g}")
     _check_plan(theta)

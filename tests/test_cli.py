@@ -708,3 +708,28 @@ def test_rr_set_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert "error: seqgrd: planned" in err and "RR sets, cap is 10" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, code, message",
+    [
+        ("--ell", "inf", 2, "error: seqgrd: ell must be positive and finite, got inf"),
+        ("--ell", "nan", 2, "error: seqgrd: ell must be positive and finite, got nan"),
+        ("--ell", "1e308", 3, "error: seqgrd: planned inf RR sets"),
+        ("--epsilon", "1e-300", 3, "error: seqgrd: planned inf RR sets"),
+    ],
+    ids=["ell-inf", "ell-nan", "ell-huge", "epsilon-tiny"],
+)
+def test_extreme_accuracy_knobs_exit_cleanly(tmp_path, capsys, flag, value, code, message):
+    assert run_cli(
+        "allocate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", CONFIGS / "trio_blocking.cfg",
+        "--algo", "seqgrd",
+        "--samples", "20",
+        flag, value,
+        "--out", tmp_path / "o.csv",
+    ) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -593,10 +593,8 @@ def test_hub_live_in_edges_are_binomial():
     d = len(g.in_src[0])
     rng = derive_rng(504)
     draws = 50_000
-    counts = [
-        len(ris._live_sources(g.in_src[0], g.in_prob[0], g.in_logq[0], {0}, rng.random))
-        for _ in range(draws)
-    ]
+    # the hub's sources are leaves with no in-edges, so the BFS ends with them
+    counts = [len(ris._reverse_bfs(g, 0, frozenset(), rng)) - 1 for _ in range(draws)]
     mean, sigma = _mean_and_sigma(counts)
     assert abs(mean - d * HUB_P) <= 3 * sigma
     p0 = (1.0 - HUB_P) ** d
@@ -608,10 +606,71 @@ def test_certain_and_impossible_nodes_draw_no_coins():
     g = skip_graph()
     rng = random.Random(5)
     state = rng.getstate()
-    assert ris._live_sources(g.in_src[2], g.in_prob[2], g.in_logq[2], set(), rng.random) == [1, 6]
-    assert ris._live_sources(g.in_src[2], g.in_prob[2], g.in_logq[2], {1}, rng.random) == [6]
-    assert ris._live_sources(g.in_src[3], g.in_prob[3], g.in_logq[3], set(), rng.random) == []
+    # node 2's in-edges from 1 and 6 are certain; the level touching 1 is finished
+    assert ris._reverse_bfs(g, 2, frozenset({1}), rng) == {2, 1, 6}
+    assert ris._reverse_bfs(g, 2, frozenset({2}), rng) == {2}
+    assert ris._reverse_bfs(g, 3, frozenset(), rng) == {3}  # p = 0
+    assert ris._reverse_bfs(g, 7, frozenset(), rng) == {7}  # no in-edges
+    # node 0's certain in-edge from member 1 adds nothing: only 2 joins
+    cycle = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
+    assert ris._reverse_bfs(cycle, 1, frozenset(), rng) == {0, 1, 2}
     assert rng.getstate() == state
+
+
+def helper_live_sources(srcs, probs, logq, members, random):
+    """The per-node helper the weighted sampler called before its reverse
+    BFS expanded nodes inline."""
+    if logq is None:
+        return [src for src, p in zip(srcs, probs) if src not in members and random() < p]
+    if logq == -math.inf:
+        return [src for src in srcs if src not in members]
+    if logq == 0.0:
+        return []
+    live, d = [], len(srcs)
+    pos = math.log(1.0 - random()) / logq
+    while pos < d:
+        i = int(pos)
+        if srcs[i] not in members:
+            live.append(srcs[i])
+        pos = i + 1 + math.log(1.0 - random()) / logq
+    return live
+
+
+def helper_weighted_rr(graph, base, superior, rng, item_utils):
+    """The weighted sampler as it was: a level loop over the helper."""
+    sp_nodes = base.seed_nodes()
+    root = rng.randrange(graph.n)
+    members, level = {root}, [root]
+    while level and sp_nodes.isdisjoint(level):
+        nxt = []
+        for u in level:
+            live = helper_live_sources(
+                graph.in_src[u], graph.in_prob[u], graph.in_logq[u], members, rng.random
+            )
+            members.update(live)
+            nxt += live
+        level = nxt
+    hit = [it for node in members & sp_nodes for it in base.items_at(node)]
+    weight = item_utils[superior] - (max(item_utils[it] for it in hit) if hit else 0.0)
+    return RRSet(root, frozenset(members), weight=weight)
+
+
+@pytest.mark.parametrize("graph_kind", ["skip", "cascade"])
+def test_weighted_rr_matches_the_helper_sampler_bit_for_bit(graph_kind):
+    if graph_kind == "skip":
+        g = skip_graph()
+        base = Allocation.of([(1, "inf"), (6, "inf"), (40, "inf")])
+    else:
+        g = weighted_cascade_graph(random.Random(505))
+        base = Allocation.of((v, "inf") for v in (0, 9, 17, 120, 333))
+    catalog, _ = _skip_superior_instance()
+    utils = expected_item_utilities(catalog)
+    new_rng, old_rng = derive_rng(509), derive_rng(509)
+    for _ in range(5_000):
+        new = sample_weighted_rr(g, base, "sup", catalog, new_rng, utils)
+        old = helper_weighted_rr(g, base, "sup", old_rng, utils)
+        assert new == old
+    assert new_rng.getstate() == old_rng.getstate()
 
 
 def _ks_distance(a, b):
