@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from array import array
 from math import inf, log
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph, csr
-from welfaremax.utility import ItemCatalog, expected_item_utilities
+from welfaremax.utility import ItemCatalog
 
 
 class RISError(ValueError):
@@ -145,18 +145,16 @@ def sample_weighted_rr(
     superior: str,
     catalog: ItemCatalog,
     rng,
-    item_utils: Optional[dict[str, float]] = None,
+    item_utils: dict[str, float],
 ) -> RRSet:
     """Weighted RR set for converting nodes to the superior item.
 
     The reverse BFS stops at the first level touching a fixed seed, so
     every member sits no farther from the root than the fixed seeds do.
-    The weight is the superior item's expected truncated utility minus the
-    best such utility among items held by reached fixed seeds (zero items
-    reached: nothing subtracted).
+    The weight is the superior item's expected truncated utility, read from
+    `item_utils`, minus the best such utility among items held by reached
+    fixed seeds (zero items reached: nothing subtracted).
     """
-    if item_utils is None:
-        item_utils = expected_item_utilities(catalog)
     if superior not in catalog.index:
         raise RISError(f"unknown superior item {superior!r}")
     sp_nodes = base_allocation.seed_nodes()

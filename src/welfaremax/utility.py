@@ -18,6 +18,7 @@ import numpy as np
 
 MAX_ITEMS_ENUM = 20  # 2^m bundle enumeration guard
 UTILITY_SAMPLES = 100_000  # Monte Carlo draws per expected truncated utility
+_MAX_EXACT_JOINT = 65536  # joint noise outcomes enumerated before Monte Carlo takes over
 
 
 class CatalogError(ValueError):
@@ -41,6 +42,9 @@ class NoiseSpec:
     amplitude: float = 0.0
 
     def __post_init__(self):
+        for field in ("sigma", "bound", "amplitude"):
+            if not math.isfinite(getattr(self, field)):
+                raise CatalogError(f"noise {field} must be finite, got {getattr(self, field)}")
         if self.kind not in ("zero", "gaussian", "truncated_gaussian", "two_point"):
             raise CatalogError(f"unknown noise kind {self.kind!r}")
         if self.kind in ("gaussian", "truncated_gaussian") and self.sigma <= 0:
@@ -138,6 +142,9 @@ class ItemCatalog:
         if missing:
             raise CatalogError(f"missing prices for items: {sorted(missing)}")
         self.item_prices = tuple(float(prices[it]) for it in self.items)
+        for it, price in zip(self.items, self.item_prices):
+            if not math.isfinite(price):
+                raise CatalogError(f"price of {it!r} must be finite, got {price}")
 
         noise = dict(noise or {})
         unknown = set(noise) - set(self.items)
@@ -153,6 +160,8 @@ class ItemCatalog:
             if mask in self._listed:
                 raise CatalogError(f"duplicate valuation for {self.itemset(mask)}")
             self._listed[mask] = float(value)
+            if not math.isfinite(self._listed[mask]):
+                raise CatalogError(f"valuation of {self.itemset(mask)} must be finite, got {value}")
         if self._listed.get(0, 0.0) != 0.0:
             raise CatalogError("the empty bundle must have value 0")
         self._listed[0] = 0.0
@@ -209,12 +218,6 @@ class ItemCatalog:
         mask = self.mask(items)
         return self.value(mask) - self.price(mask)
 
-    def utility_table(self) -> list[float]:
-        """Deterministic utilities for all 2^m bundles, indexed by mask."""
-        if self.m > MAX_ITEMS_ENUM:
-            raise CatalogError("utility table requires m <= %d" % MAX_ITEMS_ENUM)
-        return [self.deterministic_utility(mk) for mk in range(1 << self.m)]
-
     def __repr__(self) -> str:
         return f"ItemCatalog(items={list(self.items)})"
 
@@ -257,33 +260,49 @@ def joint_outcomes(supports):
 def expected_truncated_utility(
     catalog: ItemCatalog, items, samples: Optional[int] = None, rng=None
 ) -> tuple[float, float]:
-    """E[max(0, U(I))] with its standard error.
+    """E[max(0, U(I))] with its standard error: exact (stderr 0) for finite-
+    support noise, otherwise Monte Carlo, which needs `samples` and an `rng`."""
+    return _expected_best(catalog, [catalog.mask(items)], samples, rng)
 
-    Exact (stderr 0) when every involved noise distribution has finite
-    support; otherwise Monte Carlo, which needs `samples` and an `rng`.
-    """
-    mask = catalog.mask(items)
-    base = catalog.value(mask) - catalog.price(mask)
-    supports = finite_supports(catalog, mask)
-    if supports is not None:
-        parts = []
-        for prob, vals in joint_outcomes(supports):
-            noise = 0.0
-            for v in vals:  # left to right; sum() may compensate on newer Pythons
-                noise += v
-            parts.append(prob * max(0.0, base + noise))
+
+def _expected_best(catalog: ItemCatalog, masks, samples: Optional[int], rng) -> tuple[float, float]:
+    """E[max(0, max over masks of U(mask))] with its standard error.
+
+    Exact (stderr 0) when the masks' items have at most _MAX_EXACT_JOINT joint
+    noise outcomes, else Monte Carlo: one numpy stream seeded by
+    ``rng.getrandbits(63)`` draws those items' noise in index order, (1 << 22)
+    // len(masks) rows at a time. A mask adds its noise left to right, then its base."""
+    masks = list(masks)
+    union = int(np.bitwise_or.reduce(masks))
+    cols = [i for i in range(catalog.m) if union >> i & 1]
+    base = np.array([catalog.deterministic_utility(mask) for mask in masks])
+    inside = np.array([[mask >> i & 1 for mask in masks] for i in cols], dtype=bool)
+    chunk = max(1, (1 << 22) // len(masks))
+
+    def best(noise: np.ndarray) -> np.ndarray:
+        sums = np.zeros((len(noise), len(masks)))
+        for col, where in zip(noise.T, inside):
+            np.add(sums, col[:, None], out=sums, where=where)
+        return np.maximum(0.0, (sums + base).max(axis=1))
+
+    supports = finite_supports(catalog, union)
+    if supports is not None and math.prod(map(len, supports)) <= _MAX_EXACT_JOINT:
+        outcomes, parts = joint_outcomes(supports), []
+        while batch := list(itertools.islice(outcomes, chunk)):
+            probs, vals = zip(*batch)
+            parts.extend(np.array(probs) * best(np.array(vals)))
         return math.fsum(parts), 0.0
     if samples is None or rng is None:
         raise CatalogError("continuous noise needs samples and rng for Monte Carlo")
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
-    draws = np.zeros(samples)
-    for i in range(catalog.m):
-        if mask >> i & 1:
-            draws += _sample_noise_array(catalog.noise_specs[i], samples, gen)
-    vals = np.maximum(0.0, base + draws)
-    mean = float(vals.mean())
+    draws = []
+    for done in range(0, samples, chunk):
+        take = min(chunk, samples - done)
+        noise = [_sample_noise_array(catalog.noise_specs[i], take, gen) for i in cols]
+        draws.append(best(np.column_stack(noise)))
+    vals = np.concatenate(draws)
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr
+    return float(vals.mean()), stderr
 
 
 def _sample_noise_array(spec: NoiseSpec, count: int, gen) -> np.ndarray:
@@ -305,10 +324,7 @@ def expected_item_utilities(
     catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None
 ) -> dict[str, float]:
     """Expected truncated utility per single item (exact where possible)."""
-    return {
-        item: expected_truncated_utility(catalog, [item], samples=samples, rng=rng)[0]
-        for item in catalog.items
-    }
+    return {it: expected_truncated_utility(catalog, [it], samples, rng)[0] for it in catalog.items}
 
 
 def u_min(catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None) -> float:
@@ -316,15 +332,7 @@ def u_min(catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None) -> flo
     return min(expected_item_utilities(catalog, samples, rng).values())
 
 
-_MAX_EXACT_JOINT = 65536
-
-
-def u_max(
-    catalog: ItemCatalog,
-    samples: int = UTILITY_SAMPLES,
-    rng=None,
-    return_stderr: bool = False,
-):
+def u_max(catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None) -> float:
     """Expected maximum truncated utility over all item bundles.
 
     Note the asymmetry with u_min: this is an expectation of a maximum,
@@ -333,49 +341,7 @@ def u_max(
     """
     if catalog.m > MAX_ITEMS_ENUM:
         raise CatalogError("u_max enumerates 2^m bundles; m <= %d required" % MAX_ITEMS_ENUM)
-    base = np.array(
-        [catalog.value(mk) - catalog.price(mk) for mk in range(1 << catalog.m)]
-    )
-    supports = finite_supports(catalog, (1 << catalog.m) - 1)
-    if supports is not None and math.prod(len(s) for s in supports) <= _MAX_EXACT_JOINT:
-        total = math.fsum(
-            prob * max(0.0, float(np.max(base + _mask_sums(np.array(vals), catalog.m))))
-            for prob, vals in joint_outcomes(supports)
-        )
-        return (total, 0.0) if return_stderr else total
-    if rng is None:
-        raise CatalogError("continuous noise needs an rng for Monte Carlo u_max")
-    gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
-    bit_matrix = np.array(
-        [[mk >> i & 1 for i in range(catalog.m)] for mk in range(1 << catalog.m)],
-        dtype=float,
-    )
-    total = 0.0
-    sq = 0.0
-    done = 0
-    chunk = max(1, min(samples, (1 << 22) // max(1, 1 << catalog.m)))
-    while done < samples:
-        take = min(chunk, samples - done)
-        noise = np.column_stack(
-            [_sample_noise_array(spec, take, gen) for spec in catalog.noise_specs]
-        )
-        vals = np.maximum(0.0, (noise @ bit_matrix.T + base).max(axis=1))
-        total += float(vals.sum())
-        sq += float((vals * vals).sum())
-        done += take
-    mean = total / samples
-    var = max(0.0, (sq - samples * mean * mean) / (samples - 1)) if samples > 1 else 0.0
-    stderr = math.sqrt(var / samples) if samples > 1 else 0.0
-    return (mean, stderr) if return_stderr else mean
-
-
-def _mask_sums(per_item: np.ndarray, m: int) -> np.ndarray:
-    """Sum of per_item entries over each bitmask, via subset DP."""
-    out = np.zeros(1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] + per_item[low.bit_length() - 1]
-    return out
+    return _expected_best(catalog, range(1 << catalog.m), samples, rng)[0]
 
 
 def superior_item(catalog: ItemCatalog) -> Optional[str]:
@@ -406,8 +372,8 @@ def utilities_from_probabilities(probs: Iterable[float], scale: float = 10000.0)
         raise CatalogError(f"scale must be positive, got {scale}")
     out = []
     for p in probs:
-        if p <= 0:
-            raise CatalogError(f"adoption probability must be positive, got {p}")
+        if not 0 < p < math.inf:
+            raise CatalogError(f"adoption probability must be positive and finite, got {p}")
         out.append(math.log(scale * p))
     return out
 
@@ -474,10 +440,8 @@ def is_pure_competition(catalog: ItemCatalog) -> bool:
     each constituent item's."""
     if catalog.m > MAX_ITEMS_ENUM:
         raise CatalogError("pure-competition check requires m <= %d" % MAX_ITEMS_ENUM)
-    table = catalog.utility_table()
+    table = [catalog.deterministic_utility(mk) for mk in range(1 << catalog.m)]
     for mask in range(1, 1 << catalog.m):
-        if mask & (mask - 1) == 0:
-            continue
         for i in range(catalog.m):
             if mask >> i & 1 and table[mask] > table[1 << i] + 1e-12:
                 return False
@@ -493,19 +457,23 @@ class CatalogConfig:
     budgets: dict[str, int]
 
 
+# config noise kind -> (NoiseSpec kind, {config key: NoiseSpec field})
 _NOISE_KEYS = {
-    "zero": (),
-    "gaussian": ("sigma",),
-    "truncated-gaussian": ("sigma", "bound"),
-    "two-point": ("a",),
+    "zero": ("zero", {}),
+    "gaussian": ("gaussian", {"sigma": "sigma"}),
+    "truncated-gaussian": ("truncated_gaussian", {"sigma": "sigma", "bound": "bound"}),
+    "two-point": ("two_point", {"a": "amplitude"}),
 }
 
 
 def _number(text: str, what: str, lineno: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CatalogError(f"line {lineno}: {what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise CatalogError(f"line {lineno}: {what} must be finite, got {text!r}")
+    return value
 
 
 def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
@@ -551,23 +519,17 @@ def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
             if kind not in _NOISE_KEYS:
                 raise CatalogError(f"line {lineno}: unknown noise kind {kind!r}")
             price = _number(kv.pop("price"), "price", lineno)
+            spec_kind, fields = _NOISE_KEYS[kind]
             params = {}
-            for key in _NOISE_KEYS[kind]:
+            for key, field in fields.items():
                 if key not in kv:
                     raise CatalogError(f"line {lineno}: noise {kind!r} needs {key}=")
-                params[key] = _number(kv.pop(key), f"noise {key}", lineno)
+                params[field] = _number(kv.pop(key), f"noise {key}", lineno)
             if kv:
                 raise CatalogError(f"line {lineno}: unknown keys {sorted(kv)}")
             items.append(item)
             prices[item] = price
-            if kind == "zero":
-                noise[item] = NoiseSpec.zero()
-            elif kind == "gaussian":
-                noise[item] = NoiseSpec.gaussian(params["sigma"])
-            elif kind == "truncated-gaussian":
-                noise[item] = NoiseSpec.truncated_gaussian(params["sigma"], params["bound"])
-            else:
-                noise[item] = NoiseSpec.two_point(params["a"])
+            noise[item] = NoiseSpec(spec_kind, **params)
         elif section == "valuation":
             if "=" not in line:
                 raise CatalogError(f"line {lineno}: expected 'ids = value'")

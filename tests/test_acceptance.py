@@ -20,11 +20,12 @@ from welfaremax.diffusion import (
     simulate,
 )
 from welfaremax.oracle import SpreadOracle, WelfareOracle, optimal_allocation
-from welfaremax.ris import expected_item_utilities, sample_weighted_rr
+from welfaremax.ris import sample_weighted_rr
 from welfaremax.rng import derive_rng
 from welfaremax.selectors import prima_plus
 from welfaremax.utility import (
     ItemCatalog,
+    expected_item_utilities,
     u_max,
     u_min,
     utilities_from_probabilities,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from welfaremax import allocators, cli, diffusion, graph, ris, selectors
+from welfaremax import allocators, cli, diffusion, graph, ris, selectors, utility
 
 from conftest import CONFIGS
 
@@ -34,6 +34,7 @@ PATCHED = [
     (selectors, "prima_plus"),
     (selectors, "supgrd_sampling"),
     (diffusion, "estimate_marginal_welfare"),
+    (utility, "expected_truncated_utility"),
 ]
 
 
@@ -69,5 +70,6 @@ def test_benchmark_spans_see_the_allocate_path(tmp_path, algo):
         assert calls[span] >= 1, span
     assert calls["graph.load"] == 1  # the loader behind `graph.load_s`
     assert calls["selectors.sampling"] >= 1 and calls["ris.sample"] >= 1
+    assert calls["utility.expected"] >= 1  # behind `utility.expected_calls`
     for owner, name in PATCHED:
         assert getattr(owner, name) is originals[(owner, name)], f"{owner.__name__}.{name}"

@@ -210,6 +210,67 @@ def test_validate_config_non_numeric_values_exit_2(tmp_path, capsys, items, valu
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("validate-config", "[items]\na price=nan\n", "line 2: price must be finite, got 'nan'"),
+        ("validate-config", "[items]\na price=inf\n", "line 2: price must be finite, got 'inf'"),
+        (
+            "validate-config",
+            "[items]\na price=1 noise=gaussian sigma=nan\n",
+            "line 2: noise sigma must be finite, got 'nan'",
+        ),
+        (
+            "validate-config",
+            "[items]\na price=1 noise=truncated-gaussian sigma=1 bound=inf\n",
+            "line 2: noise bound must be finite, got 'inf'",
+        ),
+        (
+            "validate-config",
+            "[items]\na price=1 noise=two-point a=nan\n",
+            "line 2: noise a must be finite, got 'nan'",
+        ),
+        (
+            "validate-config",
+            "[items]\na price=1\n[valuation]\na = nan\n",
+            "line 4: valuation must be finite, got 'nan'",
+        ),
+        (
+            "allocate",
+            "[items]\na price=1 noise=gaussian sigma=nan\n[valuation]\na = 2\n",
+            "line 2: noise sigma must be finite, got 'nan'",
+        ),
+        (
+            "convert-utilities",
+            "x 0.5\ny nan\n",
+            "adoption probability must be positive and finite, got nan",
+        ),
+    ],
+    ids=[
+        "price-nan", "price-inf", "sigma-nan", "bound-inf", "a-nan", "valuation-nan",
+        "allocate-sigma-nan", "probability-nan",
+    ],
+)
+def test_non_finite_inputs_exit_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    out = tmp_path / "out.txt"
+    if command == "convert-utilities":
+        args = ["--probs", path, "--out", out]
+    elif command == "allocate":
+        args = [
+            "--graph", CONFIGS / "path6.edges", "--catalog", path, "--algo", "seqgrd-nm",
+            "--budgets", "a=1", "--samples", "20", "--seed", "1", "--out", out,
+        ]
+    else:
+        args = ["--catalog", path]
+    assert run_cli(command, *args) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists() or out.read_text() == ""  # --out opens first, stays empty
+
+
 def test_validate_config_repeated_item_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[items]\na price=1 price=5\n[valuation]\na = 9\n")

@@ -11,7 +11,6 @@ from welfaremax.ris import (
     RISError,
     RRCollection,
     RRSet,
-    expected_item_utilities,
     node_selection_count,
     node_selection_weighted,
     sample_marginal_rr,
@@ -19,7 +18,7 @@ from welfaremax.ris import (
     sample_weighted_rr,
 )
 from welfaremax.rng import derive_rng
-from welfaremax.utility import ItemCatalog
+from welfaremax.utility import ItemCatalog, expected_item_utilities
 
 from conftest import graph_from, superior_instance
 
@@ -95,7 +94,7 @@ def test_weighted_rr_no_contact_keeps_full_weight():
     cat = _two_item_catalog()
     base = Allocation.of([])  # no fixed seeds at all
     rng = random.Random(6)
-    rr = sample_weighted_rr(g, base, "sup", cat, rng)
+    rr = sample_weighted_rr(g, base, "sup", cat, rng, expected_item_utilities(cat))
     assert rr.weight == 1.0  # E[U+(sup)]
 
 
@@ -105,7 +104,7 @@ def test_weighted_rr_root_on_fixed_seed():
     base = Allocation.of([(1, "inf")])
     rng = random.Random(7)
     for _ in range(30):
-        rr = sample_weighted_rr(g, base, "sup", cat, rng)
+        rr = sample_weighted_rr(g, base, "sup", cat, rng, expected_item_utilities(cat))
         if rr.root == 1:
             assert rr.members == frozenset({1})
             assert rr.weight == pytest.approx(1.0 - 0.1)
@@ -119,7 +118,7 @@ def test_weighted_rr_level_completion_distance_two():
     rng = random.Random(8)
     seen = False
     for _ in range(60):
-        rr = sample_weighted_rr(g, base, "sup", cat, rng)
+        rr = sample_weighted_rr(g, base, "sup", cat, rng, expected_item_utilities(cat))
         if rr.root == 2:
             seen = True
             assert rr.members == frozenset({0, 1, 2})

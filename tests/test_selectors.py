@@ -9,7 +9,6 @@ from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle
 from welfaremax.ris import (
     RRCollection,
-    expected_item_utilities,
     node_selection_count,
     node_selection_weighted,
     sample_marginal_rr,
@@ -26,7 +25,7 @@ from welfaremax.selectors import (
     prima_plus,
     supgrd_sampling,
 )
-from welfaremax.utility import ItemCatalog, expected_truncated_utility
+from welfaremax.utility import ItemCatalog, expected_item_utilities, expected_truncated_utility
 
 from conftest import graph_from, random_graph, superior_instance
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from welfaremax.utility import (
     utility,
     validate,
 )
+
+from conftest import random_coverage_catalog
 
 
 def test_trio_utilities(trio_catalog):
@@ -120,27 +123,95 @@ def test_u_min_u_max_single_item():
     assert u_min(cat) == u_max(cat) == 7.0
 
 
-def test_u_max_two_point_matches_brute_force():
-    cat = ItemCatalog(
+def _all_two_point(cat, seed):
+    """The same catalog with two-point noise on every item."""
+    rng = random.Random(seed)
+    return ItemCatalog(
+        cat.items,
+        prices=dict(zip(cat.items, cat.item_prices)),
+        valuations={cat.itemset(mk): cat.value(mk) for mk in range(1, 1 << cat.m)},
+        noise={it: NoiseSpec.two_point(rng.uniform(0.1, 0.5)) for it in cat.items},
+    )
+
+
+_BRUTE_FORCE_CATALOGS = {
+    "hand": ItemCatalog(
         ["a", "b"],
         prices={"a": 1, "b": 2},
         valuations={("a",): 2, ("b",): 3.5, ("a", "b"): 4.0},
         noise={"a": NoiseSpec.two_point(0.7), "b": NoiseSpec.two_point(1.2)},
-    )
-    # enumerate the four joint noise outcomes by hand
-    table = {0: 0.0, 1: 1.0, 2: 1.5, 3: 1.0}
+    ),
+    # seeded coverage catalogs: zero or two-point noise per item, m <= 4
+    **{f"seed{s}": random_coverage_catalog(random.Random(s), m_hi=4) for s in (0, 1, 5, 7, 9)},
+    "seed0-all-two-point": _all_two_point(random_coverage_catalog(random.Random(0), m_hi=4), 0),
+    "seed11-all-two-point": _all_two_point(random_coverage_catalog(random.Random(11), m_hi=4), 11),
+}
+
+
+@pytest.mark.parametrize("name", list(_BRUTE_FORCE_CATALOGS))
+def test_u_max_two_point_matches_brute_force(name):
+    cat = _BRUTE_FORCE_CATALOGS[name]
+    # enumerate every joint noise outcome and every bundle in plain Python
     want = 0.0
-    for na, nb in itertools.product((-0.7, 0.7), (-1.2, 1.2)):
+    for combo in itertools.product(*(spec.support() for spec in cat.noise_specs)):
+        prob = math.prod(p for _, p in combo)
         best = max(
-            0.0,
-            table[1] + na,
-            table[2] + nb,
-            table[3] + na + nb,
+            cat.value(mask) - cat.price(mask) + sum(combo[k][0] for k in range(cat.m) if mask >> k & 1)
+            for mask in range(1 << cat.m)
         )
-        want += best / 4
+        want += prob * max(0.0, best)
     assert u_max(cat) == pytest.approx(want, abs=1e-12)
-    val, se = u_max(cat, return_stderr=True)
-    assert (val, se) == (pytest.approx(want), 0.0)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseSpec.zero(),
+        NoiseSpec.gaussian(0.8),
+        NoiseSpec.truncated_gaussian(0.8, 0.5),
+        NoiseSpec.two_point(0.6),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_u_max_of_one_item_is_its_expected_truncated_utility(noise):
+    cat = ItemCatalog(["a"], prices={"a": 1.0}, valuations={("a",): 1.3}, noise={"a": noise})
+    got = u_max(cat, samples=5000, rng=random.Random(3))
+    want, _ = expected_truncated_utility(cat, ["a"], samples=5000, rng=random.Random(3))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: NoiseSpec.gaussian(math.nan), "noise sigma must be finite, got nan"),
+        (lambda: NoiseSpec.gaussian(math.inf), "noise sigma must be finite, got inf"),
+        (lambda: NoiseSpec.truncated_gaussian(1.0, math.inf), "noise bound must be finite"),
+        (lambda: NoiseSpec.two_point(math.nan), "noise amplitude must be finite"),
+        (
+            lambda: ItemCatalog(["a"], prices={"a": math.nan}, valuations={("a",): 1}),
+            "price of 'a' must be finite, got nan",
+        ),
+        (
+            lambda: ItemCatalog(["a"], prices={"a": 1}, valuations={("a",): -math.inf}),
+            "valuation of ('a',) must be finite, got -inf",
+        ),
+        (
+            lambda: utilities_from_probabilities([0.5, math.nan]),
+            "adoption probability must be positive and finite, got nan",
+        ),
+        (
+            lambda: utilities_from_probabilities([math.inf]),
+            "adoption probability must be positive and finite, got inf",
+        ),
+    ],
+    ids=[
+        "sigma-nan", "sigma-inf", "bound-inf", "amplitude-nan",
+        "price-nan", "valuation-inf", "probability-nan", "probability-inf",
+    ],
+)
+def test_non_finite_numbers_are_rejected(build, message):
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        build()
 
 
 def test_u_min_below_every_item_and_u_max_above_every_bundle(trio_catalog):
