@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -27,7 +30,7 @@ from welfaremax.oracle import (
     WelfareOracle,
     optimal_allocation,
 )
-from welfaremax.ris import sample_marginal_rr
+from welfaremax.ris import CHUNK_SETS, sample_marginal_rr
 from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.selectors import RRLimitError
 from welfaremax.utility import (
@@ -63,21 +66,25 @@ def _fmt_alloc(alloc: Allocation) -> str:
     return ";".join(f"{n}:{i}" for n, i in alloc.sorted_pairs())
 
 
-def _open(path: str, flag: str):
+def _open(path: str, flag: str, mode: str = "w"):
     try:
-        return open(path, "w", newline="")
+        return open(path, mode, newline="")
     except OSError as exc:
         raise CliError(2, f"cannot open {flag} {path}: {exc.strerror}") from exc
 
 
 @contextmanager
 def _output(path: Optional[str]):
-    """The file at `path`, opened for writing and closed after; stdout if no path."""
+    """Stdout if no path; else a buffer written to `path` once the command
+    completes, so a failed run leaves an existing file as it was."""
     if not path:
         yield sys.stdout
         return
+    _open(path, "--out", "a").close()  # a bad path fails before any work
+    buffer = io.StringIO()
+    yield buffer
     with _open(path, "--out") as stream:
-        yield stream
+        stream.write(buffer.getvalue())
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -323,14 +330,11 @@ def _cmd_rr_stats(args, out: TextIO) -> int:
         outside = sorted(v for v in fixed if not 0 <= v < graph.n)
         if outside:
             raise CliError(2, f"--fixed node {outside[0]} outside [0, {graph.n})")
-    sizes: dict[int, int] = {}
-    empties = 0
-    for _ in range(args.count):
-        rr = sample_marginal_rr(graph, fixed, rng)
-        if rr.empty:
-            empties += 1
-        else:
-            sizes[len(rr.members)] = sizes.get(len(rr.members), 0) + 1
+    sizes: Counter[int] = Counter()
+    for done in range(0, args.count, CHUNK_SETS):  # a chunk at a time: bounded memory
+        coll = sample_marginal_rr(graph, fixed, min(CHUNK_SETS, args.count - done), rng)
+        sizes.update(b - a for a, b in pairwise(coll.offsets))
+    empties = sizes.pop(0, 0)  # an emptied set has no members, any other at least its root
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["stat", "value"])
     writer.writerow(["sets", args.count])

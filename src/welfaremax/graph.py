@@ -3,14 +3,11 @@
 The graph is immutable after construction. Node ids are dense integers in
 [0, n); edge probabilities live in [0, 1]. Edges are numbered in input
 order, and ``src``, ``dst`` and ``probs`` are numpy arrays indexed by edge
-id. The Python hot loops read per-node tuples, each in edge-id order and
-sliced from a CSR grouping built once: ``in_src[v]`` and ``in_prob[v]``
-(sources and probabilities of v's in-edges) for reverse sampling,
-``out_dst[u]`` and ``out_eid[u]`` for diffusion. No per-edge tuple is
-built on the load path. ``in_logq[v]`` is log(1 - p) when all of v's
-in-edges share one probability p (-inf for p = 1), and None when they
-differ or v has none; the RR samplers skip from one live in-edge of such
-a node to the next instead of drawing a coin per edge.
+id. The in-edges are kept as CSR arrays for the batched RR samplers:
+v's in-slots are ``in_ptr[v]:in_ptr[v + 1]``, in edge-id order, holding
+sources ``in_src`` and probabilities ``in_prob``. Diffusion's Python loop
+reads per-node tuples sliced from the out-edge grouping, ``out_dst[u]``
+and ``out_eid[u]``. No per-edge tuple is built on the load path.
 
 Edge-list text format: one "src dst prob" per line, '#'-prefixed comment
 lines skipped. `load_edge_list` parses with ``np.loadtxt`` and checks the
@@ -25,7 +22,6 @@ is about twice as slow on large inputs and holds a dict of every edge.
 
 from __future__ import annotations
 
-import math
 import warnings
 from itertools import chain
 from typing import Iterable
@@ -54,26 +50,6 @@ def _per_node(ptr: list[int], values: np.ndarray) -> tuple[tuple, ...]:
     return tuple(flat[a:b] for a, b in zip(ptr, ptr[1:]))
 
 
-def _shared_logq(n: int, ptr: np.ndarray, in_probs: np.ndarray) -> tuple:
-    """Per node, log(1 - p) if its in-edges (``in_probs[ptr[v]:ptr[v + 1]]``)
-    all have probability p, else None. `math.log1p` is applied once per
-    distinct p, so the values do not depend on numpy's vectorised log."""
-    # a node is mixed where an in-edge's p differs from the previous one's;
-    # temporaries stay boolean or per node, as loading peaks in `_build`
-    differs = in_probs[1:] != in_probs[:-1]  # slot j + 1 against slot j
-    starts = ptr[1:-1]
-    differs[starts[(starts > 0) & (starts < len(in_probs))] - 1] = False  # across two nodes
-    mixed = np.searchsorted(ptr, np.flatnonzero(differs) + 1, side="right") - 1
-    shared = np.diff(ptr) > 0
-    shared[mixed] = False
-    nodes = np.flatnonzero(shared)
-    values, inverse = np.unique(in_probs[ptr[nodes]], return_inverse=True)
-    table = [math.log1p(-p) if p < 1.0 else -math.inf for p in values.tolist()]
-    logq = np.full(n, None, dtype=object)
-    logq[nodes] = np.array(table, dtype=object)[inverse]  # one float object per p
-    return tuple(logq.tolist())
-
-
 class Graph:
     """Directed graph with per-edge influence probabilities.
 
@@ -82,7 +58,7 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "src", "dst", "probs", "in_src", "in_prob", "in_logq", "out_dst", "out_eid",
+        "n", "src", "dst", "probs", "in_ptr", "in_src", "in_prob", "out_dst", "out_eid",
         "__weakref__",
     )
 
@@ -102,17 +78,13 @@ class Graph:
         return graph
 
     def _build(self, n: int, src: np.ndarray, dst: np.ndarray, probs: np.ndarray) -> None:
-        for arr in (src, dst, probs):
-            arr.flags.writeable = False
-        self.n, self.src, self.dst, self.probs = n, src, dst, probs
         in_ptr, in_eids = csr(n, dst)
         out_ptr, out_eids = csr(n, src)
-        # probs[in_eids] is built twice, not kept: held through the out-edge
-        # tuples it raised a load's peak RSS by 2.8 MB at 300k edges
-        self.in_logq = _shared_logq(n, in_ptr, probs[in_eids])
-        in_ptr, out_ptr = in_ptr.tolist(), out_ptr.tolist()
-        self.in_src = _per_node(in_ptr, src[in_eids])
-        self.in_prob = _per_node(in_ptr, probs[in_eids])
+        self.in_ptr, self.in_src, self.in_prob = in_ptr, src[in_eids], probs[in_eids]
+        for arr in (src, dst, probs, self.in_ptr, self.in_src, self.in_prob):
+            arr.flags.writeable = False
+        self.n, self.src, self.dst, self.probs = n, src, dst, probs
+        out_ptr = out_ptr.tolist()
         self.out_dst = _per_node(out_ptr, dst[out_eids])
         self.out_eid = _per_node(out_ptr, out_eids)
 

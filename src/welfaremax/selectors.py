@@ -23,7 +23,6 @@ from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph
 from welfaremax.ris import (
     RRCollection,
-    RRSet,
     node_selection_count,
     node_selection_weighted,
     sample_marginal_rr,
@@ -140,7 +139,7 @@ def _doubling_search(
     params: SamplerParams,
     scale: float,
     rounds: float,
-    sample: Callable[[], RRSet],
+    sample: Callable[[int], RRCollection],
     estimate: Callable[[RRCollection, int, int], float],
     trace: Trace,
 ) -> RRCollection:
@@ -151,7 +150,8 @@ def _doubling_search(
     sets and budget k is tested: it certifies when `estimate(coll, k, i)`
     reaches (1 + eps') x, with lower bound LB = estimate / (1 + eps'), and
     the next budget is tested at the same x on at least ceil(lambda*(k) / LB)
-    sets; otherwise x halves. The fresh collection holds ceil(lambda*(k) / LB)
+    sets; otherwise x halves. Each growth draws its missing sets with one
+    `sample(count)` call. The fresh collection holds ceil(lambda*(k) / LB)
     sets for the last budget tested, with LB = 1 if it never certified.
     `rounds` is the number of x values the failure probability is split over.
     Each planned size is checked against `MAX_RR_SETS` before any set of it
@@ -167,8 +167,8 @@ def _doubling_search(
         x = scale / 2.0**i
         theta = _planned(max(lambda_prime(n, k, epsp, ellp, rounds) / x, floor))
         _check_plan(theta)
-        while len(coll) < theta:
-            coll.add(sample())
+        if len(coll) < theta:
+            coll.extend(sample(theta - len(coll)))
         est = estimate(coll, k, i)
         certified = est >= (1.0 + epsp) * x
         lb = est / (1.0 + epsp) if certified else 1.0
@@ -186,11 +186,8 @@ def _doubling_search(
     # announced before the draw, which is long when the search stalled
     emit(f"phase=final i={i} s={s_idx} theta={theta} lb={lb:.6g}")
     _check_plan(theta)
-    # allocated while `coll` lives: benchmarks/tracing.py tells them apart by id()
-    fresh = RRCollection(n)
-    while len(fresh) < theta:
-        fresh.add(sample())
-    return fresh
+    # drawn while `coll` lives: benchmarks/tracing.py tells them apart by id()
+    return sample(theta)
 
 
 def prima_plus(
@@ -227,8 +224,8 @@ def prima_plus(
             orders[i], _ = node_selection_count(coll, b_max, excluded=fixed)
         return n * coll.coverage_fraction(orders[i][:k])
 
-    def sample() -> RRSet:
-        return sample_marginal_rr(graph, fixed, rng)
+    def sample(count: int) -> RRCollection:
+        return sample_marginal_rr(graph, fixed, count, rng)
 
     fresh = _doubling_search(params, n, math.log2(n), sample, estimate, trace)
     order, _ = node_selection_count(fresh, b_max, excluded=fixed)
@@ -289,7 +286,7 @@ def supgrd_sampling(
         _, totals = node_selection_weighted(coll, k)
         return n * totals[-1] / len(coll)
 
-    def sample() -> RRSet:
-        return sample_weighted_rr(graph, base_allocation, superior, catalog, rng, item_utils)
+    def sample(count: int) -> RRCollection:
+        return sample_weighted_rr(graph, base_allocation, superior, catalog, count, rng, item_utils)
 
     return _doubling_search(params, ub, max(1, math.ceil(math.log2(ub))), sample, estimate, trace)

@@ -374,6 +374,8 @@ def utilities_from_probabilities(probs: Iterable[float], scale: float = 10000.0)
     for p in probs:
         if not 0 < p < math.inf:
             raise CatalogError(f"adoption probability must be positive and finite, got {p}")
+        if p > 1:
+            raise CatalogError(f"adoption probability must be at most 1, got {p}")
         out.append(math.log(scale * p))
     return out
 

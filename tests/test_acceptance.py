@@ -162,9 +162,9 @@ def test_criterion_04_weighted_rr_identity():
         total = 0.0
         total_sq = 0.0
         draws = 50_000
-        for _ in range(draws):
-            rr = sample_weighted_rr(graph, base, "sup", catalog, rng, utils)
-            val = graph.n * rr.weight if sset & rr.members else 0.0
+        coll = sample_weighted_rr(graph, base, "sup", catalog, draws, rng, utils)
+        for a, b, weight in zip(coll.offsets, coll.offsets[1:], coll.weights):
+            val = graph.n * weight if sset.intersection(coll.members[a:b]) else 0.0
             total += val
             total_sq += val * val
         mean = total / draws

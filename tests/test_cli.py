@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -179,6 +180,54 @@ def test_convert_utilities_rejects_nonpositive(tmp_path, capsys):
     probs = tmp_path / "p.txt"
     probs.write_text("x 0\n")
     assert run_cli("convert-utilities", "--probs", probs) == 2
+
+
+@pytest.mark.parametrize(
+    "prob, code, text",
+    [
+        ("3.5", 2, "error: adoption probability must be at most 1, got 3.5"),
+        ("1.0000000000000002", 2, "must be at most 1, got 1.0000000000000002"),
+        ("1", 0, f"x = {math.log(10000.0):.17g}\n"),
+    ],
+    ids=["above-one", "just-above-one", "one"],
+)
+def test_convert_utilities_caps_probability_at_one(tmp_path, capsys, prob, code, text):
+    probs = tmp_path / "p.txt"
+    probs.write_text(f"x {prob}\n")
+    out = tmp_path / "u.txt"
+    assert run_cli("convert-utilities", "--probs", probs, "--out", out) == code
+    err = capsys.readouterr().err
+    assert text in (err if code else out.read_text())
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["allocate", "convert-utilities"])
+def test_failed_run_leaves_an_existing_output_file_as_it_was(tmp_path, capsys, command):
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier output\n")
+    bad = tmp_path / "bad.txt"
+    if command == "allocate":
+        bad.write_text("[items]\na price=abc\n[valuation]\na = 2\n")
+        argv = [
+            "allocate", "--graph", CONFIGS / "path6.edges", "--catalog", bad,
+            "--algo", "seqgrd-nm", "--budgets", "a=1", "--samples", "20",
+        ]
+    else:
+        bad.write_text("x 0.5\ny nan\n")
+        argv = ["convert-utilities", "--probs", bad]
+    assert run_cli(*argv, "--out", out) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier output\n"
+
+
+def test_successful_run_replaces_an_existing_output_file(tmp_path):
+    out = tmp_path / "u.txt"
+    out.write_text("a longer earlier output than the new one\n" * 3)
+    probs = tmp_path / "p.txt"
+    probs.write_text("x 0.0001\n")
+    assert run_cli("convert-utilities", "--probs", probs, "--out", out) == 0
+    assert out.read_text() == "x = 0\n"
+    assert run_cli("convert-utilities", "--probs", probs, "--out", "/dev/null") == 0  # no truncate
 
 
 @pytest.mark.parametrize("scale", ["-1", "0"])

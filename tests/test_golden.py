@@ -13,10 +13,10 @@ After a deliberate stream change, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and record the change in CHANGES.md.
+which prints `changed` or `unchanged` for each case and rewrites only the
+changed files; record the changed ones in CHANGES.md.
 """
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -109,6 +109,10 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
+        path = GOLDEN / f"{case}.csv"
         with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN / f"{case}.csv").write_bytes(_produce(case, Path(tmp)))
-        print(f"wrote {case}.csv", file=sys.stderr)
+            got = _produce(case, Path(tmp))
+        changed = not path.is_file() or path.read_bytes() != got
+        if changed:
+            path.write_bytes(got)
+        print(f"{'changed' if changed else 'unchanged'} {case}.csv")

@@ -1,5 +1,4 @@
 import io
-import math
 import random
 import warnings
 
@@ -13,8 +12,8 @@ from welfaremax.graph import EdgeListError, Graph, GraphError, load_edge_list
 
 from conftest import graph_from
 
-EDGE_ARRAYS = ("src", "dst", "probs")
-PER_NODE = {"in_src": int, "in_prob": float, "out_dst": int, "out_eid": int}
+EDGE_ARRAYS = ("src", "dst", "probs", "in_ptr", "in_src", "in_prob")
+PER_NODE = {"out_dst": int, "out_eid": int}
 
 
 def dump_edge_list(graph: Graph, stream) -> None:
@@ -93,6 +92,7 @@ def test_loaded_graph_equals_validated_construction():
     assert loaded.edges == built.edges
     for name in EDGE_ARRAYS:
         assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
+        assert getattr(loaded, name).dtype == getattr(built, name).dtype, name
     for name, kind in PER_NODE.items():
         assert getattr(loaded, name) == getattr(built, name), name
         for row in getattr(loaded, name):
@@ -102,7 +102,7 @@ def test_loaded_graph_equals_validated_construction():
 def test_adjacency_transpose():
     g = graph_from("0 1 0.5\n0 2 0.3\n2 1 0.9\n")
     out_pairs = {(u, v) for u in range(g.n) for v in g.out_dst[u]}
-    in_pairs = {(u, v) for v in range(g.n) for u in g.in_src[v]}
+    in_pairs = {(u, v) for v in range(g.n) for u in g.in_src[g.in_ptr[v] : g.in_ptr[v + 1]]}
     assert out_pairs == in_pairs == {(0, 1), (0, 2), (2, 1)}
 
 
@@ -176,6 +176,8 @@ def _same_graph(got: Graph, want: Graph) -> None:
     assert got.n == want.n
     assert np.array_equal(got.src, want.src) and np.array_equal(got.dst, want.dst)
     assert got.probs.tobytes() == want.probs.tobytes()  # bit for bit, -0.0 included
+    assert np.array_equal(got.in_ptr, want.in_ptr) and np.array_equal(got.in_src, want.in_src)
+    assert got.in_prob.tobytes() == want.in_prob.tobytes()
     for name in PER_NODE:
         assert getattr(got, name) == getattr(want, name), name
 
@@ -253,51 +255,13 @@ def test_per_node_tuples_list_each_nodes_edges_in_id_order(edges):
     n = 1 + max(max(u, v) for u, v, _ in edges)
     g = Graph(n, edges)
     assert g.edges == tuple(edges)
-    assert len(g.in_src) == len(g.in_prob) == len(g.out_dst) == len(g.out_eid) == n
+    assert len(g.in_ptr) == n + 1 and len(g.out_dst) == len(g.out_eid) == n
     by_id = list(enumerate(g.edges))
     for node in range(n):
         ins = [(u, p) for _, (u, v, p) in by_id if v == node]
         outs = [(v, e) for e, (u, v, _) in by_id if u == node]
-        assert g.in_src[node] == tuple(u for u, _ in ins)
-        assert g.in_prob[node] == tuple(p for _, p in ins)
+        slots = slice(g.in_ptr[node], g.in_ptr[node + 1])  # the in-CSR slots, in edge-id order
+        assert g.in_src[slots].tolist() == [u for u, _ in ins]
+        assert g.in_prob[slots].tolist() == [p for _, p in ins]
         assert g.out_dst[node] == tuple(v for v, _ in outs)
         assert g.out_eid[node] == tuple(e for _, e in outs)
-
-
-def _python_logq(graph: Graph, node: int):
-    probs = set(graph.in_prob[node])
-    if len(probs) != 1:
-        return None
-    (p,) = probs
-    return -math.inf if p == 1.0 else math.log1p(-p)
-
-
-def _shared_prob_edges(rng: random.Random, n: int) -> list[tuple[int, int, float]]:
-    choices = (0.0, -0.0, 1.0, 0.5, 1e-300, 5e-324, 1.0 - 2.0**-53, rng.random())
-    edges = []
-    for v in range(n):
-        sources = rng.sample([u for u in range(n) if u != v], rng.randint(0, min(6, n - 1)))
-        shared = rng.choice(choices + (1.0 / max(1, len(sources)),))
-        for u in sources:
-            p = shared if rng.random() < 0.8 else rng.choice(choices)
-            edges.append((u, v, p))
-    rng.shuffle(edges)
-    return edges
-
-
-def test_shared_logq_matches_a_per_node_computation():
-    rng = random.Random(71)
-    for _ in range(200):
-        n = rng.randint(1, 12)
-        g = Graph(n, _shared_prob_edges(rng, n))
-        want = tuple(_python_logq(g, node) for node in range(n))
-        assert g.in_logq == want
-        assert [type(x) for x in g.in_logq] == [type(x) for x in want]
-
-
-@given(edge_lists())
-@settings(max_examples=60, deadline=None)
-def test_shared_logq_matches_a_per_node_computation_on_any_probabilities(edges):
-    n = 1 + max(max(u, v) for u, v, _ in edges)
-    g = Graph(n, edges)
-    assert g.in_logq == tuple(_python_logq(g, node) for node in range(n))

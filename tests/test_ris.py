@@ -1,6 +1,9 @@
+import itertools
 import math
 import random
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from welfaremax import ris
@@ -10,7 +13,6 @@ from welfaremax.oracle import SpreadOracle, WelfareOracle
 from welfaremax.ris import (
     RISError,
     RRCollection,
-    RRSet,
     node_selection_count,
     node_selection_weighted,
     sample_marginal_rr,
@@ -23,36 +25,76 @@ from welfaremax.utility import ItemCatalog, expected_item_utilities
 from conftest import graph_from, superior_instance
 
 
+class RefSet(NamedTuple):
+    """One RR set as the per-set reference code in this file sees it."""
+
+    members: frozenset
+    weight: float = 1.0
+    empty: bool = False
+
+
+def sets_of(coll: RRCollection) -> list[frozenset]:
+    """Each set's members; an emptied set has none, any other its root."""
+    return [frozenset(coll.members[a:b]) for a, b in zip(coll.offsets, coll.offsets[1:])]
+
+
+def ref_sets(coll: RRCollection) -> list[RefSet]:
+    return [
+        RefSet(members, weight, not members) for members, weight in zip(sets_of(coll), coll.weights)
+    ]
+
+
+def collection_of(n: int, sets) -> RRCollection:
+    """A collection holding `sets` (`RefSet`s) in order."""
+    coll = RRCollection(n)
+    for rr in sets:
+        coll.members.extend([] if rr.empty else sorted(rr.members))
+        coll.offsets.append(len(coll.members))
+        coll.weights.append(rr.weight)
+        coll.empty += rr.empty
+    return coll
+
+
+def in_edges(graph: Graph, v: int) -> list[tuple[int, float]]:
+    """(source, probability) of v's in-edges, in edge-id order."""
+    slots = slice(graph.in_ptr[v], graph.in_ptr[v + 1])
+    return list(zip(graph.in_src[slots].tolist(), graph.in_prob[slots].tolist()))
+
+
+def grow(graph: Graph, roots, stop_nodes=(), seed=0) -> list[frozenset]:
+    """The batch reverse BFS from the given roots, one set per root."""
+    roots = np.asarray(roots, dtype=np.int64)
+    stop = np.zeros(graph.n, dtype=bool)
+    stop[list(stop_nodes)] = True
+    mark = np.zeros((len(roots) * graph.n + 7) // 8, dtype=np.uint8)
+    gen = np.random.default_rng(derive_rng(seed).getrandbits(64))  # as a sampler seeds it
+    keys, _ = ris._bfs(graph, roots, stop, gen, mark)
+    assert not mark.any()  # left zeroed for the next chunk
+    sets, nodes = np.divmod(keys, graph.n)
+    bounds = np.searchsorted(sets, np.arange(len(roots) + 1))
+    return [frozenset(nodes[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+
 def test_isolated_node_rr_set():
     g = Graph(1, [])
-    rr = sample_rr(g, random.Random(0))
-    assert rr.members == frozenset({0})
-    assert rr.root == 0
+    coll = sample_rr(g, 5, random.Random(0))
+    assert sets_of(coll) == [frozenset({0})] * 5
+    assert list(coll.weights) == [1.0] * 5 and coll.empty == 0
 
 
 def test_chain_rr_set_is_full_prefix():
     g = graph_from("0 1 1\n1 2 1\n")
-    rng = random.Random(1)
-    seen_root2 = 0
-    for _ in range(50):
-        rr = sample_rr(g, rng)
-        assert rr.members == frozenset(range(rr.root + 1))
-        if rr.root == 2:
-            seen_root2 += 1
-    assert seen_root2 > 0
+    sets = sets_of(sample_rr(g, 50, random.Random(1)))
+    for members in sets:  # the root is the largest member
+        assert members == frozenset(range(max(members) + 1))
+    assert any(max(members) == 2 for members in sets)
 
 
 def test_half_probability_edge_bernoulli():
-    # among root-1 draws the source inclusion is Bernoulli(1/2)
+    # among root-1 draws (the sets holding 1) the source inclusion is Bernoulli(1/2)
     g = graph_from("0 1 0.5\n")
-    rng = random.Random(8)
-    total1, hits = 0, 0
-    for _ in range(10_000):
-        rr = sample_rr(g, rng)
-        if rr.root == 1:
-            total1 += 1
-            if 0 in rr.members:
-                hits += 1
+    root1 = [members for members in sets_of(sample_rr(g, 10_000, random.Random(8))) if 1 in members]
+    total1, hits = len(root1), sum(0 in members for members in root1)
     p_hat = hits / total1
     sigma = math.sqrt(0.25 / total1)
     assert abs(p_hat - 0.5) <= 3 * sigma
@@ -60,25 +102,61 @@ def test_half_probability_edge_bernoulli():
 
 def test_marginal_rr_without_fixed_seeds_never_empty():
     g = graph_from("0 1 0.5\n1 2 0.5\n")
-    rng = random.Random(3)
-    for _ in range(200):
-        assert not sample_marginal_rr(g, frozenset(), rng).empty
+    coll = sample_marginal_rr(g, frozenset(), 200, random.Random(3))
+    assert coll.empty == 0 and all(sets_of(coll))
 
 
 def test_marginal_rr_root_in_fixed_seeds_is_empty():
     g = graph_from("0 1 1\n")
-    rng = random.Random(4)
-    for _ in range(50):
-        rr = sample_marginal_rr(g, frozenset({0, 1}), rng)
-        assert rr.empty and rr.members == frozenset()
+    coll = sample_marginal_rr(g, frozenset({0, 1}), 50, random.Random(4))
+    assert len(coll) == coll.empty == 50 and not coll.members
 
 
 def test_marginal_rr_deterministic_chain_contact():
     # every root's reverse reach includes node 0, so everything empties
     g = graph_from("0 1 1\n1 2 1\n")
-    rng = random.Random(5)
-    for _ in range(60):
-        assert sample_marginal_rr(g, frozenset({0}), rng).empty
+    coll = sample_marginal_rr(g, frozenset({0}), 60, random.Random(5))
+    assert len(coll) == coll.empty == 60 and type(coll.empty) is int
+
+
+def test_samplers_draw_the_requested_count():
+    g = graph_from("0 1 0.5\n1 2 0.5\n")
+    cat = _two_item_catalog()
+    base = Allocation.of([(0, "inf")])
+    utils = expected_item_utilities(cat)
+    for count in (0, 1, 7):
+        assert len(sample_rr(g, count, random.Random(1))) == count
+        assert len(sample_marginal_rr(g, frozenset({0}), count, random.Random(1))) == count
+        assert len(sample_weighted_rr(g, base, "sup", cat, count, random.Random(1), utils)) == count
+    with pytest.raises(RISError, match="no nodes"):
+        sample_rr(Graph(0, []), 1, random.Random(1))
+
+
+def test_extend_appends_sets_in_order():
+    g = graph_from("0 1 0.5\n1 2 0.5\n")
+    rng = random.Random(12)
+    first = sample_marginal_rr(g, frozenset({0}), 30, rng)
+    second = sample_marginal_rr(g, frozenset({0}), 40, rng)
+    want_sets, want_weights = sets_of(first) + sets_of(second), [*first.weights, *second.weights]
+    want_empty = first.empty + second.empty
+    first.extend(second)
+    assert sets_of(first) == want_sets and list(first.weights) == want_weights
+    assert first.empty == want_empty and len(first) == 70
+
+
+def test_collection_grows_after_coverage_and_greedy_reads():
+    # the reads view the members and offsets without copying; a view that
+    # outlived its call would make the next growth raise BufferError
+    g = graph_from("0 1 0.5\n1 2 0.5\n2 0 0.5\n")
+    rng = random.Random(13)
+    coll = sample_rr(g, 50, rng)
+    assert coll.coverage_fraction([0]) > 0
+    coll.extend(sample_rr(g, 50, rng))
+    node_selection_count(coll, 2)
+    coll.extend(sample_rr(g, 50, rng))
+    node_selection_weighted(coll, 2)
+    coll.extend(sample_rr(g, 50, rng))
+    assert len(coll) == 200 and len(coll.offsets) == 201
 
 
 def _two_item_catalog():
@@ -93,21 +171,23 @@ def test_weighted_rr_no_contact_keeps_full_weight():
     g = graph_from("0 1 1\n")
     cat = _two_item_catalog()
     base = Allocation.of([])  # no fixed seeds at all
-    rng = random.Random(6)
-    rr = sample_weighted_rr(g, base, "sup", cat, rng, expected_item_utilities(cat))
-    assert rr.weight == 1.0  # E[U+(sup)]
+    coll = sample_weighted_rr(g, base, "sup", cat, 20, random.Random(6), expected_item_utilities(cat))
+    assert list(coll.weights) == [1.0] * 20  # E[U+(sup)]
 
 
 def test_weighted_rr_root_on_fixed_seed():
+    # node 1 has no out-edge to 0: the sets holding 1 are the root-1 sets
     g = graph_from("0 1 1\n")
     cat = _two_item_catalog()
     base = Allocation.of([(1, "inf")])
-    rng = random.Random(7)
-    for _ in range(30):
-        rr = sample_weighted_rr(g, base, "sup", cat, rng, expected_item_utilities(cat))
-        if rr.root == 1:
-            assert rr.members == frozenset({1})
-            assert rr.weight == pytest.approx(1.0 - 0.1)
+    coll = sample_weighted_rr(g, base, "sup", cat, 30, random.Random(7), expected_item_utilities(cat))
+    seen = False
+    for members, weight in zip(sets_of(coll), coll.weights):
+        if 1 in members:
+            seen = True
+            assert members == frozenset({1})
+            assert weight == pytest.approx(1.0 - 0.1)
+    assert seen
 
 
 def test_weighted_rr_level_completion_distance_two():
@@ -115,14 +195,13 @@ def test_weighted_rr_level_completion_distance_two():
     g = graph_from("0 1 1\n1 2 1\n")
     cat = _two_item_catalog()
     base = Allocation.of([(0, "inf")])
-    rng = random.Random(8)
+    coll = sample_weighted_rr(g, base, "sup", cat, 60, random.Random(8), expected_item_utilities(cat))
     seen = False
-    for _ in range(60):
-        rr = sample_weighted_rr(g, base, "sup", cat, rng, expected_item_utilities(cat))
-        if rr.root == 2:
+    for members, weight in zip(sets_of(coll), coll.weights):
+        if 2 in members:
             seen = True
-            assert rr.members == frozenset({0, 1, 2})
-            assert rr.weight == pytest.approx(0.9)
+            assert members == frozenset({0, 1, 2})
+            assert weight == pytest.approx(0.9)
     assert seen
 
 
@@ -130,25 +209,51 @@ def test_weighted_rr_members_never_farther_than_fixed_seeds():
     rng = random.Random(11)
     graph, catalog, base = superior_instance(rng)
     sp = base.seed_nodes()
-    utils = expected_item_utilities(catalog)
-    for _ in range(200):
-        rr = sample_weighted_rr(graph, base, "sup", catalog, rng, utils)
-        if rr.members & sp:
+    roots = list(range(graph.n)) * 20
+    for root, members in zip(roots, grow(graph, roots, sp, seed=11)):
+        if members & sp:
             # reverse BFS distance of every member <= first fixed-seed distance
-            dist = {rr.root: 0}
-            frontier = [rr.root]
+            dist = {root: 0}
+            frontier = [root]
             d = 0
             while frontier:
                 nxt = []
                 for u in frontier:
-                    for src in graph.in_src[u]:
-                        if src in rr.members and src not in dist:
+                    for src, _ in in_edges(graph, u):
+                        if src in members and src not in dist:
                             dist[src] = d + 1
                             nxt.append(src)
                 frontier = nxt
                 d += 1
-            hit = min(dist[v] for v in rr.members & sp)
+            hit = min(dist[v] for v in members & sp)
             assert all(dv <= hit for dv in dist.values())
+
+
+def _covered_values(graph, coll, seeds):
+    """n * weight of each set that holds a seed, 0 for any other."""
+    seeds = set(seeds)
+    return [
+        graph.n * weight if seeds & members else 0.0
+        for members, weight in zip(sets_of(coll), coll.weights)
+    ]
+
+
+def exact_covered_value(graph, base, superior, seeds, item_utils):
+    """E[n * weight * covered] of one weighted RR set, by enumerating every
+    edge world and root: the value the sampler's mean estimates."""
+    sp, total = base.seed_nodes(), 0.0
+    for world in itertools.product((False, True), repeat=graph.m):
+        chance = math.prod(p if live else 1.0 - p for (_, _, p), live in zip(graph.edges, world))
+        live_in = {v: [u for (u, w, _), live in zip(graph.edges, world) if live and w == v]
+                   for v in range(graph.n)}
+        for root in range(graph.n):
+            members, level = {root}, [root]
+            while level and sp.isdisjoint(level):
+                level = [u for v in level for u in live_in[v] if u not in members]
+                members.update(level)
+            if members & set(seeds):
+                total += chance * _weight(members, base, superior, item_utils)
+    return total
 
 
 def test_weighted_rr_weight_never_understates_the_subtraction():
@@ -167,18 +272,12 @@ def test_weighted_rr_weight_never_understates_the_subtraction():
     cand = Allocation.of([(v, "sup") for v in seeds])
     want = WelfareOracle(graph, catalog).marginal(cand, base)
     utils = expected_item_utilities(catalog)
-    srng = derive_rng(3000, 6)
-    sset = set(seeds)
-    draws = 50_000
-    vals = []
-    for _ in range(draws):
-        rr = sample_weighted_rr(graph, base, "sup", catalog, srng, utils)
-        vals.append(graph.n * rr.weight if sset & rr.members else 0.0)
-    mean = sum(vals) / draws
-    var = sum((v - mean) ** 2 for v in vals) / (draws - 1)
-    sigma = math.sqrt(var / draws)
+    expected = exact_covered_value(graph, base, "sup", seeds, utils)
+    assert expected < want - 1e-3  # visibly below on this instance
+    coll = sample_weighted_rr(graph, base, "sup", catalog, 50_000, derive_rng(3000, 6), utils)
+    mean, sigma = _mean_and_sigma(_covered_values(graph, coll, seeds))
     assert mean <= want + 3 * sigma  # never biased upward
-    assert mean < want  # and visibly below on this instance
+    assert abs(mean - expected) <= 3 * sigma  # and the samples estimate that value
 
 
 def test_weighted_identity_matches_marginal_welfare():
@@ -187,29 +286,15 @@ def test_weighted_identity_matches_marginal_welfare():
     graph, catalog, base = superior_instance(rng, n_hi=8, e_hi=9)
     seeds = [0, 3]
     cand = Allocation.of([(v, "sup") for v in seeds])
-    oracle = WelfareOracle(graph, catalog)
-    want = oracle.marginal(cand, base)
+    want = WelfareOracle(graph, catalog).marginal(cand, base)
     utils = expected_item_utilities(catalog)
-    total = 0.0
-    draws = 40_000
-    vals = []
-    srng = derive_rng(77)
-    sset = set(seeds)
-    for _ in range(draws):
-        rr = sample_weighted_rr(graph, base, "sup", catalog, srng, utils)
-        covered = bool(sset & rr.members)
-        vals.append(graph.n * rr.weight * covered)
-    mean = sum(vals) / draws
-    var = sum((v - mean) ** 2 for v in vals) / (draws - 1)
-    sigma = math.sqrt(var / draws)
+    coll = sample_weighted_rr(graph, base, "sup", catalog, 40_000, derive_rng(77), utils)
+    mean, sigma = _mean_and_sigma(_covered_values(graph, coll, seeds))
     assert abs(mean - want) <= 3 * sigma
 
 
 def _collection(sets, n=10):
-    coll = RRCollection(n)
-    for root, members, weight in sets:
-        coll.add(RRSet(root, frozenset(members), weight=weight))
-    return coll
+    return collection_of(n, [RefSet(frozenset(members), weight) for _, members, weight in sets])
 
 
 def test_selection_dominant_node():
@@ -238,8 +323,7 @@ def test_selection_ties_break_to_smallest_id():
 
 
 def test_selection_counts_empties_in_denominator():
-    coll = _collection([(0, {1}, 1.0)])
-    coll.add(RRSet(5, frozenset(), empty=True))
+    coll = collection_of(10, [RefSet(frozenset({1})), RefSet(frozenset(), empty=True)])
     picks, fracs = node_selection_count(coll, 1)
     assert picks == [1]
     assert fracs == [0.5]
@@ -320,14 +404,8 @@ def test_standard_unbiasedness_against_oracle():
     oracle = SpreadOracle(g)
     seeds = {0, 3}
     want = oracle.spread(seeds)
-    rng = derive_rng(123)
     draws = 50_000
-    hits = 0
-    for _ in range(draws):
-        rr = sample_rr(g, rng)
-        if seeds & rr.members:
-            hits += 1
-    p_hat = hits / draws
+    p_hat = sample_rr(g, draws, derive_rng(123)).coverage_fraction(seeds)
     sigma = math.sqrt(p_hat * (1 - p_hat) / draws)
     assert abs(g.n * p_hat - want) <= 3 * g.n * sigma
 
@@ -338,14 +416,10 @@ def test_marginal_unbiasedness_against_oracle():
     fixed = frozenset({2})
     seeds = {0}
     want = oracle.marginal_spread(seeds, fixed)
-    rng = derive_rng(124)
     draws = 50_000
-    hits = 0
-    for _ in range(draws):
-        rr = sample_marginal_rr(g, fixed, rng)
-        if not rr.empty and seeds & rr.members:
-            hits += 1
-    p_hat = hits / draws  # empties stay in the denominator
+    coll = sample_marginal_rr(g, fixed, draws, derive_rng(124))
+    assert coll.empty > 0
+    p_hat = coll.coverage_fraction(seeds)  # empties stay in the denominator
     sigma = math.sqrt(p_hat * (1 - p_hat) / draws)
     assert abs(g.n * p_hat - want) <= 3 * g.n * sigma
 
@@ -404,9 +478,7 @@ def hub_graph(rng, n=600, hubs=6):
 
 
 def _both_greedies(n, sets, k, weighted, excluded=()):
-    coll = RRCollection(n)
-    for rr in sets:
-        coll.add(rr)
+    coll = collection_of(n, sets)
     select = node_selection_weighted if weighted else node_selection_count
     got = select(coll, k, excluded=excluded)
     picks, prefix = reference_greedy(n, sets, k, weighted, excluded)
@@ -422,10 +494,9 @@ def test_array_greedy_equals_loop_greedy_on_sampled_sets(weighted):
     graph = hub_graph(rng)
     srng = derive_rng(11)
     fixed = frozenset({7, 8})
-    sets = []
-    for _ in range(3000):
-        rr = sample_marginal_rr(graph, fixed, srng)
-        sets.append(rr._replace(weight=srng.uniform(0.0, 3.0)) if weighted else rr)
+    sets = ref_sets(sample_marginal_rr(graph, fixed, 3000, srng))
+    if weighted:
+        sets = [rr._replace(weight=srng.uniform(0.0, 3.0)) for rr in sets]
     assert any(rr.empty for rr in sets)
     for excluded in ((), fixed, set(range(0, graph.n, 7))):
         _both_greedies(graph.n, sets, 25, weighted, excluded)
@@ -435,10 +506,10 @@ def test_array_greedy_adds_and_subtracts_weights_in_set_order():
     # node 1 sums 0.1 + 0.2 + 0.3 = 0.6000000000000001 in set order, just
     # above node 0's 0.6; the reverse order gives 0.6 and a tie won by node 0
     sets = [
-        RRSet(0, frozenset({1}), weight=0.1),
-        RRSet(1, frozenset({1}), weight=0.2),
-        RRSet(2, frozenset({1}), weight=0.3),
-        RRSet(3, frozenset({0}), weight=0.6),
+        RefSet(frozenset({1}), weight=0.1),
+        RefSet(frozenset({1}), weight=0.2),
+        RefSet(frozenset({1}), weight=0.3),
+        RefSet(frozenset({0}), weight=0.6),
     ]
     assert _both_greedies(2, sets, 2, True) == [1, 0]
     # after node 4 covers the first three sets, node 2 keeps
@@ -446,13 +517,13 @@ def test_array_greedy_adds_and_subtracts_weights_in_set_order():
     # subtracted in set order, above node 0's 0.1; subtracting the sum or in
     # reverse order leaves 0.09999999999999998, below it
     sets = [
-        RRSet(0, frozenset({2, 4}), weight=0.1),
-        RRSet(1, frozenset({2, 4}), weight=0.1),
-        RRSet(2, frozenset({2, 4}), weight=0.2),
-        RRSet(3, frozenset({2}), weight=0.1),
-        RRSet(4, frozenset({0}), weight=0.1),
-        RRSet(5, frozenset({4}), weight=10.0),
-        RRSet(6, frozenset(), weight=5.0, empty=True),
+        RefSet(frozenset({2, 4}), weight=0.1),
+        RefSet(frozenset({2, 4}), weight=0.1),
+        RefSet(frozenset({2, 4}), weight=0.2),
+        RefSet(frozenset({2}), weight=0.1),
+        RefSet(frozenset({0}), weight=0.1),
+        RefSet(frozenset({4}), weight=10.0),
+        RefSet(frozenset(), weight=5.0, empty=True),
     ]
     assert _both_greedies(5, sets, 3, True) == [4, 2, 0]
     assert _both_greedies(5, sets, 3, True, excluded={4}) == [2, 0, 1]
@@ -460,7 +531,7 @@ def test_array_greedy_adds_and_subtracts_weights_in_set_order():
         node_selection_weighted(_collection([(0, {1}, 1.0)], n=3), 3, excluded={0})
 
 
-# -- geometric-skip sampling ----------------------------------------------------
+# -- the batch sampler on a graph with every kind of node ----------------------
 
 # node 0 is a hub with 120 in-edges at one p from the zero-in-degree leaves
 # 7..126; node 2's in-edges are certain, node 3's never live, 1 and 5 share
@@ -489,48 +560,55 @@ def core_graph(seed_leaves) -> Graph:
 
 
 def per_edge_coin_rr(graph, fixed_seeds, rng):
-    """The marginal sampler as it was before geometric skips: one coin per
-    candidate in-edge, in edge-id order."""
+    """One marginal RR set by a per-set DFS: one coin per in-edge whose
+    source is not yet a member, in edge-id order."""
     root = rng.randrange(graph.n)
     if root in fixed_seeds:
-        return RRSet(root, frozenset(), empty=True)
+        return RefSet(frozenset(), empty=True)
     members, stack = {root}, [root]
     while stack:
         u = stack.pop()
-        for src, p in zip(graph.in_src[u], graph.in_prob[u]):
+        for src, p in in_edges(graph, u):
             if src not in members and rng.random() < p:
                 if src in fixed_seeds:
-                    return RRSet(root, frozenset(), empty=True)
+                    return RefSet(frozenset(), empty=True)
                 members.add(src)
                 stack.append(src)
-    return RRSet(root, frozenset(members))
+    return RefSet(frozenset(members))
+
+
+def _weight(members, base, superior, item_utils):
+    hit = [it for node in members & base.seed_nodes() for it in base.items_at(node)]
+    return item_utils[superior] - max((item_utils[it] for it in hit), default=0.0)
 
 
 def per_edge_coin_weighted_rr(graph, base, superior, rng, item_utils):
-    """The weighted sampler as it was before geometric skips."""
+    """One weighted RR set by a per-set level loop with per-edge coins."""
     sp_nodes = base.seed_nodes()
     root = rng.randrange(graph.n)
     members, level = {root}, [root]
     while level and sp_nodes.isdisjoint(level):
         nxt = []
         for u in level:
-            for src, p in zip(graph.in_src[u], graph.in_prob[u]):
+            for src, p in in_edges(graph, u):
                 if src not in members and rng.random() < p:
                     members.add(src)
                     nxt.append(src)
         level = nxt
-    hit = [it for node in members & sp_nodes for it in base.items_at(node)]
-    weight = item_utils[superior] - (max(item_utils[it] for it in hit) if hit else 0.0)
-    return RRSet(root, frozenset(members), weight=weight)
+    return RefSet(frozenset(members), _weight(members, base, superior, item_utils))
 
 
 def test_skip_graph_has_every_kind_of_node():
     g = skip_graph()
-    assert len(g.in_src[0]) >= 100 and g.in_logq[0] == math.log1p(-HUB_P)
-    assert g.in_logq[2] == -math.inf and g.in_logq[3] == 0.0
-    assert g.in_logq[1] == math.log(0.5) and g.in_logq[5] == math.log1p(-0.25)
-    assert g.in_logq[4] is None and g.in_logq[6] is None
-    assert all(g.in_logq[leaf] is None and not g.in_src[leaf] for leaf in LEAVES)
+
+    def probs(v):
+        return {p for _, p in in_edges(g, v)}
+
+    assert len(in_edges(g, 0)) >= 100 and probs(0) == {HUB_P}
+    assert probs(2) == {1.0} and probs(3) == {0.0}
+    assert probs(1) == {0.5} and probs(5) == {0.25}
+    assert len(probs(4)) > 1 and len(probs(6)) > 1
+    assert all(not in_edges(g, leaf) for leaf in LEAVES)
 
 
 def _mean_and_sigma(values):
@@ -543,9 +621,8 @@ def test_skip_plain_coverage_matches_spread_oracle():
     g = skip_graph()
     seeds = {7, 8, 4}
     want = SpreadOracle(core_graph([7, 8])).spread(seeds)
-    rng = derive_rng(501)
-    vals = [g.n * bool(seeds & sample_rr(g, rng).members) for _ in range(60_000)]
-    mean, sigma = _mean_and_sigma(vals)
+    coll = sample_rr(g, 60_000, derive_rng(501))
+    mean, sigma = _mean_and_sigma([g.n * bool(seeds & members) for members in sets_of(coll)])
     assert abs(mean - want) <= 3 * sigma
 
 
@@ -553,12 +630,8 @@ def test_skip_marginal_coverage_matches_spread_oracle():
     g = skip_graph()
     fixed, seeds = frozenset({2}), {7, 8, 6}
     want = SpreadOracle(core_graph([7, 8])).marginal_spread(seeds, fixed)
-    rng = derive_rng(502)
-    vals = []
-    for _ in range(60_000):
-        rr = sample_marginal_rr(g, fixed, rng)
-        vals.append(g.n * (not rr.empty and bool(seeds & rr.members)))
-    mean, sigma = _mean_and_sigma(vals)
+    coll = sample_marginal_rr(g, fixed, 60_000, derive_rng(502))
+    mean, sigma = _mean_and_sigma([g.n * bool(seeds & members) for members in sets_of(coll)])
     assert abs(mean - want) <= 3 * sigma
 
 
@@ -578,22 +651,17 @@ def test_skip_weighted_identity_matches_welfare_oracle():
     cand = Allocation.of((v, "sup") for v in seeds)
     want = WelfareOracle(core_graph([7, 8]), catalog).marginal(cand, base)
     utils = expected_item_utilities(catalog)
-    rng = derive_rng(503)
-    vals = []
-    for _ in range(60_000):
-        rr = sample_weighted_rr(g, base, "sup", catalog, rng, utils)
-        vals.append(g.n * rr.weight * bool(seeds & rr.members))
-    mean, sigma = _mean_and_sigma(vals)
+    coll = sample_weighted_rr(g, base, "sup", catalog, 60_000, derive_rng(503), utils)
+    mean, sigma = _mean_and_sigma(_covered_values(g, coll, seeds))
     assert abs(mean - want) <= 3 * sigma
 
 
 def test_hub_live_in_edges_are_binomial():
     g = skip_graph()
-    d = len(g.in_src[0])
-    rng = derive_rng(504)
+    d = len(in_edges(g, 0))
     draws = 50_000
     # the hub's sources are leaves with no in-edges, so the BFS ends with them
-    counts = [len(ris._reverse_bfs(g, 0, frozenset(), rng)) - 1 for _ in range(draws)]
+    counts = [len(members) - 1 for members in grow(g, [0] * draws, seed=504)]
     mean, sigma = _mean_and_sigma(counts)
     assert abs(mean - d * HUB_P) <= 3 * sigma
     p0 = (1.0 - HUB_P) ** d
@@ -601,61 +669,73 @@ def test_hub_live_in_edges_are_binomial():
     assert abs(zeros - p0) <= 3 * math.sqrt(p0 * (1.0 - p0) / draws)
 
 
-def test_certain_and_impossible_nodes_draw_no_coins():
+def test_certain_and_impossible_edges_decide_every_set():
     g = skip_graph()
-    rng = random.Random(5)
-    state = rng.getstate()
     # node 2's in-edges from 1 and 6 are certain; the level touching 1 is finished
-    assert ris._reverse_bfs(g, 2, frozenset({1}), rng) == {2, 1, 6}
-    assert ris._reverse_bfs(g, 2, frozenset({2}), rng) == {2}
-    assert ris._reverse_bfs(g, 3, frozenset(), rng) == {3}  # p = 0
-    assert ris._reverse_bfs(g, 7, frozenset(), rng) == {7}  # no in-edges
+    assert set(grow(g, [2] * 200, {1}, seed=5)) == {frozenset({2, 1, 6})}
+    assert set(grow(g, [2] * 200, {2}, seed=5)) == {frozenset({2})}
+    assert set(grow(g, [3] * 200, seed=5)) == {frozenset({3})}  # p = 0
+    assert set(grow(g, [7] * 200, seed=5)) == {frozenset({7})}  # no in-edges
     # node 0's certain in-edge from member 1 adds nothing: only 2 joins
     cycle = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
-    assert ris._reverse_bfs(cycle, 1, frozenset(), rng) == {0, 1, 2}
-    assert rng.getstate() == state
+    assert set(grow(cycle, [1] * 200, seed=5)) == {frozenset({0, 1, 2})}
 
 
-def helper_live_sources(srcs, probs, logq, members, random):
-    """The per-node helper the weighted sampler called before its reverse
-    BFS expanded nodes inline."""
-    if logq is None:
-        return [src for src, p in zip(srcs, probs) if src not in members and random() < p]
-    if logq == -math.inf:
-        return [src for src in srcs if src not in members]
-    if logq == 0.0:
-        return []
-    live, d = [], len(srcs)
-    pos = math.log(1.0 - random()) / logq
-    while pos < d:
-        i = int(pos)
-        if srcs[i] not in members:
-            live.append(srcs[i])
-        pos = i + 1 + math.log(1.0 - random()) / logq
-    return live
+def per_set_loop(graph, count, stop_nodes, rng):
+    """The batch sampler as per-set Python loops over the same draws: the
+    chunks, their roots and each level's coins in (set, in-slot) order.
+    Returns each set's members and whether it stopped at `stop_nodes`."""
+    n = graph.n
+    gen = np.random.default_rng(rng.getrandbits(64))
+    per = max(1, min(count, ris.CHUNK_SETS, ris.MARK_BYTES * 8 // n))
+    out = []
+    for done in range(0, count, per):
+        roots = gen.integers(n, size=min(per, count - done)).tolist()
+        members = [{root} for root in roots]
+        levels = [[root] for root in roots]
+        stopped = [False] * len(roots)
+        while any(levels):
+            for s, level in enumerate(levels):
+                if not stop_nodes.isdisjoint(level):
+                    stopped[s], levels[s] = True, []
+            edges = [(s, src, p) for s, level in enumerate(levels) for u in sorted(level)
+                     for src, p in in_edges(graph, u)]
+            coins = gen.random(len(edges)).tolist()
+            levels = [set() for _ in roots]
+            for (s, src, p), coin in zip(edges, coins):
+                if coin < p and src not in members[s]:
+                    levels[s].add(src)
+            for s, level in enumerate(levels):
+                members[s] |= level
+        out += zip(map(frozenset, members), stopped)
+    return out
 
 
-def helper_weighted_rr(graph, base, superior, rng, item_utils):
-    """The weighted sampler as it was: a level loop over the helper."""
-    sp_nodes = base.seed_nodes()
-    root = rng.randrange(graph.n)
-    members, level = {root}, [root]
-    while level and sp_nodes.isdisjoint(level):
-        nxt = []
-        for u in level:
-            live = helper_live_sources(
-                graph.in_src[u], graph.in_prob[u], graph.in_logq[u], members, rng.random
-            )
-            members.update(live)
-            nxt += live
-        level = nxt
-    hit = [it for node in members & sp_nodes for it in base.items_at(node)]
-    weight = item_utils[superior] - (max(item_utils[it] for it in hit) if hit else 0.0)
-    return RRSet(root, frozenset(members), weight=weight)
+@pytest.fixture(params=["skip", "cascade"])
+def sampled_graph(request):
+    """The graph with every kind of node, or a weighted-cascade one."""
+    return skip_graph() if request.param == "skip" else weighted_cascade_graph(random.Random(505))
+
+
+@pytest.mark.parametrize("mark_bytes", [ris.MARK_BYTES, 40], ids=["chunked", "tiny-mark"])
+@pytest.mark.parametrize("fixed", [frozenset(), frozenset({0, 3})], ids=["plain", "marginal"])
+def test_marginal_rr_matches_the_per_set_loop_bit_for_bit(
+    sampled_graph, fixed, mark_bytes, monkeypatch
+):
+    # a 40-byte mark holds 2 sets of the 127-node graph and 1 of the 400-node one
+    monkeypatch.setattr(ris, "MARK_BYTES", mark_bytes)
+    count = 3_000 if mark_bytes == ris.MARK_BYTES else 300
+    new_rng, old_rng = derive_rng(510), derive_rng(510)
+    coll = sample_marginal_rr(sampled_graph, fixed, count, new_rng)
+    want = per_set_loop(sampled_graph, count, fixed, old_rng)
+    assert sets_of(coll) == [frozenset() if hit else members for members, hit in want]
+    assert coll.empty == sum(hit for _, hit in want) and list(coll.weights) == [1.0] * count
+    assert new_rng.getstate() == old_rng.getstate()
 
 
 @pytest.mark.parametrize("graph_kind", ["skip", "cascade"])
 def test_weighted_rr_matches_the_helper_sampler_bit_for_bit(graph_kind):
+    # the helper is `per_set_loop` plus the weight a per-set sampler gave
     if graph_kind == "skip":
         g = skip_graph()
         base = Allocation.of([(1, "inf"), (6, "inf"), (40, "inf")])
@@ -665,11 +745,11 @@ def test_weighted_rr_matches_the_helper_sampler_bit_for_bit(graph_kind):
     catalog, _ = _skip_superior_instance()
     utils = expected_item_utilities(catalog)
     new_rng, old_rng = derive_rng(509), derive_rng(509)
-    for _ in range(5_000):
-        new = sample_weighted_rr(g, base, "sup", catalog, new_rng, utils)
-        old = helper_weighted_rr(g, base, "sup", old_rng, utils)
-        assert new == old
-    assert new_rng.getstate() == old_rng.getstate()
+    coll = sample_weighted_rr(g, base, "sup", catalog, 5_000, new_rng, utils)
+    want = per_set_loop(g, 5_000, base.seed_nodes(), old_rng)
+    assert sets_of(coll) == [members for members, _ in want]
+    assert list(coll.weights) == [_weight(members, base, "sup", utils) for members, _ in want]
+    assert new_rng.getstate() == old_rng.getstate() and coll.empty == 0
 
 
 def _ks_distance(a, b):
@@ -719,12 +799,8 @@ def test_skip_rr_sizes_match_the_per_edge_coin_sampler(graph_kind, fixed):
     g = skip_graph() if graph_kind == "skip" else weighted_cascade_graph(random.Random(505))
     new_rng, old_rng = derive_rng(506, "new"), derive_rng(506, "old")
     draws = 20_000
-
-    def size(rr):
-        return 0 if rr.empty else len(rr.members)
-
-    new = [size(sample_marginal_rr(g, fixed, new_rng)) for _ in range(draws)]
-    old = [size(per_edge_coin_rr(g, fixed, old_rng)) for _ in range(draws)]
+    new = [len(members) for members in sets_of(sample_marginal_rr(g, fixed, draws, new_rng))]
+    old = [len(per_edge_coin_rr(g, fixed, old_rng).members) for _ in range(draws)]
     _same_size_distribution(new, old)
 
 
@@ -735,7 +811,7 @@ def test_skip_weighted_rr_sizes_and_weights_match_the_per_edge_coin_sampler():
     utils = expected_item_utilities(catalog)
     new_rng, old_rng = derive_rng(508, "new"), derive_rng(508, "old")
     draws = 20_000
-    new = [sample_weighted_rr(g, base, "sup", catalog, new_rng, utils) for _ in range(draws)]
+    new = ref_sets(sample_weighted_rr(g, base, "sup", catalog, draws, new_rng, utils))
     old = [per_edge_coin_weighted_rr(g, base, "sup", old_rng, utils) for _ in range(draws)]
     _same_size_distribution([len(rr.members) for rr in new], [len(rr.members) for rr in old])
     new_w, new_s = _mean_and_sigma([rr.weight for rr in new])

@@ -291,14 +291,15 @@ def _two_search_prima_plus(graph, eps, ell, fixed_seeds, budgets, b_max, rng):
     epsp, ellp = params.eps_prime, params.ell_prime
     coll = RRCollection(n)
     s_idx, i, lb = 0, 1, 1.0
-    budget_switch, prev_order, theta_k = False, None, None
+    budget_switch, prev_order, theta_k, top_up = False, None, None, 0
     while i <= math.log2(n) - 1.0 + 1e-12 and s_idx < len(budgets):
         k = budgets[s_idx]
         lb = 1.0
         x = n / 2.0**i
         theta_i = math.ceil(lambda_prime(n, k, epsp, ellp, math.log2(n)) / x)
-        while len(coll) < theta_i:
-            coll.add(sample_marginal_rr(graph, fixed, rng))
+        theta_i = max(theta_i, top_up)
+        if len(coll) < theta_i:
+            coll.extend(sample_marginal_rr(graph, fixed, theta_i - len(coll), rng))
         if budget_switch and prev_order is not None:
             order = prev_order
         else:
@@ -309,18 +310,15 @@ def _two_search_prima_plus(graph, eps, ell, fixed_seeds, budgets, b_max, rng):
             lb = estimate / (1.0 + epsp)
             theta_k = math.ceil(lambda_star(n, k, eps, ellp) / lb)
             s_idx += 1
-            if s_idx < len(budgets):
-                while len(coll) < theta_k:
-                    coll.add(sample_marginal_rr(graph, fixed, rng))
+            # the top-up to theta_k joins the next growth step's one batch
+            top_up = theta_k
             budget_switch = True
         else:
             i += 1
             budget_switch = False
     if s_idx < len(budgets):
         theta_k = math.ceil(lambda_star(n, budgets[s_idx], eps, ellp) / lb)
-    fresh = RRCollection(n)
-    while len(fresh) < theta_k:
-        fresh.add(sample_marginal_rr(graph, fixed, rng))
+    fresh = sample_marginal_rr(graph, fixed, theta_k, rng)
     return node_selection_count(fresh, b_max, excluded=fixed)[0]
 
 
@@ -339,8 +337,11 @@ def _two_search_supgrd_sampling(graph, catalog, base, superior, b_prime, eps, el
     i_max = math.log2(ub) - 1.0 if ub > 1.0 else 0.0
     while i <= i_max + 1e-12:
         x = ub / 2.0**i
-        while len(coll) < math.ceil(lam_prime / x):
-            coll.add(sample_weighted_rr(graph, base, superior, catalog, rng, item_utils))
+        theta_i = math.ceil(lam_prime / x)
+        if len(coll) < theta_i:
+            coll.extend(
+                sample_weighted_rr(graph, base, superior, catalog, theta_i - len(coll), rng, item_utils)
+            )
         _, totals = node_selection_weighted(coll, b_prime)
         estimate = n * totals[-1] / len(coll)
         if estimate >= (1.0 + epsp) * x:
@@ -348,10 +349,7 @@ def _two_search_supgrd_sampling(graph, catalog, base, superior, b_prime, eps, el
             break
         i += 1
     theta = math.ceil(lambda_star(n, b_prime, eps, ell_hat) / lb)
-    fresh = RRCollection(n)
-    while len(fresh) < theta:
-        fresh.add(sample_weighted_rr(graph, base, superior, catalog, rng, item_utils))
-    return fresh
+    return sample_weighted_rr(graph, base, superior, catalog, theta, rng, item_utils)
 
 
 def _prima_case(case: int):
@@ -398,29 +396,22 @@ def test_supgrd_sampling_shared_search_matches_its_own_search(case):
 def test_prima_plus_draws_nothing_after_the_last_budget_certifies(monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(1)
-        return sample_marginal_rr(*args)
+    def counting(graph, fixed, count, rng):
+        calls.append(count)
+        return sample_marginal_rr(graph, fixed, count, rng)
 
     monkeypatch.setattr(selectors, "sample_marginal_rr", counting)
     path6 = graph_from("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n")
     prima_plus(path6, 0.5, 1.0, frozenset(), [1, 2, 3], 3, derive_rng(0))
     # 159 search sets and 163 fresh ones; topping the search up to the last
     # certified size drew 4 more that nothing read
-    assert len(calls) == 159 + 163
+    assert sum(calls) == 159 + 163
 
 
 @pytest.mark.parametrize("selector", ["prima_plus", "supgrd_sampling"])
 def test_final_line_announces_the_fresh_collection_before_drawing_it(monkeypatch, selector):
     events = []
-    for name in ("sample_marginal_rr", "sample_weighted_rr"):
-        real = getattr(selectors, name)
-
-        def recording(*args, real=real):
-            events.append("sample")
-            return real(*args)
-
-        monkeypatch.setattr(selectors, name, recording)
+    _recording_samplers(monkeypatch, events)
     if selector == "prima_plus":
         path6 = graph_from("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n")
         prima_plus(path6, 0.5, 1.0, frozenset(), [1, 2, 3], 3, derive_rng(0), events.append)
@@ -430,20 +421,27 @@ def test_final_line_announces_the_fresh_collection_before_drawing_it(monkeypatch
     final = [k for k, ev in enumerate(events) if ev.startswith("phase=final")]
     assert len(final) == 1
     theta = int(dict(kv.split("=") for kv in events[final[0]].split())["theta"])
-    # every event after the line is a draw of the fresh collection, theta in all
-    assert events[final[0] + 1 :] == ["sample"] * theta
-    assert "sample" in events[: final[0]]
+    # the one event after the line is the draw of the fresh collection
+    assert events[final[0] + 1 :] == [f"sample {theta}"]
+    assert _drawn(events[: final[0]]) > 0
 
 
 def _recording_samplers(monkeypatch, events):
+    """Record each sampler call as "sample <sets drawn>" in `events`."""
     for name in ("sample_marginal_rr", "sample_weighted_rr"):
         real = getattr(selectors, name)
 
         def recording(*args, real=real):
-            events.append("sample")
-            return real(*args)
+            coll = real(*args)
+            events.append(f"sample {len(coll)}")
+            return coll
 
         monkeypatch.setattr(selectors, name, recording)
+
+
+def _drawn(events) -> int:
+    """Sets drawn by the sampler calls recorded in `events`."""
+    return sum(int(ev.split()[1]) for ev in events if ev.startswith("sample "))
 
 
 @pytest.mark.parametrize("selector", ["prima_plus", "supgrd_sampling"])
@@ -469,5 +467,5 @@ def test_final_plan_over_the_rr_set_cap_raises_before_drawing_it(monkeypatch):
     path6 = graph_from("0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n")
     with pytest.raises(RRLimitError, match="planned 163 RR sets, cap is 160"):
         prima_plus(path6, 0.5, 1.0, frozenset(), [1, 2, 3], 3, derive_rng(0), events.append)
-    assert events.count("sample") == 159
+    assert _drawn(events) == 159
     assert events[-1].startswith("phase=final") and "theta=163" in events[-1]
