@@ -20,12 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from welfaremax.diffusion import (
-    Allocation,
-    estimate_marginal_welfare,
-    estimate_marginal_welfares,
-    estimate_welfare,
-)
+from welfaremax.diffusion import Allocation, estimate_marginal_welfare, estimate_marginal_welfares
 from welfaremax.graph import Graph
 from welfaremax.ris import node_selection_weighted
 from welfaremax.rng import derive_rng, derive_seed
@@ -131,8 +126,9 @@ def seqgrd(
     are deferred; deferred items consume the remaining seeds afterward in
     the same order, so budgets are always exhausted. Every check runs on
     the same worlds, so a step's base runs are the previous step's runs
-    with its block if kept, without it if deferred: (T + 1) * mc_samples
-    simulations for T items.
+    with its block if kept, without it if deferred. T items take
+    (T + 1) * mc_samples world diffusions, in T + 1 `simulate` calls per
+    chunk of worlds.
     """
     emit = trace or (lambda line: None)
     items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
@@ -252,8 +248,9 @@ def max_seq(
 ) -> Allocation:
     """Run seqgrd and maxgrd from scratch and keep the better allocation.
 
-    Only valid with an empty base. Welfares are estimated on common
-    random worlds so the comparison cannot flip-flop on noise.
+    Only valid with an empty base. Both welfares are estimated in one pass
+    over common random worlds, so the comparison cannot flip-flop on
+    noise; over the empty base, a marginal welfare is the welfare itself.
     """
     if base:
         raise AllocatorError("needs an empty base allocation")
@@ -261,8 +258,9 @@ def max_seq(
     seq_alloc = seqgrd(graph, catalog, base, items, budgets, config, trace)
     max_alloc = maxgrd(graph, catalog, base, items, budgets, config, trace)
     eval_seed = derive_seed(config.seed, "max-seq-eval")
-    seq_w = estimate_welfare(graph, catalog, seq_alloc, config.mc_samples, eval_seed).mean
-    max_w = estimate_welfare(graph, catalog, max_alloc, config.mc_samples, eval_seed).mean
+    (seq_w, _), (max_w, _) = estimate_marginal_welfares(
+        graph, catalog, [seq_alloc, max_alloc], base, config.mc_samples, eval_seed
+    )
     emit(f"phase=compare seq={seq_w:.6g} max={max_w:.6g}")
     return max_alloc if max_w > seq_w else seq_alloc
 

@@ -6,23 +6,30 @@ from t>=2, any node whose adoption changed last round tests its untested
 out-edges once, live edges carry the full adoption set into the target's
 desire set, and targets whose desire grew re-decide by argmax over
 supersets of their current adoption with non-negative utility.
+
+`simulate` runs one allocation in a batch of possible worlds at once, on
+numpy arrays over (world, node) keys and the graph's out-CSR. The
+estimators draw their worlds a chunk at a time (`chunk_worlds`) and run
+every allocation of an estimate on a chunk before drawing the next.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, NamedTuple, Optional
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from welfaremax.graph import Graph
+from welfaremax.graph import Graph, csr_slots
 from welfaremax.rng import derive_rng
 from welfaremax.utility import ItemCatalog, NoiseWorld
 
 MAX_SIM_ITEMS = 10  # the adoption argmax enumerates 2^|desire| subsets
+_MASKS = (1 << MAX_SIM_ITEMS) - 1  # the bits of one item mask
+CHUNK_CELLS = 1 << 23  # most world x max(node, edge) cells in one chunk of worlds
 
 
 class DiffusionError(ValueError):
@@ -72,21 +79,20 @@ class PossibleWorld:
     """One joint sample of noise values and edge liveness.
 
     ``live[eid]`` is 1 when edge ``eid`` of the graph the world was drawn
-    for is live, else 0. A sampled world draws its noise first, then one
-    uniform per edge in edge-id order, exactly as ``rng.random()`` would,
-    and marks an edge live when its uniform is below its probability.
-    Replaying one world under different allocations tests identical
-    edges, and diffusion within a world is fully deterministic. Each
-    node's live out-neighbours are cached on the world the first time a
-    diffusion reaches the node, so a world serves one graph only.
+    for is live, else 0, so a world serves one graph only. A sampled world
+    draws its noise first, then one uniform per edge in edge-id order,
+    exactly as ``rng.random()`` would, and marks an edge live when its
+    uniform is below its probability. Replaying one world under different
+    allocations tests identical edges, and diffusion within a world is
+    fully deterministic. `simulate` reads the flags of a batch of worlds
+    as one stacked byte array and caches nothing on the worlds.
     """
 
-    __slots__ = ("noise", "live", "_live_out")
+    __slots__ = ("noise", "live")
 
     def __init__(self, noise: NoiseWorld, live: bytes):
         self.noise = noise
         self.live = live
-        self._live_out: dict[int, list[int]] = {}
 
     @classmethod
     def sample(cls, graph: Graph, catalog: ItemCatalog, rng) -> "PossibleWorld":
@@ -112,12 +118,47 @@ def _edge_flags(probs: np.ndarray, rng) -> bytes:
     return (uniforms < probs).tobytes()
 
 
+class Adoption(Mapping):
+    """``(world, node) -> items`` for every non-empty final adoption of a
+    batch, in ascending (world, node) order. The pairs are kept as flat
+    ``world * n + node`` keys with item masks; len() reads the keys, and the
+    dict is built on the first lookup."""
+
+    def __init__(self, catalog: ItemCatalog, n: int, keys: np.ndarray, masks: np.ndarray):
+        self._catalog, self._n, self._keys, self._masks = catalog, n, keys, masks
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @cached_property
+    def _pairs(self) -> dict[tuple[int, int], frozenset[str]]:
+        owner, nodes = np.divmod(self._keys, self._n)
+        masks = self._masks.tolist()
+        bundles = {mask: frozenset(self._catalog.itemset(mask)) for mask in set(masks)}
+        return dict(zip(zip(owner.tolist(), nodes.tolist()), map(bundles.__getitem__, masks)))
+
+    def __getitem__(self, key: tuple[int, int]) -> frozenset[str]:
+        return self._pairs[key]
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __repr__(self) -> str:
+        return f"Adoption({self._pairs!r})"
+
+
 @dataclass(frozen=True)
 class DiffusionResult:
-    adoption: dict[int, frozenset[str]]  # nodes with non-empty final adoption
-    welfare: float
-    item_counts: dict[str, int]
-    rounds: int
+    """One allocation's diffusion in each world of a batch, worlds in batch
+    order: world w's ``welfare[w]``, ``rounds[w]`` and, per item,
+    ``item_counts[item][w]`` adopters. ``adoption`` maps ``(w, node)`` to
+    the node's final adoption in world w, for every non-empty one, so its
+    len() counts the adopters of the whole batch."""
+
+    adoption: Adoption
+    welfare: list[float]
+    item_counts: dict[str, list[int]]
+    rounds: list[int]
 
 
 def _best_feasible(desire: int, current: int, util) -> int:
@@ -146,27 +187,14 @@ def _best_feasible(desire: int, current: int, util) -> int:
     return best_mask
 
 
-def simulate(
-    graph: Graph,
-    catalog: ItemCatalog,
-    allocation: Allocation,
-    world: PossibleWorld,
-) -> DiffusionResult:
-    """Run one deterministic diffusion in the given possible world.
-
-    State is kept only for the nodes the diffusion reaches.
-    """
-    if catalog.m > MAX_SIM_ITEMS:
-        raise DiffusionError(f"simulator enumerates itemsets; m <= {MAX_SIM_ITEMS} required")
-    n = graph.n
-    noise = world.noise.values
+def _utility(catalog: ItemCatalog, noise: tuple[float, ...]):
+    """The utility of an item mask under one noise vector, memoised."""
     base = catalog.value  # completed valuation per mask
     price = catalog.item_prices
-
-    util_cache: dict[int, float] = {0: 0.0}
+    cache: dict[int, float] = {0: 0.0}
 
     def util(mask: int) -> float:
-        got = util_cache.get(mask)
+        got = cache.get(mask)
         if got is None:
             total = base(mask)
             mm = mask
@@ -175,84 +203,148 @@ def simulate(
                 i = low.bit_length() - 1
                 total += noise[i] - price[i]
                 mm ^= low
-            util_cache[mask] = got = total
+            cache[mask] = got = total
         return got
 
-    choice_cache: dict[int, int] = {}
+    return util
 
-    def choose(desired: int, current: int) -> int:
-        key = desired << MAX_SIM_ITEMS | current
-        got = choice_cache.get(key)
+
+def _each_distinct(keys: np.ndarray, fn, memo: dict, dtype) -> np.ndarray:
+    """``fn(key)`` for each of the int64 `keys`, calling `fn` once per
+    distinct key not yet in `memo`, which keeps what it returns."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = []
+    for key in distinct.tolist():
+        got = memo.get(key)
         if got is None:
-            choice_cache[key] = got = _best_feasible(desired, current, util)
-        return got
+            memo[key] = got = fn(key)
+        values.append(got)
+    return np.array(values, dtype=dtype)[inverse]
 
-    desire: dict[int, int] = {}
-    adopt: dict[int, int] = {}  # only non-empty adoptions
 
+def chunk_worlds(graph: Graph) -> int:
+    """The most worlds one chunk holds: `CHUNK_CELLS` over the larger of
+    the graph's node and edge counts, and at least one."""
+    return max(1, CHUNK_CELLS // max(graph.n, graph.m, 1))
+
+
+def _spread(graph: Graph, worlds: Sequence[PossibleWorld], seeds: dict[int, int], choose):
+    """The rounds of `simulate`: the final adoption mask at each
+    ``w * n + node`` key, and each world's round count. `seeds` maps each
+    seed node to its items' mask, and ``choose(keys, desired, current)``
+    gives the new adoption at each key."""
+    n, m, count = graph.n, graph.m, len(worlds)
+    desire = np.zeros(count * n, dtype=np.uint16)
+    adopt = np.zeros(count * n, dtype=np.uint16)
+    seed_nodes = np.array(sorted(seeds), dtype=np.int64)
+    frontier = (np.arange(count, dtype=np.int64)[:, None] * n + seed_nodes).ravel()
+    desire[frontier] = np.tile(np.array([seeds[v] for v in sorted(seeds)], np.uint16), count)
+    adopt[frontier] = choose(frontier, desire[frontier], adopt[frontier])
+    frontier = frontier[adopt[frontier] != 0]
+    rounds = np.zeros(count, dtype=np.int64)
+    live = np.frombuffer(b"".join(world.live for world in worlds), dtype=bool)
+    out_ptr, out_dst, out_eid = graph.out_ptr, graph.out_dst, graph.out_eid
+    round_no = 0
+    while len(frontier):
+        round_no += 1
+        owner, nodes = np.divmod(frontier, n)
+        rounds[owner] = round_no  # a world is done once its frontier is empty
+        slots, degrees = csr_slots(out_ptr, nodes)  # the frontier's out-slots, node after node
+        owner = np.repeat(owner, degrees)
+        live_slots = live[owner * m + out_eid[slots]]
+        targets = owner[live_slots] * n + out_dst[slots[live_slots]]
+        gains = np.repeat(adopt[frontier], degrees)[live_slots] & ~desire[targets]
+        # sort the (target, gain) pairs packed in one key, then OR each target's gains
+        heard = gains != 0
+        packed = np.sort(targets[heard] << MAX_SIM_ITEMS | gains[heard])
+        targets = packed >> MAX_SIM_ITEMS
+        firsts = np.flatnonzero(np.diff(targets, prepend=-1))
+        targets = targets[firsts]
+        gained = np.bitwise_or.reduceat(packed & _MASKS, firsts).astype(np.uint16)
+        desired = desire[targets] | gained
+        desire[targets] = desired
+        current = adopt[targets]
+        chosen = choose(targets, desired, current)
+        changed = chosen != current
+        frontier = targets[changed]
+        adopt[frontier] = chosen[changed]
+    return adopt, rounds
+
+
+def simulate(
+    graph: Graph,
+    catalog: ItemCatalog,
+    allocation: Allocation,
+    worlds: Sequence[PossibleWorld],
+) -> DiffusionResult:
+    """Run one deterministic diffusion of `allocation` in each of `worlds`.
+
+    The worlds run together, their state flat over keys ``w * n + node``:
+    desire and adoption masks, and the worlds' live flags stacked as
+    ``w * m + eid``. Each round expands the frontier's out-slots, keeps
+    the live ones, ORs together the items each target newly hears of, and
+    lets those targets re-decide. A decision depends only on the world's
+    noise vector, the desire and the current adoption, and is made once
+    per distinct triple. Callers keep ``len(worlds) * max(n, m)`` within
+    `CHUNK_CELLS` (`chunk_worlds`).
+    """
+    if catalog.m > MAX_SIM_ITEMS:
+        raise DiffusionError(f"simulator enumerates itemsets; m <= {MAX_SIM_ITEMS} required")
+    n, count = graph.n, len(worlds)
+    seeds: dict[int, int] = {}
     for node, item in allocation.pairs:
         if not 0 <= node < n:
             raise DiffusionError(f"seed node {node} outside graph")
         if item not in catalog.index:
             raise DiffusionError(f"unknown item {item!r} in allocation")
-        desire[node] = desire.get(node, 0) | 1 << catalog.index[item]
+        seeds[node] = seeds.get(node, 0) | 1 << catalog.index[item]
 
-    frontier: list[int] = []
-    for node in sorted(desire):
-        chosen = choose(desire[node], 0)
-        if chosen:
-            adopt[node] = chosen
-            frontier.append(node)
-    rounds = 1 if frontier else 0
+    noise_ids: dict[bytes, int] = {}  # each distinct noise vector, bit for bit -> its id
+    utils = []  # per noise id, the memoised utility of a mask
+    noise_of = np.empty(count, dtype=np.int64)
+    for w, world in enumerate(worlds):
+        key = np.array(world.noise.values, dtype=np.float64).tobytes()
+        if key not in noise_ids:
+            noise_ids[key] = len(utils)
+            utils.append(_utility(catalog, world.noise.values))
+        noise_of[w] = noise_ids[key]
+    choices: dict[int, int] = {}  # (noise id, desire, current) triple -> new adoption
 
-    live = world.live
-    live_out = world._live_out
-    out_dst, out_eid = graph.out_dst, graph.out_eid
-    while frontier:
-        gained: dict[int, int] = {}
-        for u in frontier:
-            targets = live_out.get(u)
-            if targets is None:
-                flags = map(live.__getitem__, out_eid[u])
-                targets = live_out[u] = list(compress(out_dst[u], flags))
-            au = adopt[u]
-            for v in targets:
-                new = au & ~desire.get(v, 0)
-                if new:
-                    gained[v] = gained.get(v, 0) | new
-        next_frontier = []
-        for v in sorted(gained):
-            desired = desire[v] = desire.get(v, 0) | gained[v]
-            current = adopt.get(v, 0)
-            chosen = choose(desired, current)
-            if chosen != current:
-                adopt[v] = chosen
-                next_frontier.append(v)
-        if next_frontier:
-            rounds += 1
-        frontier = next_frontier
+    def decide(triple: int) -> int:
+        desired, current = triple >> MAX_SIM_ITEMS & _MASKS, triple & _MASKS
+        return _best_feasible(desired, current, utils[triple >> 2 * MAX_SIM_ITEMS])
 
-    tally = Counter(adopt.values())
-    bundles = {mask: frozenset(catalog.itemset(mask)) for mask in tally}
-    counts = {item: 0 for item in catalog.items}
-    for mask, k in tally.items():
-        for item in bundles[mask]:
-            counts[item] += k
-    adopters = sorted(adopt)
-    adoption = {v: bundles[adopt[v]] for v in adopters}
-    return DiffusionResult(adoption, math.fsum(util(adopt[v]) for v in adopters), counts, rounds)
+    def choose(keys: np.ndarray, desired: np.ndarray, current: np.ndarray) -> np.ndarray:
+        triples = (
+            noise_of[keys // n] << 2 * MAX_SIM_ITEMS
+            | desired.astype(np.int64) << MAX_SIM_ITEMS
+            | current
+        )
+        return _each_distinct(triples, decide, choices, np.uint16)
+
+    adopt, rounds = _spread(graph, worlds, seeds, choose)
+    adopters = np.flatnonzero(adopt)
+    masks = adopt[adopters]
+    owner = adopters // n
+    values = _each_distinct(
+        noise_of[owner] << MAX_SIM_ITEMS | masks,
+        lambda pair: utils[pair >> MAX_SIM_ITEMS](pair & _MASKS),
+        {},
+        np.float64,
+    )
+    bounds = np.searchsorted(adopters, np.arange(count + 1) * n).tolist()
+    welfare = [math.fsum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    counts = {
+        item: np.bincount(owner[masks >> i & 1 != 0], minlength=count).tolist()
+        for i, item in enumerate(catalog.items)
+    }
+    return DiffusionResult(Adoption(catalog, n, adopters, masks), welfare, counts, rounds.tolist())
 
 
 class WelfareEstimate(NamedTuple):
     mean: float
     stderr: float
     item_means: dict[str, float]
-
-
-def _worlds(graph: Graph, catalog: ItemCatalog, samples: int, seed: int):
-    """The possible worlds of one estimate: one RNG stream per sample index."""
-    for idx in range(samples):
-        yield PossibleWorld.sample(graph, catalog, derive_rng(seed, idx))
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
@@ -264,6 +356,42 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / k)
 
 
+def _runs(
+    graph: Graph, catalog: ItemCatalog, allocations: list[Allocation], samples: int, seed: int
+) -> list[tuple[list[float], dict[str, int]]]:
+    """Per allocation, its welfare in each of the `samples` worlds of `seed`
+    and its adopters of each item over all of them.
+
+    World ``idx`` is drawn from its own stream, ``derive_rng(seed, idx)``,
+    a chunk of `chunk_worlds` at a time, and every allocation runs on a
+    chunk before the next is drawn.
+    """
+    if samples < 1:
+        raise DiffusionError("samples must be >= 1")
+    runs = [([], dict.fromkeys(catalog.items, 0)) for _ in allocations]
+    per = chunk_worlds(graph)
+    for start in range(0, samples, per):
+        worlds = [
+            PossibleWorld.sample(graph, catalog, derive_rng(seed, idx))
+            for idx in range(start, min(start + per, samples))
+        ]
+        for allocation, (welfare, totals) in zip(allocations, runs):
+            result = simulate(graph, catalog, allocation, worlds)
+            welfare.extend(result.welfare)
+            for item, counts in result.item_counts.items():
+                totals[item] += sum(counts)
+    return runs
+
+
+def _merged(candidates: list[Allocation], base: Allocation) -> list[Allocation]:
+    """Each candidate merged with `base`, which it must not overlap."""
+    for candidate in candidates:
+        overlap = candidate.pairs & base.pairs
+        if overlap:
+            raise DiffusionError(f"candidate overlaps base allocation: {sorted(overlap)}")
+    return [candidate.merged(base) for candidate in candidates]
+
+
 def estimate_welfare(
     graph: Graph,
     catalog: ItemCatalog,
@@ -272,15 +400,7 @@ def estimate_welfare(
     seed: int,
 ) -> WelfareEstimate:
     """Monte Carlo mean welfare with standard error and per-item adoption means."""
-    if samples < 1:
-        raise DiffusionError("samples must be >= 1")
-    welfares = []
-    totals = {item: 0 for item in catalog.items}
-    for world in _worlds(graph, catalog, samples, seed):
-        result = simulate(graph, catalog, allocation, world)
-        welfares.append(result.welfare)
-        for item, count in result.item_counts.items():
-            totals[item] += count
+    ((welfares, totals),) = _runs(graph, catalog, [allocation], samples, seed)
     mean, stderr = _mean_stderr(welfares)
     return WelfareEstimate(mean, stderr, {item: t / samples for item, t in totals.items()})
 
@@ -304,11 +424,16 @@ def estimate_marginal_welfare(
     runs. With `runs`, returns ``(mean, stderr, with_runs, without_runs)``,
     the per-world welfares with and without the candidate.
     """
-    base_runs, (with_runs,) = _marginal_runs(
-        graph, catalog, [candidate], base, samples, seed, without
-    )
-    mean, stderr = _mean_stderr([w - b for w, b in zip(with_runs, base_runs)])
-    return (mean, stderr, with_runs, base_runs) if runs else (mean, stderr)
+    if without is not None and len(without) != samples:
+        raise DiffusionError(f"{len(without)} base runs given for {samples} samples")
+    allocations = _merged([candidate], base)
+    if without is None:
+        (without, _), (with_runs, _) = _runs(graph, catalog, [base, *allocations], samples, seed)
+    else:
+        without = list(without)
+        ((with_runs, _),) = _runs(graph, catalog, allocations, samples, seed)
+    mean, stderr = _mean_stderr([w - b for w, b in zip(with_runs, without)])
+    return (mean, stderr, with_runs, without) if runs else (mean, stderr)
 
 
 def estimate_marginal_welfares(
@@ -322,31 +447,9 @@ def estimate_marginal_welfares(
     """`estimate_marginal_welfare` of each candidate over the same worlds.
 
     Each world's base run is shared by every candidate, so the estimates
-    take (len(candidates) + 1) * samples simulations and equal what
+    take (len(candidates) + 1) * samples world simulations and equal what
     separate calls with this seed return.
     """
-    base_runs, with_runs = _marginal_runs(graph, catalog, candidates, base, samples, seed)
-    return [_mean_stderr([w - b for w, b in zip(runs, base_runs)]) for runs in with_runs]
-
-
-def _marginal_runs(graph, catalog, candidates, base, samples, seed, without=None):
-    """The base's welfare per world (`without`, if given) and each
-    candidate's merged with the base, base run first in each world."""
-    if samples < 1:
-        raise DiffusionError("samples must be >= 1")
-    if without is not None and len(without) != samples:
-        raise DiffusionError(f"{len(without)} base runs given for {samples} samples")
-    combined = []
-    for candidate in candidates:
-        overlap = candidate.pairs & base.pairs
-        if overlap:
-            raise DiffusionError(f"candidate overlaps base allocation: {sorted(overlap)}")
-        combined.append(candidate.merged(base))
-    base_runs = [] if without is None else list(without)
-    with_runs: list[list[float]] = [[] for _ in candidates]
-    for world in _worlds(graph, catalog, samples, seed):
-        if without is None:
-            base_runs.append(simulate(graph, catalog, base, world).welfare)
-        for alloc, out in zip(combined, with_runs):
-            out.append(simulate(graph, catalog, alloc, world).welfare)
-    return base_runs, with_runs
+    allocations = [base, *_merged(candidates, base)]
+    (base_runs, _), *with_runs = _runs(graph, catalog, allocations, samples, seed)
+    return [_mean_stderr([w - b for w, b in zip(runs, base_runs)]) for runs, _ in with_runs]

@@ -3,11 +3,13 @@
 The graph is immutable after construction. Node ids are dense integers in
 [0, n); edge probabilities live in [0, 1]. Edges are numbered in input
 order, and ``src``, ``dst`` and ``probs`` are numpy arrays indexed by edge
-id. The in-edges are kept as CSR arrays for the batched RR samplers:
-v's in-slots are ``in_ptr[v]:in_ptr[v + 1]``, in edge-id order, holding
-sources ``in_src`` and probabilities ``in_prob``. Diffusion's Python loop
-reads per-node tuples sliced from the out-edge grouping, ``out_dst[u]``
-and ``out_eid[u]``. No per-edge tuple is built on the load path.
+id. Both adjacencies are read-only CSR arrays, each node's slots in
+edge-id order. The batched RR samplers walk the in-edges: v's in-slots
+are ``in_ptr[v]:in_ptr[v + 1]``, holding sources ``in_src`` and
+probabilities ``in_prob``. The batched diffusion walks the out-edges:
+u's out-slots are ``out_ptr[u]:out_ptr[u + 1]``, holding targets
+``out_dst`` and edge ids ``out_eid``. No per-node or per-edge Python
+object is built on the load path.
 
 Edge-list text format: one "src dst prob" per line, '#'-prefixed comment
 lines skipped. `load_edge_list` parses with ``np.loadtxt`` and checks the
@@ -45,9 +47,12 @@ def csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ptr, np.argsort(keys, kind="stable")
 
 
-def _per_node(ptr: list[int], values: np.ndarray) -> tuple[tuple, ...]:
-    flat = tuple(values.tolist())
-    return tuple(flat[a:b] for a, b in zip(ptr, ptr[1:]))
+def csr_slots(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of CSR `rows`, row after row, each row's ``ptr[r]:ptr[r + 1]``
+    in ascending order, and each row's length."""
+    starts = ptr[rows]
+    sizes = ptr[rows + 1] - starts
+    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes), sizes
 
 
 class Graph:
@@ -58,8 +63,8 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "src", "dst", "probs", "in_ptr", "in_src", "in_prob", "out_dst", "out_eid",
-        "__weakref__",
+        "n", "src", "dst", "probs", "in_ptr", "in_src", "in_prob", "out_ptr", "out_dst",
+        "out_eid", "__weakref__",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
@@ -80,13 +85,12 @@ class Graph:
     def _build(self, n: int, src: np.ndarray, dst: np.ndarray, probs: np.ndarray) -> None:
         in_ptr, in_eids = csr(n, dst)
         out_ptr, out_eids = csr(n, src)
-        self.in_ptr, self.in_src, self.in_prob = in_ptr, src[in_eids], probs[in_eids]
-        for arr in (src, dst, probs, self.in_ptr, self.in_src, self.in_prob):
-            arr.flags.writeable = False
         self.n, self.src, self.dst, self.probs = n, src, dst, probs
-        out_ptr = out_ptr.tolist()
-        self.out_dst = _per_node(out_ptr, dst[out_eids])
-        self.out_eid = _per_node(out_ptr, out_eids)
+        self.in_ptr, self.in_src, self.in_prob = in_ptr, src[in_eids], probs[in_eids]
+        self.out_ptr, self.out_dst, self.out_eid = out_ptr, dst[out_eids], out_eids
+        for arr in (src, dst, probs, in_ptr, self.in_src, self.in_prob, out_ptr, self.out_dst,
+                    out_eids):
+            arr.flags.writeable = False
 
     @property
     def m(self) -> int:

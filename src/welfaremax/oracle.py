@@ -12,7 +12,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from welfaremax.diffusion import Allocation, PossibleWorld, simulate
+from welfaremax.diffusion import (
+    Allocation,
+    DiffusionResult,
+    PossibleWorld,
+    chunk_worlds,
+    simulate,
+)
 from welfaremax.graph import Graph
 from welfaremax.utility import ItemCatalog, NoiseWorld, finite_supports, joint_outcomes
 
@@ -61,32 +67,44 @@ def _noise_worlds(catalog: ItemCatalog, limits: OracleLimits):
 
 
 class WelfareOracle:
-    """Caches the world enumeration so many allocations can be scored cheaply."""
+    """Caches the world enumeration so many allocations can be scored cheaply.
+
+    World k has probability ``probs[k]``; an allocation runs on the worlds
+    a chunk of `chunk_worlds` per `simulate` call."""
 
     def __init__(self, graph: Graph, catalog: ItemCatalog, limits: OracleLimits = DEFAULT_LIMITS):
         self.graph = graph
         self.catalog = catalog
-        self.worlds = [
-            (pe * pn, PossibleWorld.fixed(flags, noise))
-            for pe, flags in _edge_worlds(graph, limits)
-            for pn, noise in _noise_worlds(catalog, limits)
+        self.probs: list[float] = []
+        self.worlds: list[PossibleWorld] = []
+        for pe, flags in _edge_worlds(graph, limits):
+            for pn, noise in _noise_worlds(catalog, limits):
+                self.probs.append(pe * pn)
+                self.worlds.append(PossibleWorld.fixed(flags, noise))
+
+    def _results(self, allocation: Allocation) -> list[DiffusionResult]:
+        per = chunk_worlds(self.graph)
+        return [
+            simulate(self.graph, self.catalog, allocation, self.worlds[start : start + per])
+            for start in range(0, len(self.worlds), per)
         ]
 
     def welfare(self, allocation: Allocation) -> float:
-        return math.fsum(
-            p * simulate(self.graph, self.catalog, allocation, world).welfare
-            for p, world in self.worlds
-        )
+        welfares = itertools.chain.from_iterable(r.welfare for r in self._results(allocation))
+        return math.fsum(p * w for p, w in zip(self.probs, welfares))
 
     def marginal(self, candidate: Allocation, base: Allocation) -> float:
         return self.welfare(candidate.merged(base)) - self.welfare(base)
 
     def item_adoption_means(self, allocation: Allocation) -> dict[str, float]:
-        totals = {item: 0.0 for item in self.catalog.items}
-        for p, world in self.worlds:
-            counts = simulate(self.graph, self.catalog, allocation, world).item_counts
-            for item, c in counts.items():
-                totals[item] += p * c
+        results = self._results(allocation)
+        totals = {}
+        for item in self.catalog.items:
+            counts = itertools.chain.from_iterable(r.item_counts[item] for r in results)
+            total = 0.0
+            for p, c in zip(self.probs, counts):
+                total += p * c  # in world order
+            totals[item] = total
         return totals
 
 

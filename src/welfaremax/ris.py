@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from welfaremax.diffusion import Allocation
-from welfaremax.graph import Graph, csr
+from welfaremax.graph import Graph, csr, csr_slots
 from welfaremax.utility import ItemCatalog
 
 MARK_BYTES = 1 << 22  # most bytes of one chunk's (set, node) mark
@@ -106,10 +106,7 @@ def _bfs(graph: Graph, roots: np.ndarray, stop: np.ndarray, gen, mark: np.ndarra
             stopped[sets[touched]] = True
             going = ~stopped[sets]
             sets, nodes = sets[going], nodes[going]
-        starts = in_ptr[nodes]
-        degrees = in_ptr[nodes + 1] - starts
-        # the in-slots of the frontier, node after node: the greedy's slot trick
-        slots = np.arange(degrees.sum()) + np.repeat(starts - np.cumsum(degrees) + degrees, degrees)
+        slots, degrees = csr_slots(in_ptr, nodes)  # the frontier's in-slots, node after node
         live = gen.random(len(slots)) < in_prob[slots]
         keys = np.repeat(sets, degrees)[live] * n + in_src[slots[live]]
         keys = np.sort(keys[(mark[keys >> 3] >> (keys & 7) & 1) == 0])
@@ -219,9 +216,7 @@ def _greedy_selection(
         covered[sids] = True
         for w in weights[sids].tolist():
             total += w
-        # the member slots of the newly covered sets, in set order
-        starts, sizes = offsets[sids], offsets[sids + 1] - offsets[sids]
-        slots = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        slots, _ = csr_slots(offsets, sids)  # the newly covered sets' member slots, in set order
         np.subtract.at(gain, members[slots], slot_weights[slots])
         prefix.append(total)
     return picks, prefix

@@ -79,9 +79,9 @@ def test_criterion_01_two_node_fixture_exactness(trio):
     world = PossibleWorld.fixed([True], silent_noise(trio))
     checks = [
         oracle.welfare(s1) == 8.0,
-        simulate(g, trio, s1, world).welfare == 8.0,
+        simulate(g, trio, s1, [world]).welfare == [8.0],
         oracle.welfare(s2) == 7.0,
-        simulate(g, trio, s2, world).welfare == 7.0,
+        simulate(g, trio, s2, [world]).welfare == [7.0],
         # diminishing-returns counterexample: marginal grows from 4 to 5
         oracle.marginal(s1, pair_low) == 4.0,
         oracle.marginal(s1, pair_both) == 5.0,
@@ -284,13 +284,13 @@ def test_criterion_09_marginal_check_blocking():
     a_check = seqgrd(g, cat, Allocation.empty(), items, budgets, cfg)
     a_plain = seqgrd_nm(g, cat, Allocation.empty(), items, budgets, cfg)
     # common random worlds for the two welfare estimates
-    diffs = []
-    for idx in range(5000):
-        world = PossibleWorld.sample(g, cat, derive_rng(8800, idx))
-        diffs.append(
-            simulate(g, cat, a_check, world).welfare
-            - simulate(g, cat, a_plain, world).welfare
+    worlds = [PossibleWorld.sample(g, cat, derive_rng(8800, idx)) for idx in range(5000)]
+    diffs = [
+        w_check - w_plain
+        for w_check, w_plain in zip(
+            simulate(g, cat, a_check, worlds).welfare, simulate(g, cat, a_plain, worlds).welfare
         )
+    ]
     mean = math.fsum(diffs) / len(diffs)
     var = math.fsum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1)
     stderr = math.sqrt(var / len(diffs))

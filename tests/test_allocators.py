@@ -155,7 +155,7 @@ def test_maxgrd_shares_worlds_and_base_runs_across_items(monkeypatch):
     real_sample = diffusion.PossibleWorld.sample.__func__
 
     def counting_simulate(*args):
-        calls["simulate"] += 1
+        calls["simulate"] += len(args[3])  # worlds simulated, not calls
         return real_simulate(*args)
 
     def counting_sample(cls, *args):
@@ -183,6 +183,39 @@ def test_worked_example_welfare_gap(fork_graph, strong_weak_catalog):
     assert exact_welfare(fork_graph, strong_weak_catalog, mx) == 30.0
     best = max_seq(fork_graph, strong_weak_catalog, Allocation.empty(), items, budgets, CFG)
     assert best == mx
+
+
+def test_max_seq_scores_both_allocations_in_one_pass_over_its_worlds(monkeypatch):
+    g = graph_from("0 1 0.5\n1 2 0.7\n2 3 0.5\n3 4 0.3\n0 5 0.5\n5 4 0.7\n")
+    cat = ItemCatalog(
+        ["a", "b"],
+        prices={"a": 1, "b": 1},
+        valuations={("a",): 3, ("b",): 2.5, ("a", "b"): 3.2},
+    )
+    items, budgets = ["a", "b"], {"a": 1, "b": 1}
+    eval_seed = derive_seed(CFG.seed, "max-seq-eval")
+    want = [
+        diffusion.estimate_welfare(g, cat, alloc(g, cat, Allocation.empty(), items, budgets, CFG),
+                                   CFG.mc_samples, eval_seed).mean
+        for alloc in (seqgrd, maxgrd)
+    ]
+    calls, worlds = [], []
+    real_scores = allocators.estimate_marginal_welfares
+    real_sample = diffusion.PossibleWorld.sample.__func__
+
+    def scoring(*args):
+        drawn = len(worlds)
+        got = real_scores(*args)
+        calls.append((got, len(worlds) - drawn))
+        return got
+
+    monkeypatch.setattr(allocators, "estimate_marginal_welfares", scoring)
+    monkeypatch.setattr(diffusion.PossibleWorld, "sample",
+                        classmethod(lambda cls, *a: worlds.append(1) or real_sample(cls, *a)))
+    max_seq(g, cat, Allocation.empty(), items, budgets, CFG)
+    # maxgrd's item scores, then max_seq's comparison, each drawing its worlds once
+    assert [n for _, n in calls] == [CFG.mc_samples] * 2
+    assert [mean for mean, _ in calls[-1][0]] == want  # bit for bit
 
 
 def test_max_seq_single_item_agreement():
@@ -366,13 +399,15 @@ def test_seqgrd_marginal_checks_share_one_set_of_worlds(monkeypatch, path_graph,
     sims = []
     real_simulate = diffusion.simulate
     monkeypatch.setattr(allocators, "estimate_marginal_welfare", recording)
-    monkeypatch.setattr(diffusion, "simulate", lambda *args: sims.append(1) or real_simulate(*args))
+    monkeypatch.setattr(  # worlds simulated: each call runs a batch of them
+        diffusion, "simulate", lambda *args: sims.append(len(args[3])) or real_simulate(*args)
+    )
     lines = []
     seqgrd(path_graph, blocking_catalog, Allocation.empty(), items, budgets, CFG, lines.append)
     decisions = [ln.split("decision=")[1] for ln in lines if ln.startswith("phase=tentative")]
     # a kept step and a deferred step both hand their worlds to a later step
     assert decisions == ["keep", "defer", "keep"]
-    assert len(sims) == (len(items) + 1) * CFG.mc_samples
+    assert sum(sims) == (len(items) + 1) * CFG.mc_samples
     assert len(checks) == len(items)
     for candidate, base, samples, seed, got in checks:
         assert seed == derive_seed(CFG.seed, "marginal")

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from welfaremax import diffusion
+from welfaremax.allocators import AllocatorConfig
 from welfaremax.diffusion import (
     Allocation,
     DiffusionError,
     DiffusionResult,
     PossibleWorld,
     estimate_marginal_welfare,
+    estimate_marginal_welfares,
     estimate_welfare,
     simulate,
 )
@@ -35,53 +37,55 @@ def certain_world(graph, catalog):
 
 
 def test_single_seed_carries_item_downstream(pair_graph, trio_catalog):
-    res = simulate(pair_graph, trio_catalog, Allocation.of([(0, "i1")]), certain_world(pair_graph, trio_catalog))
-    assert res.adoption == {0: frozenset({"i1"}), 1: frozenset({"i1"})}
-    assert res.welfare == 8.0
-    assert res.item_counts == {"i1": 2, "i2": 0, "i3": 0}
-    assert res.rounds == 2
+    world = certain_world(pair_graph, trio_catalog)
+    res = simulate(pair_graph, trio_catalog, Allocation.of([(0, "i1")]), [world])
+    assert res.adoption == {(0, 0): frozenset({"i1"}), (0, 1): frozenset({"i1"})}
+    assert res.welfare == [8.0]
+    assert res.item_counts == {"i1": [2], "i2": [0], "i3": [0]}
+    assert res.rounds == [2]
 
 
 def test_downstream_seed_blocks_upgrade(pair_graph, trio_catalog):
     alloc = Allocation.of([(0, "i1"), (1, "i2")])
-    res = simulate(pair_graph, trio_catalog, alloc, certain_world(pair_graph, trio_catalog))
+    res = simulate(pair_graph, trio_catalog, alloc, [certain_world(pair_graph, trio_catalog)])
     # the pair bundle is worth less than i2 alone, so node 1 keeps i2
-    assert res.adoption[1] == frozenset({"i2"})
-    assert res.welfare == 7.0
+    assert res.adoption[0, 1] == frozenset({"i2"})
+    assert res.welfare == [7.0]
 
 
 def test_empty_allocation(pair_graph, trio_catalog):
-    res = simulate(pair_graph, trio_catalog, Allocation.empty(), certain_world(pair_graph, trio_catalog))
+    world = certain_world(pair_graph, trio_catalog)
+    res = simulate(pair_graph, trio_catalog, Allocation.empty(), [world])
     assert res.adoption == {}
-    assert res.welfare == 0.0
-    assert res.rounds == 0
+    assert res.welfare == [0.0]
+    assert res.rounds == [0]
 
 
 def test_partial_competition_upgrade(pair_graph, trio_catalog):
     # node 1 holds i3; i1 arriving later upgrades it to the 1-3 bundle
     base = Allocation.of([(1, "i2"), (1, "i3")])
     world = certain_world(pair_graph, trio_catalog)
-    r0 = simulate(pair_graph, trio_catalog, base, world)
-    assert r0.adoption[1] == frozenset({"i3"})
-    assert r0.welfare == 4.0
-    r1 = simulate(pair_graph, trio_catalog, base.merged(Allocation.of([(0, "i1")])), world)
-    assert r1.adoption[1] == frozenset({"i1", "i3"})
-    assert r1.welfare - r0.welfare == 5.0
+    r0 = simulate(pair_graph, trio_catalog, base, [world])
+    assert r0.adoption[0, 1] == frozenset({"i3"})
+    assert r0.welfare == [4.0]
+    r1 = simulate(pair_graph, trio_catalog, base.merged(Allocation.of([(0, "i1")])), [world])
+    assert r1.adoption[0, 1] == frozenset({"i1", "i3"})
+    assert r1.welfare[0] - r0.welfare[0] == 5.0
 
 
 def test_seed_with_no_viable_bundle_adopts_nothing():
     g = graph_from("0 1 1\n")
     cat = ItemCatalog(["a"], prices={"a": 5}, valuations={("a",): 3})
-    res = simulate(g, cat, Allocation.of([(0, "a")]), certain_world(g, cat))
+    res = simulate(g, cat, Allocation.of([(0, "a")]), [certain_world(g, cat)])
     assert res.adoption == {}
-    assert res.welfare == 0.0
+    assert res.welfare == [0.0]
 
 
 def test_blocked_edges_stop_propagation(pair_graph, trio_catalog):
     world = PossibleWorld.fixed([False], silent_noise(trio_catalog))
-    res = simulate(pair_graph, trio_catalog, Allocation.of([(0, "i1")]), world)
-    assert res.adoption == {0: frozenset({"i1"})}
-    assert res.welfare == 4.0
+    res = simulate(pair_graph, trio_catalog, Allocation.of([(0, "i1")]), [world])
+    assert res.adoption == {(0, 0): frozenset({"i1"})}
+    assert res.welfare == [4.0]
 
 
 def test_single_item_adoption_equals_reachability():
@@ -89,21 +93,22 @@ def test_single_item_adoption_equals_reachability():
     g = random_graph(rng)
     cat = ItemCatalog(["a"], prices={"a": 1}, valuations={("a",): 2})
     alloc = Allocation.of([(0, "a"), (g.n - 1, "a")])
-    for trial in range(20):
-        world = PossibleWorld.sample(g, cat, random.Random(trial))
-        res = simulate(g, cat, alloc, world)
+    worlds = [PossibleWorld.sample(g, cat, random.Random(trial)) for trial in range(20)]
+    res = simulate(g, cat, alloc, worlds)
+    for trial, world in enumerate(worlds):
         # replay reachability over the same live edges
         live = world.live
         reach = set(alloc.seed_nodes())
         frontier = list(reach)
         while frontier:
             u = frontier.pop()
-            for v, eid in zip(g.out_dst[u], g.out_eid[u]):
+            slots = range(g.out_ptr[u], g.out_ptr[u + 1])
+            for v, eid in zip(g.out_dst[slots].tolist(), g.out_eid[slots].tolist()):
                 if live[eid] and v not in reach:
                     reach.add(v)
                     frontier.append(v)
-        assert set(res.adoption) == reach
-        assert res.welfare == pytest.approx(len(reach) * 1.0)
+        assert {v for w, v in res.adoption if w == trial} == reach
+        assert res.welfare[trial] == pytest.approx(len(reach) * 1.0)
 
 
 def test_simulate_rejects_large_catalogs(pair_graph):
@@ -114,7 +119,7 @@ def test_simulate_rejects_large_catalogs(pair_graph):
         valuations={(it,): 1 for it in items},
     )
     with pytest.raises(DiffusionError, match="m <= 10"):
-        simulate(pair_graph, cat, Allocation.empty(), certain_world(pair_graph, cat))
+        simulate(pair_graph, cat, Allocation.empty(), [certain_world(pair_graph, cat)])
 
 
 def test_adoption_ties_prefer_larger_then_smaller_mask():
@@ -125,16 +130,16 @@ def test_adoption_ties_prefer_larger_then_smaller_mask():
         prices={"a": 1, "b": 1},
         valuations={("a",): 3, ("b",): 3, ("a", "b"): 4},
     )
-    res = simulate(g, cat, Allocation.of([(0, "a"), (0, "b")]), certain_world(g, cat))
-    assert res.adoption[0] == frozenset({"a", "b"})
+    res = simulate(g, cat, Allocation.of([(0, "a"), (0, "b")]), [certain_world(g, cat)])
+    assert res.adoption[0, 0] == frozenset({"a", "b"})
     # equal utility, equal size: the lexicographically smaller mask wins
     cat2 = ItemCatalog(
         ["a", "b"],
         prices={"a": 1, "b": 1},
         valuations={("a",): 3, ("b",): 3, ("a", "b"): 3.5},
     )
-    res2 = simulate(g, cat2, Allocation.of([(0, "a"), (0, "b")]), certain_world(g, cat2))
-    assert res2.adoption[0] == frozenset({"a"})
+    res2 = simulate(g, cat2, Allocation.of([(0, "a"), (0, "b")]), [certain_world(g, cat2)])
+    assert res2.adoption[0, 0] == frozenset({"a"})
 
 
 def test_estimate_welfare_deterministic_graph(pair_graph, trio_catalog):
@@ -222,10 +227,10 @@ def test_progressive_upgrades_only_grow():
         valuations={("a",): 3, ("b",): 2.5, ("a", "b"): 4.5},
     )
     alloc = Allocation.of([(0, "a"), (1, "b")])
-    res = simulate(g, cat, alloc, certain_world(g, cat))
-    assert res.adoption[2] == frozenset({"a", "b"})
-    assert res.adoption[3] == frozenset({"a", "b"})
-    assert res.welfare == pytest.approx(3 - 1 + 2.5 - 1 + 2 * 2.5)
+    res = simulate(g, cat, alloc, [certain_world(g, cat)])
+    assert res.adoption[0, 2] == frozenset({"a", "b"})
+    assert res.adoption[0, 3] == frozenset({"a", "b"})
+    assert res.welfare[0] == pytest.approx(3 - 1 + 2.5 - 1 + 2 * 2.5)
 
 
 # -- differential tests of the fast path ---------------------------------------
@@ -279,7 +284,8 @@ def test_sampled_world_flags_equal_per_edge_random_calls(catalog, probs):
 
 def reference_simulate(graph, catalog, allocation, noise_world, edge_live):
     """The simulator as it was before possible worlds cached live edges:
-    dense per-node state, edges tested through ``edge_live(eid, p)``."""
+    one world, dense per-node state, edges tested through
+    ``edge_live(eid, p)``; the result is that of a batch of one world."""
     n = graph.n
     noise = noise_world.values
     util_cache = {0: 0.0}
@@ -350,20 +356,31 @@ def reference_simulate(graph, catalog, allocation, noise_world, edge_live):
             rounds += 1
         frontier = next_frontier
     adoption = {}
-    counts = {item: 0 for item in catalog.items}
+    counts = {item: [0] for item in catalog.items}
     parts = []
     for v in range(n):
         if adopt[v]:
-            adoption[v] = frozenset(catalog.itemset(adopt[v]))
+            adoption[0, v] = frozenset(catalog.itemset(adopt[v]))
             parts.append(util(adopt[v]))
             for i in range(catalog.m):
                 if adopt[v] >> i & 1:
-                    counts[catalog.items[i]] += 1
-    return DiffusionResult(adoption, math.fsum(parts), counts, rounds)
+                    counts[catalog.items[i]][0] += 1
+    return DiffusionResult(adoption, [math.fsum(parts)], counts, [rounds])
+
+
+def world_result(result, w):
+    """World w of a batch result, as the result of a batch of that world alone."""
+    return DiffusionResult(
+        {(0, v): bundle for (x, v), bundle in result.adoption.items() if x == w},
+        result.welfare[w : w + 1],
+        {item: counts[w : w + 1] for item, counts in result.item_counts.items()},
+        result.rounds[w : w + 1],
+    )
 
 
 def assert_same_result(got, want):
     assert got == want
+    assert [x.hex() for x in got.welfare] == [x.hex() for x in want.welfare]  # bit for bit
     assert list(got.adoption) == list(want.adoption)
     assert list(got.item_counts) == list(want.item_counts)
 
@@ -381,10 +398,10 @@ def test_simulate_matches_reference_on_sampled_worlds():
         slow_rng = random.Random(seed)
         noise = NoiseWorld.sample(cat, slow_rng)
         uniforms = [slow_rng.random() for _ in range(g.m)]
-        # one world replayed under several allocations shares its edge cache
+        # one world replayed under several allocations
         for alloc in allocations:
             want = reference_simulate(g, cat, alloc, noise, lambda eid, p: uniforms[eid] < p)
-            assert_same_result(simulate(g, cat, alloc, world), want)
+            assert_same_result(simulate(g, cat, alloc, [world]), want)
 
 
 def test_simulate_matches_reference_on_fixed_worlds():
@@ -400,7 +417,35 @@ def test_simulate_matches_reference_on_fixed_worlds():
         for _ in range(3):
             alloc = random_allocation(rng, g, cat, pairs=rng.randint(1, 6))
             want = reference_simulate(g, cat, alloc, noise, lambda eid, p: flags[eid])
-            assert_same_result(simulate(g, cat, alloc, world), want)
+            assert_same_result(simulate(g, cat, alloc, [world]), want)
+
+
+def test_one_batch_of_mixed_noise_worlds_matches_reference_world_by_world():
+    rng = random.Random(404)
+    cat = NOISE_CATALOGS[1]  # gaussian noise on a, two-point noise on b
+    shared = [NoiseWorld((0.0, 0.4)), NoiseWorld((0.0, -0.4)), NoiseWorld((-0.0, 0.4))]
+    for trial in range(15):
+        g = fractional_graph(rng, n_hi=25, m_hi=100)
+        if g.n == 0:
+            continue
+        seeds = [rng.getrandbits(64) for _ in range(rng.randint(1, 8))]
+        worlds = [PossibleWorld.sample(g, cat, random.Random(seed)) for seed in seeds]
+        # worlds that share a noise vector, and one world twice
+        worlds += [PossibleWorld.fixed([rng.random() < 0.5 for _ in range(g.m)], noise)
+                   for noise in shared + shared]
+        worlds.append(worlds[0])
+        rng.shuffle(worlds)
+        assert len({w.noise for w in worlds}) > 1
+        for _ in range(3):
+            alloc = random_allocation(rng, g, cat, pairs=rng.randint(0, 6))
+            batch = simulate(g, cat, alloc, worlds)
+            assert len(batch.welfare) == len(batch.rounds) == len(worlds)
+            for w, world in enumerate(worlds):
+                live = world.live
+                want = reference_simulate(g, cat, alloc, world.noise, lambda eid, p: live[eid])
+                assert_same_result(world_result(batch, w), want)
+            per_world = [world_result(batch, w).adoption for w in range(len(worlds))]
+            assert len(batch.adoption) == sum(map(len, per_world))
 
 
 def test_worlds_keep_no_reference_to_their_graph():
@@ -408,7 +453,7 @@ def test_worlds_keep_no_reference_to_their_graph():
     cat = NOISE_CATALOGS[1]
     ref = weakref.ref(g)
     worlds = [PossibleWorld.sample(g, cat, random.Random(i)) for i in range(5)]
-    simulate(g, cat, Allocation.of([(0, "a"), (1, "b")]), worlds[0])
+    simulate(g, cat, Allocation.of([(0, "a"), (1, "b")]), worlds)
     estimate_welfare(g, cat, Allocation.of([(0, "a")]), 5, seed=1)
     del g, worlds
     gc.collect()
@@ -436,17 +481,20 @@ def diffusion_cases(draw):
 @settings(max_examples=100, deadline=None)
 def test_simulate_is_deterministic_per_world(case):
     graph, catalog, allocation, world = case
-    result = simulate(graph, catalog, allocation, world)
-    # on the same world object, with its cached live edges, and on a copy
-    assert simulate(graph, catalog, allocation, world) == result
-    assert simulate(graph, catalog, allocation, PossibleWorld(world.noise, world.live)) == result
+    result = simulate(graph, catalog, allocation, [world])
+    # on the same world object, on a copy, and as every world of a longer batch
+    assert simulate(graph, catalog, allocation, [world]) == result
+    assert simulate(graph, catalog, allocation, [PossibleWorld(world.noise, world.live)]) == result
+    batch = simulate(graph, catalog, allocation, [world] * 3)
+    assert all(world_result(batch, w) == result for w in range(3))
 
 
 @given(diffusion_cases())
 @settings(max_examples=100, deadline=None)
 def test_adoption_is_a_subset_of_desire(case):
     graph, catalog, allocation, world = case
-    adoption = simulate(graph, catalog, allocation, world).adoption
+    result = simulate(graph, catalog, allocation, [world])
+    adoption = {v: bundle for (_, v), bundle in result.adoption.items()}
     # desire: a node's own seeds plus whatever its live in-neighbours adopted
     desire = {v: set(allocation.items_at(v)) for v in range(graph.n)}
     for eid, (u, v, _) in enumerate(graph.edges):
@@ -459,7 +507,7 @@ def test_adoption_is_a_subset_of_desire(case):
 @settings(max_examples=100, deadline=None)
 def test_adopted_bundles_have_nonnegative_utility(case):
     graph, catalog, allocation, world = case
-    adoption = simulate(graph, catalog, allocation, world).adoption
+    adoption = simulate(graph, catalog, allocation, [world]).adoption
     assert all(utility(catalog, bundle, world.noise) >= -1e-9 for bundle in adoption.values())
 
 
@@ -467,9 +515,9 @@ def test_adopted_bundles_have_nonnegative_utility(case):
 @settings(max_examples=100, deadline=None)
 def test_welfare_is_the_sum_of_adopted_utilities(case):
     graph, catalog, allocation, world = case
-    result = simulate(graph, catalog, allocation, world)
+    result = simulate(graph, catalog, allocation, [world])
     utils = [utility(catalog, bundle, world.noise) for bundle in result.adoption.values()]
-    assert result.welfare == pytest.approx(math.fsum(utils), rel=1e-12, abs=1e-9)
+    assert result.welfare[0] == pytest.approx(math.fsum(utils), rel=1e-12, abs=1e-9)
 
 
 def test_marginal_base_runs_can_be_passed_in(monkeypatch):
@@ -494,6 +542,51 @@ def test_marginal_base_runs_can_be_passed_in(monkeypatch):
         g, cat, cand, base, 50, seed=21, without=without_runs, runs=True
     )
     assert again == (mean, stderr, with_runs, without_runs)
-    assert sims == [cand.merged(base)] * 50  # no base run
+    assert sims == [cand.merged(base)]  # no base run, and all 50 worlds in one batch
     with pytest.raises(DiffusionError, match="49 base runs given for 50 samples"):
         estimate_marginal_welfare(g, cat, cand, base, 50, seed=21, without=without_runs[1:])
+
+
+# -- chunked Monte Carlo --------------------------------------------------------
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7, 60])
+def test_estimates_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
+    g = graph_from("0 1 0.5\n1 2 0.7\n2 3 0.5\n3 4 0.3\n0 5 0.5\n5 4 0.7\n")
+    cat = NOISE_CATALOGS[1]
+    base, cand = Allocation.of([(5, "b")]), Allocation.of([(0, "a"), (2, "b")])
+    samples = 60
+
+    def estimates():
+        return (
+            estimate_welfare(g, cat, cand, samples, seed=8),
+            estimate_marginal_welfare(g, cat, cand, base, samples, seed=8, runs=True),
+            estimate_marginal_welfares(g, cat, [cand, Allocation.empty()], base, samples, 8),
+        )
+
+    whole = estimates()  # the default cap holds all 60 worlds of this graph at once
+    assert diffusion.chunk_worlds(g) >= samples
+    monkeypatch.setattr(diffusion, "CHUNK_CELLS", per_chunk * max(g.n, g.m))
+    assert diffusion.chunk_worlds(g) == per_chunk
+    batches = []
+    real = diffusion.simulate
+    monkeypatch.setattr(diffusion, "simulate", lambda *a: batches.append(len(a[3])) or real(*a))
+    chunked = estimates()
+    assert repr(chunked) == repr(whole)  # bit for bit
+    assert max(batches) == per_chunk and sum(batches) == samples * (1 + 2 + 3)
+
+
+def test_no_simulate_call_holds_more_than_the_cap_at_the_cli_default(monkeypatch):
+    n = 3000  # a sparse graph, so (world, node) cells set the cap
+    g = Graph(n, [(v, v + 1, 0.5) for v in range(0, n - 1, 3)])
+    cat = NOISE_CATALOGS[0]
+    samples = AllocatorConfig().mc_samples
+    per = diffusion.chunk_worlds(g)
+    assert per * n <= diffusion.CHUNK_CELLS < (per + 1) * n and per < samples
+    batches = []
+    real = diffusion.simulate
+    monkeypatch.setattr(diffusion, "simulate", lambda *a: batches.append(len(a[3])) or real(*a))
+    est = estimate_welfare(g, cat, Allocation.of([(0, "a"), (3, "a")]), samples, seed=2)
+    assert sum(batches) == samples and len(batches) == math.ceil(samples / per)
+    assert max(batches) * max(g.n, g.m) <= diffusion.CHUNK_CELLS
+    assert 2.0 < est.mean < 4.0

@@ -13,7 +13,7 @@ from welfaremax.graph import EdgeListError, Graph, GraphError, load_edge_list
 from conftest import graph_from
 
 EDGE_ARRAYS = ("src", "dst", "probs", "in_ptr", "in_src", "in_prob")
-PER_NODE = {"out_dst": int, "out_eid": int}
+OUT_CSR = ("out_ptr", "out_dst", "out_eid")
 
 
 def dump_edge_list(graph: Graph, stream) -> None:
@@ -93,15 +93,15 @@ def test_loaded_graph_equals_validated_construction():
     for name in EDGE_ARRAYS:
         assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
         assert getattr(loaded, name).dtype == getattr(built, name).dtype, name
-    for name, kind in PER_NODE.items():
-        assert getattr(loaded, name) == getattr(built, name), name
-        for row in getattr(loaded, name):
-            assert all(type(x) is kind for x in row), name
+    for name in OUT_CSR:
+        assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
+        assert getattr(loaded, name).dtype == getattr(built, name).dtype == np.int64, name
+        assert not getattr(loaded, name).flags.writeable, name
 
 
 def test_adjacency_transpose():
     g = graph_from("0 1 0.5\n0 2 0.3\n2 1 0.9\n")
-    out_pairs = {(u, v) for u in range(g.n) for v in g.out_dst[u]}
+    out_pairs = {(u, v) for u in range(g.n) for v in g.out_dst[g.out_ptr[u] : g.out_ptr[u + 1]]}
     in_pairs = {(u, v) for v in range(g.n) for u in g.in_src[g.in_ptr[v] : g.in_ptr[v + 1]]}
     assert out_pairs == in_pairs == {(0, 1), (0, 2), (2, 1)}
 
@@ -178,8 +178,8 @@ def _same_graph(got: Graph, want: Graph) -> None:
     assert got.probs.tobytes() == want.probs.tobytes()  # bit for bit, -0.0 included
     assert np.array_equal(got.in_ptr, want.in_ptr) and np.array_equal(got.in_src, want.in_src)
     assert got.in_prob.tobytes() == want.in_prob.tobytes()
-    for name in PER_NODE:
-        assert getattr(got, name) == getattr(want, name), name
+    for name in OUT_CSR:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def _outcome(load, lines, undirected, compact_ids):
@@ -251,11 +251,11 @@ def test_numpy_loader_parses_probabilities_as_float_does():
 
 @given(edge_lists())
 @settings(max_examples=80, deadline=None)
-def test_per_node_tuples_list_each_nodes_edges_in_id_order(edges):
+def test_csr_arrays_list_each_nodes_edges_in_id_order(edges):
     n = 1 + max(max(u, v) for u, v, _ in edges)
     g = Graph(n, edges)
     assert g.edges == tuple(edges)
-    assert len(g.in_ptr) == n + 1 and len(g.out_dst) == len(g.out_eid) == n
+    assert len(g.in_ptr) == len(g.out_ptr) == n + 1
     by_id = list(enumerate(g.edges))
     for node in range(n):
         ins = [(u, p) for _, (u, v, p) in by_id if v == node]
@@ -263,5 +263,6 @@ def test_per_node_tuples_list_each_nodes_edges_in_id_order(edges):
         slots = slice(g.in_ptr[node], g.in_ptr[node + 1])  # the in-CSR slots, in edge-id order
         assert g.in_src[slots].tolist() == [u for u, _ in ins]
         assert g.in_prob[slots].tolist() == [p for _, p in ins]
-        assert g.out_dst[node] == tuple(v for v, _ in outs)
-        assert g.out_eid[node] == tuple(e for _, e in outs)
+        slots = slice(g.out_ptr[node], g.out_ptr[node + 1])  # the out-CSR slots, likewise
+        assert g.out_dst[slots].tolist() == [v for v, _ in outs]
+        assert g.out_eid[slots].tolist() == [e for _, e in outs]
