@@ -7,11 +7,11 @@ budgets >= 0 and are absent from `base`; the sequential and max-item
 algorithms and the round-robin and snake baselines then take their seeds
 from one prefix-preserving list over the base seeds (`prefix_seed_list`).
 `max_seq` and `greedy_marginal` need an empty `base`; `greedy_marginal`
-also at most `GM_PAIR_CAP` pair evaluations. `supgrd` needs one item, the
-superior one, a pure-competition catalog and a `base` covering exactly the
-other items; at budget 0 it checks these and allocates nothing. An unmet
-precondition raises a `ValueError` whose message does not name the
-algorithm.
+also budgets of at most n and at most `GM_PAIR_CAP` pair evaluations.
+`supgrd` needs one item, the superior one, a pure-competition catalog and
+a `base` covering exactly the other items; at budget 0 it checks these
+and allocates nothing. An unmet precondition raises a `ValueError` whose
+message does not name the algorithm.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from welfaremax.diffusion import Allocation, estimate_marginal_welfare, estimate_marginal_welfares
+from welfaremax.diffusion import CHUNK_CELLS, Allocation, estimate_marginal_welfare
 from welfaremax.graph import Graph
 from welfaremax.ris import node_selection_weighted
 from welfaremax.rng import derive_rng, derive_seed
@@ -144,19 +144,19 @@ def seqgrd(
     for item in order:
         block = seeds[cursor : cursor + budgets[item]]
         tentative = Allocation.of((v, item) for v in block)
-        mean, stderr, with_runs, without_runs = estimate_marginal_welfare(
+        check = estimate_marginal_welfare(
             graph,
             catalog,
-            tentative,
+            [tentative],
             chosen.merged(base),
             config.mc_samples,
             world_seed,
-            without=without,
-            runs=True,
+            base_runs=without,
         )
+        ((mean, stderr),) = check.estimates
         # a noisy ~0 marginal must not pass; require a clearly positive one
         keep = mean > 2.0 * stderr
-        without = with_runs if keep else without_runs
+        without = check.runs[0] if keep else check.base_runs
         emit(
             f"phase=tentative item={item} seeds={';'.join(map(str, block))} "
             f"marginal={mean:.6g} stderr={stderr:.6g} decision={'keep' if keep else 'defer'}"
@@ -221,14 +221,14 @@ def maxgrd(
         return Allocation.empty()
     best_item = None
     best_mean = -math.inf
-    scores = estimate_marginal_welfares(
+    scores = estimate_marginal_welfare(
         graph,
         catalog,
         [Allocation.of((v, item) for v in seeds[: budgets[item]]) for item in items],
         base,
         config.mc_samples,
         derive_seed(config.seed, "maxgrd-eval"),
-    )
+    ).estimates
     for item, (mean, stderr) in zip(items, scores):  # caller's order; first max wins
         emit(f"phase=score item={item} marginal={mean:.6g} stderr={stderr:.6g}")
         if mean > best_mean:
@@ -258,9 +258,9 @@ def max_seq(
     seq_alloc = seqgrd(graph, catalog, base, items, budgets, config, trace)
     max_alloc = maxgrd(graph, catalog, base, items, budgets, config, trace)
     eval_seed = derive_seed(config.seed, "max-seq-eval")
-    (seq_w, _), (max_w, _) = estimate_marginal_welfares(
+    (seq_w, _), (max_w, _) = estimate_marginal_welfare(
         graph, catalog, [seq_alloc, max_alloc], base, config.mc_samples, eval_seed
-    )
+    ).estimates
     emit(f"phase=compare seq={seq_w:.6g} max={max_w:.6g}")
     return max_alloc if max_w > seq_w else seq_alloc
 
@@ -354,12 +354,16 @@ def greedy_marginal(
     trace: Trace = None,
 ) -> Allocation:
     """Repeatedly add the (node, item) pair with the best estimated marginal
-    welfare until budgets are exhausted. Desk-scale only: every round
-    evaluates all feasible pairs with mc_samples simulations each."""
+    welfare until budgets are exhausted. Desk-scale only: every step scores
+    all feasible pairs on the step's worlds, in groups of at most
+    ``CHUNK_CELLS // mc_samples`` pairs that each draw the worlds once."""
     if base:
         raise AllocatorError("needs an empty base allocation")
     emit = trace or (lambda line: None)
     items = _check_items_budgets(catalog, items, budgets, base)
+    for item in items:
+        if budgets[item] > graph.n:
+            raise AllocatorError(f"budget {budgets[item]} for {item!r} exceeds the {graph.n} nodes")
     total = sum(budgets[it] for it in items)
     work = graph.n * len(items) * total
     if work > GM_PAIR_CAP:
@@ -367,27 +371,29 @@ def greedy_marginal(
             f"needs {work} pair evaluations, cap is {GM_PAIR_CAP}; "
             "use seqgrd for instances this size"
         )
+    group = max(1, CHUNK_CELLS // config.mc_samples)
     chosen = Allocation.empty()
     remaining = {it: budgets[it] for it in items}
     for step in range(total):
-        eval_seed = derive_seed(config.seed, "gm", step)
-        best = None
-        best_mean = -math.inf
-        for node in range(graph.n):  # ties: smaller node id, then item order
-            for item in items:
-                if remaining[item] < 1 or (node, item) in chosen.pairs:
-                    continue
-                mean, _ = estimate_marginal_welfare(
-                    graph,
-                    catalog,
-                    Allocation.of([(node, item)]),
-                    chosen,
-                    config.mc_samples,
-                    eval_seed,
-                )
-                if mean > best_mean:
-                    best, best_mean = (node, item), mean
-        node, item = best
+        pairs = [  # ties: smaller node id, then item order
+            (node, item)
+            for node in range(graph.n)
+            for item in items
+            if remaining[item] > 0 and (node, item) not in chosen.pairs
+        ]
+        means = []
+        for start in range(0, len(pairs), group):  # each group draws the step's worlds
+            scores = estimate_marginal_welfare(
+                graph,
+                catalog,
+                [Allocation.of([pair]) for pair in pairs[start : start + group]],
+                chosen,
+                config.mc_samples,
+                derive_seed(config.seed, "gm", step),
+            ).estimates
+            means += [mean for mean, _ in scores]
+        best_mean = max(means)  # the first of equal means
+        node, item = best = pairs[means.index(best_mean)]
         emit(f"phase=pick node={node} item={item} marginal={best_mean:.6g}")
         chosen = chosen.merged(Allocation.of([best]))
         remaining[item] -= 1

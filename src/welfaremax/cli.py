@@ -30,7 +30,7 @@ from welfaremax.oracle import (
     WelfareOracle,
     optimal_allocation,
 )
-from welfaremax.ris import CHUNK_SETS, sample_marginal_rr
+from welfaremax.ris import CHUNK_SETS, RISError, sample_marginal_rr
 from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.selectors import RRLimitError
 from welfaremax.utility import (
@@ -332,7 +332,10 @@ def _cmd_rr_stats(args, out: TextIO) -> int:
             raise CliError(2, f"--fixed node {outside[0]} outside [0, {graph.n})")
     sizes: Counter[int] = Counter()
     for done in range(0, args.count, CHUNK_SETS):  # a chunk at a time: bounded memory
-        coll = sample_marginal_rr(graph, fixed, min(CHUNK_SETS, args.count - done), rng)
+        try:
+            coll = sample_marginal_rr(graph, fixed, min(CHUNK_SETS, args.count - done), rng)
+        except RISError as exc:
+            raise CliError(2, f"rr-stats: {exc}") from exc
         sizes.update(b - a for a, b in pairwise(coll.offsets))
     empties = sizes.pop(0, 0)  # an emptied set has no members, any other at least its root
     writer = csv.writer(out, lineterminator="\n")
@@ -354,11 +357,16 @@ def _add_common(parser: argparse.ArgumentParser, catalog=True) -> None:
     parser.add_argument("--compact-ids", action="store_true", help="remap node ids densely")
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer of at least `low`."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return count
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -367,7 +375,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base", default=None, help="fixed allocation file")
     parser.add_argument("--epsilon", type=float, default=0.5)
     parser.add_argument("--ell", type=float, default=1.0)
-    parser.add_argument("--samples", type=_at_least_one, default=5000)
+    parser.add_argument("--samples", type=_at_least(1), default=5000)
     parser.add_argument("--trace", default=None, help="trace file ('-' for stderr)")
 
 
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate welfare of a given allocation")
     _add_common(p)
     p.add_argument("--allocation", required=True, help="allocation file")
-    p.add_argument("--samples", type=_at_least_one, default=5000)
+    p.add_argument("--samples", type=_at_least(1), default=5000)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("oracle", help="exact welfare by world enumeration")
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimal", action="store_true", help="search all feasible allocations")
     p.add_argument("--budgets", default=None)
     p.add_argument("--base", default=None)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_LIMITS.max_edges)
+    p.add_argument("--max-edges", type=_at_least(0), default=DEFAULT_LIMITS.max_edges)
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("convert-utilities", help="map adoption probabilities to utilities")
@@ -414,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rr-stats", help="dump RR-set statistics as CSV")
     _add_common(p, catalog=False)
-    p.add_argument("--count", type=_at_least_one, default=10000)
+    p.add_argument("--count", type=_at_least(1), default=10000)
     p.add_argument("--fixed", default=None, help="comma-separated fixed seed nodes")
     p.set_defaults(fn=_cmd_rr_stats)
     return parser

@@ -8,14 +8,16 @@ desire set, and targets whose desire grew re-decide by argmax over
 supersets of their current adoption with non-negative utility.
 
 `simulate` runs one allocation in a batch of possible worlds at once, on
-numpy arrays over (world, node) keys and the graph's out-CSR. The
-estimators draw their worlds a chunk at a time (`chunk_worlds`) and run
-every allocation of an estimate on a chunk before drawing the next.
+numpy arrays over (world, node) keys and the graph's out-CSR. One loop,
+`world_runs`, makes worlds a chunk at a time (`chunk_worlds`) and runs
+every allocation of an estimate, or of an exact oracle query, on a chunk
+before making the next.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -347,6 +349,12 @@ class WelfareEstimate(NamedTuple):
     item_means: dict[str, float]
 
 
+class MarginalEstimate(NamedTuple):
+    estimates: list[tuple[float, float]]  # per candidate, its marginal's (mean, stderr)
+    runs: list[array]  # per candidate, its welfare with the base in each world
+    base_runs: array  # the base's welfare in each world
+
+
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     k = len(values)
     mean = math.fsum(values) / k
@@ -356,40 +364,33 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / k)
 
 
-def _runs(
-    graph: Graph, catalog: ItemCatalog, allocations: list[Allocation], samples: int, seed: int
-) -> list[tuple[list[float], dict[str, int]]]:
-    """Per allocation, its welfare in each of the `samples` worlds of `seed`
-    and its adopters of each item over all of them.
+def world_runs(
+    graph: Graph, catalog: ItemCatalog, allocations: list[Allocation], count: int, world
+) -> list[tuple[array, dict[str, array]]]:
+    """Per allocation, its welfare and its adopters of each item in each of
+    the worlds ``world(0)`` .. ``world(count - 1)``, as flat arrays, which
+    keep each float as it is in a quarter of a list's memory.
 
-    World ``idx`` is drawn from its own stream, ``derive_rng(seed, idx)``,
-    a chunk of `chunk_worlds` at a time, and every allocation runs on a
-    chunk before the next is drawn.
+    The worlds are made a chunk of `chunk_worlds` at a time, and every
+    allocation runs on a chunk before the next is made.
     """
-    if samples < 1:
+    if count < 1:
         raise DiffusionError("samples must be >= 1")
-    runs = [([], dict.fromkeys(catalog.items, 0)) for _ in allocations]
+    runs = [(array("d"), {item: array("q") for item in catalog.items}) for _ in allocations]
     per = chunk_worlds(graph)
-    for start in range(0, samples, per):
-        worlds = [
-            PossibleWorld.sample(graph, catalog, derive_rng(seed, idx))
-            for idx in range(start, min(start + per, samples))
-        ]
-        for allocation, (welfare, totals) in zip(allocations, runs):
+    for start in range(0, count, per):
+        worlds = [world(idx) for idx in range(start, min(start + per, count))]
+        for allocation, (welfare, adopters) in zip(allocations, runs):
             result = simulate(graph, catalog, allocation, worlds)
             welfare.extend(result.welfare)
             for item, counts in result.item_counts.items():
-                totals[item] += sum(counts)
+                adopters[item].extend(counts)
     return runs
 
 
-def _merged(candidates: list[Allocation], base: Allocation) -> list[Allocation]:
-    """Each candidate merged with `base`, which it must not overlap."""
-    for candidate in candidates:
-        overlap = candidate.pairs & base.pairs
-        if overlap:
-            raise DiffusionError(f"candidate overlaps base allocation: {sorted(overlap)}")
-    return [candidate.merged(base) for candidate in candidates]
+def _sampled(graph: Graph, catalog: ItemCatalog, seed: int):
+    """World ``idx`` of `seed`, drawn from its own stream, ``derive_rng(seed, idx)``."""
+    return lambda idx: PossibleWorld.sample(graph, catalog, derive_rng(seed, idx))
 
 
 def estimate_welfare(
@@ -400,56 +401,42 @@ def estimate_welfare(
     seed: int,
 ) -> WelfareEstimate:
     """Monte Carlo mean welfare with standard error and per-item adoption means."""
-    ((welfares, totals),) = _runs(graph, catalog, [allocation], samples, seed)
+    ((welfares, adopters),) = world_runs(
+        graph, catalog, [allocation], samples, _sampled(graph, catalog, seed)
+    )
     mean, stderr = _mean_stderr(welfares)
-    return WelfareEstimate(mean, stderr, {item: t / samples for item, t in totals.items()})
+    return WelfareEstimate(mean, stderr, {item: sum(c) / samples for item, c in adopters.items()})
 
 
 def estimate_marginal_welfare(
-    graph: Graph,
-    catalog: ItemCatalog,
-    candidate: Allocation,
-    base: Allocation,
-    samples: int,
-    seed: int,
-    without: Optional[list[float]] = None,
-    runs: bool = False,
-):
-    """Estimate rho(candidate + base) - rho(base), with its standard error.
-
-    Replays the same possible world for both runs of each sample (worlds
-    are allocation-independent), which sharply reduces variance.
-    `without`, if given, is the base's welfare in each world of this seed
-    and sample count, from an earlier run, and stands in for the base
-    runs. With `runs`, returns ``(mean, stderr, with_runs, without_runs)``,
-    the per-world welfares with and without the candidate.
-    """
-    if without is not None and len(without) != samples:
-        raise DiffusionError(f"{len(without)} base runs given for {samples} samples")
-    allocations = _merged([candidate], base)
-    if without is None:
-        (without, _), (with_runs, _) = _runs(graph, catalog, [base, *allocations], samples, seed)
-    else:
-        without = list(without)
-        ((with_runs, _),) = _runs(graph, catalog, allocations, samples, seed)
-    mean, stderr = _mean_stderr([w - b for w, b in zip(with_runs, without)])
-    return (mean, stderr, with_runs, without) if runs else (mean, stderr)
-
-
-def estimate_marginal_welfares(
     graph: Graph,
     catalog: ItemCatalog,
     candidates: list[Allocation],
     base: Allocation,
     samples: int,
     seed: int,
-) -> list[tuple[float, float]]:
-    """`estimate_marginal_welfare` of each candidate over the same worlds.
+    base_runs: Optional[Sequence[float]] = None,
+) -> MarginalEstimate:
+    """Estimate rho(candidate + base) - rho(base), with its standard error,
+    for each candidate.
 
-    Each world's base run is shared by every candidate, so the estimates
-    take (len(candidates) + 1) * samples world simulations and equal what
-    separate calls with this seed return.
+    The candidates and the base replay the same possible world for each
+    sample (worlds are allocation-independent), which sharply reduces
+    variance; the base runs once per world for all of them, so a
+    candidate's estimate does not depend on the others. `base_runs`, if
+    given, is the base's welfare in each world of this seed and sample
+    count, from an earlier estimate, and stands in for the base runs.
     """
-    allocations = [base, *_merged(candidates, base)]
-    (base_runs, _), *with_runs = _runs(graph, catalog, allocations, samples, seed)
-    return [_mean_stderr([w - b for w, b in zip(runs, base_runs)]) for runs, _ in with_runs]
+    if base_runs is not None and len(base_runs) != samples:
+        raise DiffusionError(f"{len(base_runs)} base runs given for {samples} samples")
+    overlap = set().union(*(candidate.pairs for candidate in candidates)) & base.pairs
+    if overlap:
+        raise DiffusionError(f"candidate overlaps base allocation: {sorted(overlap)}")
+    allocations = [candidate.merged(base) for candidate in candidates]
+    if base_runs is None:
+        allocations.insert(0, base)
+    worlds = _sampled(graph, catalog, seed)
+    runs = [welfare for welfare, _ in world_runs(graph, catalog, allocations, samples, worlds)]
+    base_runs = runs.pop(0) if base_runs is None else array("d", base_runs)
+    estimates = [_mean_stderr([w - b for w, b in zip(run, base_runs)]) for run in runs]
+    return MarginalEstimate(estimates, runs, base_runs)

@@ -12,13 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from welfaremax.diffusion import (
-    Allocation,
-    DiffusionResult,
-    PossibleWorld,
-    chunk_worlds,
-    simulate,
-)
+from welfaremax.diffusion import Allocation, PossibleWorld, world_runs
 from welfaremax.graph import Graph
 from welfaremax.utility import ItemCatalog, NoiseWorld, finite_supports, joint_outcomes
 
@@ -70,7 +64,7 @@ class WelfareOracle:
     """Caches the world enumeration so many allocations can be scored cheaply.
 
     World k has probability ``probs[k]``; an allocation runs on the worlds
-    a chunk of `chunk_worlds` per `simulate` call."""
+    through `world_runs`, a chunk at a time."""
 
     def __init__(self, graph: Graph, catalog: ItemCatalog, limits: OracleLimits = DEFAULT_LIMITS):
         self.graph = graph
@@ -82,25 +76,21 @@ class WelfareOracle:
                 self.probs.append(pe * pn)
                 self.worlds.append(PossibleWorld.fixed(flags, noise))
 
-    def _results(self, allocation: Allocation) -> list[DiffusionResult]:
-        per = chunk_worlds(self.graph)
-        return [
-            simulate(self.graph, self.catalog, allocation, self.worlds[start : start + per])
-            for start in range(0, len(self.worlds), per)
-        ]
+    def _runs(self, allocation: Allocation):
+        count, world = len(self.worlds), self.worlds.__getitem__
+        return world_runs(self.graph, self.catalog, [allocation], count, world)[0]
 
     def welfare(self, allocation: Allocation) -> float:
-        welfares = itertools.chain.from_iterable(r.welfare for r in self._results(allocation))
-        return math.fsum(p * w for p, w in zip(self.probs, welfares))
+        welfare, _ = self._runs(allocation)
+        return math.fsum(p * w for p, w in zip(self.probs, welfare))
 
     def marginal(self, candidate: Allocation, base: Allocation) -> float:
         return self.welfare(candidate.merged(base)) - self.welfare(base)
 
     def item_adoption_means(self, allocation: Allocation) -> dict[str, float]:
-        results = self._results(allocation)
+        _, adopters = self._runs(allocation)
         totals = {}
-        for item in self.catalog.items:
-            counts = itertools.chain.from_iterable(r.item_counts[item] for r in results)
+        for item, counts in adopters.items():
             total = 0.0
             for p, c in zip(self.probs, counts):
                 total += p * c  # in world order

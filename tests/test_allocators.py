@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from welfaremax.graph import Graph
 from welfaremax.selectors import SelectorError
 from welfaremax.oracle import SpreadOracle, WelfareOracle, exact_welfare, optimal_allocation
 from welfaremax.rng import derive_rng, derive_seed
-from welfaremax.utility import ItemCatalog, expected_truncated_utility
+from welfaremax.utility import ItemCatalog, NoiseSpec, expected_truncated_utility
 
 from conftest import graph_from, superior_instance
 
@@ -143,11 +144,11 @@ def test_maxgrd_shares_worlds_and_base_runs_across_items(monkeypatch):
         valuations={("i",): 3, ("j",): 2.5, ("k",): 2, ("i1",): 2.2, ("i", "j"): 3.2},
     )
     seeds = prefix_seed_list(g, base, budgets.values(), 2, cfg)
-    want = [
+    want = [  # each item alone
         estimate_marginal_welfare(
-            g, cat, Allocation.of((v, it) for v in seeds[: budgets[it]]), base, 40,
+            g, cat, [Allocation.of((v, it) for v in seeds[: budgets[it]])], base, 40,
             derive_seed(9, "maxgrd-eval"),
-        )
+        ).estimates[0]
         for it in items
     ]
     calls = {"simulate": 0, "world": 0}
@@ -200,22 +201,23 @@ def test_max_seq_scores_both_allocations_in_one_pass_over_its_worlds(monkeypatch
         for alloc in (seqgrd, maxgrd)
     ]
     calls, worlds = [], []
-    real_scores = allocators.estimate_marginal_welfares
+    real_scores = allocators.estimate_marginal_welfare
     real_sample = diffusion.PossibleWorld.sample.__func__
 
-    def scoring(*args):
+    def scoring(*args, **kwargs):
         drawn = len(worlds)
-        got = real_scores(*args)
+        got = real_scores(*args, **kwargs)
         calls.append((got, len(worlds) - drawn))
         return got
 
-    monkeypatch.setattr(allocators, "estimate_marginal_welfares", scoring)
+    monkeypatch.setattr(allocators, "estimate_marginal_welfare", scoring)
     monkeypatch.setattr(diffusion.PossibleWorld, "sample",
                         classmethod(lambda cls, *a: worlds.append(1) or real_sample(cls, *a)))
     max_seq(g, cat, Allocation.empty(), items, budgets, CFG)
-    # maxgrd's item scores, then max_seq's comparison, each drawing its worlds once
-    assert [n for _, n in calls] == [CFG.mc_samples] * 2
-    assert [mean for mean, _ in calls[-1][0]] == want  # bit for bit
+    # seqgrd's two checks, maxgrd's item scores, then max_seq's comparison,
+    # each drawing its worlds once
+    assert [n for _, n in calls] == [CFG.mc_samples] * 4
+    assert [mean for mean, _ in calls[-1][0].estimates] == want  # bit for bit
 
 
 def test_max_seq_single_item_agreement():
@@ -346,6 +348,111 @@ def test_greedy_marginal_cap():
         greedy_marginal(g, cat, Allocation.empty(), ["a", "b"], {"a": 50, "b": 50}, cfg)
 
 
+def test_greedy_marginal_rejects_a_budget_above_the_node_count(monkeypatch):
+    g = graph_from("0 1 1\n")
+    cat = ItemCatalog(["a", "b"], prices={"a": 0, "b": 0}, valuations={("a",): 1, ("b",): 1})
+    calls = []
+    monkeypatch.setattr(allocators, "estimate_marginal_welfare", lambda *a, **k: calls.append(a))
+    with pytest.raises(AllocatorError, match="budget 3 for 'a' exceeds the 2 nodes"):
+        greedy_marginal(g, cat, Allocation.empty(), ["a", "b"], {"a": 3, "b": 1}, CFG)
+    assert calls == []  # refused before any estimate
+
+
+def _greedy_marginal_pair_by_pair(graph, catalog, items, budgets, config):
+    """`greedy_marginal` with one estimate per (node, item) pair: the picks,
+    the pick lines and, per step, each feasible pair's mean."""
+    chosen, lines, means = Allocation.empty(), [], []
+    remaining = dict(budgets)
+    for step in range(sum(budgets.values())):
+        eval_seed = derive_seed(config.seed, "gm", step)
+        best, best_mean, step_means = None, -math.inf, []
+        for node in range(graph.n):
+            for item in items:
+                if remaining[item] < 1 or (node, item) in chosen.pairs:
+                    continue
+                ((mean, _),) = estimate_marginal_welfare(
+                    graph, catalog, [Allocation.of([(node, item)])], chosen,
+                    config.mc_samples, eval_seed,
+                ).estimates
+                step_means.append(mean)
+                if mean > best_mean:
+                    best, best_mean = (node, item), mean
+        lines.append(f"phase=pick node={best[0]} item={best[1]} marginal={best_mean:.6g}")
+        means.append(step_means)
+        chosen = chosen.merged(Allocation.of([best]))
+        remaining[best[1]] -= 1
+    return chosen, lines, means
+
+
+GM_INSTANCES = {
+    "noisy": (
+        graph_from("0 1 0.5\n1 2 0.7\n2 3 0.5\n3 4 0.3\n0 5 0.5\n5 4 0.7\n"),
+        ItemCatalog(
+            ["a", "b"],
+            prices={"a": 1, "b": 1},
+            valuations={("a",): 2, ("b",): 2, ("a", "b"): 3},
+            noise={"a": NoiseSpec.gaussian(0.7), "b": NoiseSpec.two_point(0.4)},
+        ),
+        {"a": 2, "b": 1},
+    ),
+    "ties": (  # two equal components and two equal items: the first pick is a tie
+        graph_from("0 1 1\n2 3 1\n"),
+        ItemCatalog(
+            ["a", "b"],
+            prices={"a": 0, "b": 0},
+            valuations={("a",): 1, ("b",): 1, ("a", "b"): 1.5},
+        ),
+        {"a": 1, "b": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("group", [None, 4], ids=["one-group", "groups-of-4"])
+@pytest.mark.parametrize("instance", ["blocking", *GM_INSTANCES])
+def test_greedy_marginal_scores_each_step_like_the_pair_by_pair_loop(
+    monkeypatch, request, instance, group
+):
+    if instance == "blocking":
+        g, cat = request.getfixturevalue("path_graph"), request.getfixturevalue("blocking_catalog")
+        budgets = {"i": 1, "j": 1, "k": 1}
+    else:
+        g, cat, budgets = GM_INSTANCES[instance]
+    items, cfg = list(budgets), AllocatorConfig(seed=6, mc_samples=30)
+    want, want_lines, want_means = _greedy_marginal_pair_by_pair(g, cat, items, budgets, cfg)
+    if group is not None:  # most pairs per estimate: 4, so each step takes several
+        monkeypatch.setattr(allocators, "CHUNK_CELLS", group * cfg.mc_samples + cfg.mc_samples - 1)
+    per_group = group or allocators.CHUNK_CELLS // cfg.mc_samples
+    calls, worlds = [], []
+    real_estimate = allocators.estimate_marginal_welfare
+    real_sample = diffusion.PossibleWorld.sample.__func__
+
+    def recording(graph, catalog, candidates, base, samples, seed, **kwargs):
+        drawn = len(worlds)
+        got = real_estimate(graph, catalog, candidates, base, samples, seed, **kwargs)
+        calls.append((seed, len(candidates), len(worlds) - drawn, got.estimates))
+        return got
+
+    monkeypatch.setattr(allocators, "estimate_marginal_welfare", recording)
+    monkeypatch.setattr(diffusion.PossibleWorld, "sample",
+                        classmethod(lambda cls, *a: worlds.append(1) or real_sample(cls, *a)))
+    lines = []
+    got = greedy_marginal(g, cat, Allocation.empty(), items, budgets, cfg, lines.append)
+    assert got == want and lines == want_lines
+    for step, step_means in enumerate(want_means):
+        step_calls = [c for c in calls if c[0] == derive_seed(cfg.seed, "gm", step)]
+        means = [mean for *_, scores in step_calls for mean, _ in scores]
+        assert repr(means) == repr(step_means)  # bit for bit, in node-then-item order
+        assert [size for _, size, _, _ in step_calls] == [
+            min(per_group, len(step_means) - start)
+            for start in range(0, len(step_means), per_group)
+        ]
+        draws = sum(drawn for _, _, drawn, _ in step_calls)
+        assert draws == math.ceil(len(step_means) / per_group) * cfg.mc_samples
+    assert len(calls) == sum(math.ceil(len(m) / per_group) for m in want_means)
+    if group is not None:
+        assert len(calls) > len(want_means)  # some step split into several groups
+
+
 def test_budget_feasibility_across_allocators(fork_graph, strong_weak_catalog):
     items, budgets = ["i", "j"], {"i": 1, "j": 1}
     for fn in (seqgrd, seqgrd_nm, maxgrd):
@@ -391,9 +498,9 @@ def test_seqgrd_marginal_checks_share_one_set_of_worlds(monkeypatch, path_graph,
     checks = []
     real_estimate = allocators.estimate_marginal_welfare
 
-    def recording(graph, catalog, candidate, base, samples, seed, **kwargs):
-        got = real_estimate(graph, catalog, candidate, base, samples, seed, **kwargs)
-        checks.append((candidate, base, samples, seed, got[:2]))
+    def recording(graph, catalog, candidates, base, samples, seed, **kwargs):
+        got = real_estimate(graph, catalog, candidates, base, samples, seed, **kwargs)
+        checks.append((candidates, base, samples, seed, got.estimates))
         return got
 
     sims = []
@@ -409,10 +516,10 @@ def test_seqgrd_marginal_checks_share_one_set_of_worlds(monkeypatch, path_graph,
     assert decisions == ["keep", "defer", "keep"]
     assert sum(sims) == (len(items) + 1) * CFG.mc_samples
     assert len(checks) == len(items)
-    for candidate, base, samples, seed, got in checks:
-        assert seed == derive_seed(CFG.seed, "marginal")
-        plain = estimate_marginal_welfare(path_graph, blocking_catalog, candidate, base, samples, seed)
-        assert got == plain  # bit for bit
+    for candidates, base, samples, seed, got in checks:
+        assert seed == derive_seed(CFG.seed, "marginal") and len(candidates) == 1
+        plain = estimate_marginal_welfare(path_graph, blocking_catalog, candidates, base, samples, seed)
+        assert got == plain.estimates  # bit for bit
 
 
 @pytest.mark.parametrize("fn", [seqgrd, seqgrd_nm], ids=["seqgrd", "seqgrd-nm"])

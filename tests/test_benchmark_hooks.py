@@ -103,4 +103,6 @@ def test_traced_rounds_reduce_to_per_layer_metrics(tmp_path, monkeypatch, algo):
     assert repeated
     for name in ("ris.rr_sets", "ris.greedy_calls", "diffusion.simulations"):
         assert metrics[name]["value"] >= 1, name
+    # one marginal check per budgeted item (i and j), through the patched name
+    assert metrics["allocators.marginal_checks"]["value"] == (2 if algo == "seqgrd" else 0)
     assert tracing.layer_counts(traced.spans) == tracing.layer_counts(again.spans)

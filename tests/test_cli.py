@@ -843,3 +843,43 @@ def test_extreme_accuracy_knobs_exit_cleanly(tmp_path, capsys, flag, value, code
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_gm_budget_above_the_node_count_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "allocate",
+        "--graph", CONFIGS / "edge_pair.edges",
+        "--catalog", CONFIGS / "pair_even.cfg",
+        "--algo", "gm",
+        "--budgets", "i=3",
+        "--samples", "10",
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: gm: budget 3 for 'i' exceeds the 2 nodes" in err
+    assert "Traceback" not in err
+
+
+def test_rr_stats_on_a_graph_without_nodes_exits_2(tmp_path, capsys):
+    graph = tmp_path / "empty.edges"
+    graph.write_text("# only comments\n# and no edges\n")
+    assert run_cli("rr-stats", "--graph", graph, "--out", tmp_path / "rr.csv") == 2
+    err = capsys.readouterr().err
+    assert "error: rr-stats: graph has no nodes" in err
+    assert "Traceback" not in err
+
+
+def test_negative_oracle_max_edges_exits_2(tmp_path, capsys):
+    alloc = tmp_path / "alloc.txt"
+    alloc.write_text("0 i\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "oracle",
+            "--graph", CONFIGS / "edge_pair.edges",
+            "--catalog", CONFIGS / "pair_even.cfg",
+            "--allocation", alloc,
+            "--max-edges", "-1",
+        )
+    assert exc.value.code == 2
+    assert "argument --max-edges: must be >= 0, got -1" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from welfaremax.diffusion import (
     DiffusionResult,
     PossibleWorld,
     estimate_marginal_welfare,
-    estimate_marginal_welfares,
     estimate_welfare,
     simulate,
 )
@@ -171,23 +170,23 @@ def test_estimate_welfare_deterministic_in_seed(pair_graph, trio_catalog):
 
 def test_marginal_with_empty_base_equals_plain_estimate(pair_graph, trio_catalog):
     alloc = Allocation.of([(0, "i1")])
-    mean, stderr = estimate_marginal_welfare(
-        pair_graph, trio_catalog, alloc, Allocation.empty(), 400, seed=2
-    )
+    ((mean, stderr),) = estimate_marginal_welfare(
+        pair_graph, trio_catalog, [alloc], Allocation.empty(), 400, seed=2
+    ).estimates
     est = estimate_welfare(pair_graph, trio_catalog, alloc, 400, seed=2)
     assert mean == est.mean
 
 
 def test_marginal_on_counterexample_fixture(pair_graph, trio_catalog):
-    mean, stderr = estimate_marginal_welfare(
+    got = estimate_marginal_welfare(
         pair_graph,
         trio_catalog,
-        Allocation.of([(0, "i1")]),
+        [Allocation.of([(0, "i1")])],
         Allocation.of([(1, "i2")]),
         200,
         seed=4,
     )
-    assert (mean, stderr) == (4.0, 0.0)
+    assert got.estimates == [(4.0, 0.0)]
 
 
 def test_marginal_matches_oracle_on_random_instance():
@@ -202,7 +201,7 @@ def test_marginal_matches_oracle_on_random_instance():
     cand = Allocation.of([(0, "a")])
     oracle = WelfareOracle(g, cat)
     exact = oracle.marginal(cand, base)
-    mean, stderr = estimate_marginal_welfare(g, cat, cand, base, 20_000, seed=13)
+    ((mean, stderr),) = estimate_marginal_welfare(g, cat, [cand], base, 20_000, seed=13).estimates
     assert abs(mean - exact) <= 3 * stderr
 
 
@@ -211,7 +210,7 @@ def test_marginal_rejects_overlap(pair_graph, trio_catalog):
         estimate_marginal_welfare(
             pair_graph,
             trio_catalog,
-            Allocation.of([(0, "i1")]),
+            [Allocation.empty(), Allocation.of([(0, "i1")])],
             Allocation.of([(0, "i1")]),
             10,
             seed=0,
@@ -528,23 +527,32 @@ def test_marginal_base_runs_can_be_passed_in(monkeypatch):
         valuations={("a",): 3, ("b",): 2.5, ("a", "b"): 3.2},
     )
     base, cand = Allocation.of([(5, "b")]), Allocation.of([(0, "a")])
-    mean, stderr, with_runs, without_runs = estimate_marginal_welfare(
-        g, cat, cand, base, 50, seed=21, runs=True
-    )
-    assert (mean, stderr) == estimate_marginal_welfare(g, cat, cand, base, 50, seed=21)
+    got = estimate_marginal_welfare(g, cat, [cand], base, 50, seed=21)
+    (with_runs,), without_runs = got.runs, got.base_runs
     # the runs are each world's welfare, as the plain estimator sees them
     assert math.fsum(without_runs) / 50 == estimate_welfare(g, cat, base, 50, seed=21).mean
     assert math.fsum(with_runs) / 50 == estimate_welfare(g, cat, cand.merged(base), 50, 21).mean
     sims = []
     real = diffusion.simulate
     monkeypatch.setattr(diffusion, "simulate", lambda *a: sims.append(a[2]) or real(*a))
-    again = estimate_marginal_welfare(
-        g, cat, cand, base, 50, seed=21, without=without_runs, runs=True
-    )
-    assert again == (mean, stderr, with_runs, without_runs)
+    again = estimate_marginal_welfare(g, cat, [cand], base, 50, seed=21, base_runs=without_runs)
+    assert again == got
     assert sims == [cand.merged(base)]  # no base run, and all 50 worlds in one batch
     with pytest.raises(DiffusionError, match="49 base runs given for 50 samples"):
-        estimate_marginal_welfare(g, cat, cand, base, 50, seed=21, without=without_runs[1:])
+        estimate_marginal_welfare(g, cat, [cand], base, 50, seed=21, base_runs=without_runs[1:])
+
+
+def test_a_candidates_estimate_does_not_depend_on_the_others():
+    g = graph_from("0 1 0.5\n1 2 0.7\n2 3 0.5\n3 4 0.3\n0 5 0.5\n5 4 0.7\n")
+    cat = NOISE_CATALOGS[1]
+    base = Allocation.of([(5, "b")])
+    cands = [Allocation.of([(0, "a")]), Allocation.empty(), Allocation.of([(2, "a"), (3, "b")])]
+    together = estimate_marginal_welfare(g, cat, cands, base, 40, seed=3)
+    assert together.estimates[1] == (0.0, 0.0) and together.runs[1] == together.base_runs
+    for k, cand in enumerate(cands):
+        alone = estimate_marginal_welfare(g, cat, [cand], base, 40, seed=3)
+        assert repr(alone.estimates[0]) == repr(together.estimates[k])  # bit for bit
+        assert alone.runs[0] == together.runs[k] and alone.base_runs == together.base_runs
 
 
 # -- chunked Monte Carlo --------------------------------------------------------
@@ -560,8 +568,8 @@ def test_estimates_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
     def estimates():
         return (
             estimate_welfare(g, cat, cand, samples, seed=8),
-            estimate_marginal_welfare(g, cat, cand, base, samples, seed=8, runs=True),
-            estimate_marginal_welfares(g, cat, [cand, Allocation.empty()], base, samples, 8),
+            estimate_marginal_welfare(g, cat, [cand], base, samples, seed=8),
+            estimate_marginal_welfare(g, cat, [cand, Allocation.empty()], base, samples, 8),
         )
 
     whole = estimates()  # the default cap holds all 60 worlds of this graph at once

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from welfaremax import diffusion
 from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph
 from welfaremax.oracle import (
@@ -175,3 +176,24 @@ def test_sandwich_bounds_hold_on_random_instances():
         sigma = exact_spread(g, sorted(alloc.seed_nodes()))
         assert _relaxed_le(lo * sigma, rho)
         assert _relaxed_le(rho, hi * sigma)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 5])
+def test_oracle_results_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
+    g = graph_from("0 1 0.5\n1 2 0.7\n2 3 0.5\n0 3 0.3\n")
+    cat = ItemCatalog(
+        ["a", "b"],
+        prices={"a": 1, "b": 1},
+        valuations={("a",): 3, ("b",): 2.5, ("a", "b"): 3.2},
+        noise={"b": NoiseSpec.two_point(0.4)},
+    )
+    oracle, alloc = WelfareOracle(g, cat), Allocation.of([(0, "a"), (2, "b")])
+    whole = (oracle.welfare(alloc), oracle.item_adoption_means(alloc))
+    assert diffusion.chunk_worlds(g) >= len(oracle.worlds) == 32
+    monkeypatch.setattr(diffusion, "CHUNK_CELLS", per_chunk * max(g.n, g.m))
+    batches = []
+    real = diffusion.simulate
+    monkeypatch.setattr(diffusion, "simulate", lambda *a: batches.append(len(a[3])) or real(*a))
+    chunked = (oracle.welfare(alloc), oracle.item_adoption_means(alloc))
+    assert repr(chunked) == repr(whole)  # bit for bit
+    assert max(batches) == per_chunk and sum(batches) == 2 * len(oracle.worlds)
