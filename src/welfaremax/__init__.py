@@ -12,7 +12,7 @@ Submodules:
 """
 
 from welfaremax.graph import Graph, load_edge_list
-from welfaremax.utility import ItemCatalog, NoiseSpec, NoiseWorld
+from welfaremax.utility import ItemCatalog, NoiseSpec
 from welfaremax.diffusion import Allocation, PossibleWorld, simulate
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "load_edge_list",
     "ItemCatalog",
     "NoiseSpec",
-    "NoiseWorld",
     "Allocation",
     "PossibleWorld",
     "simulate",

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 from welfaremax import allocators
-from welfaremax.diffusion import Allocation, estimate_welfare
+from welfaremax.diffusion import MAX_SIM_ITEMS, Allocation, estimate_welfare
 from welfaremax.graph import EdgeListError, Graph, load_edge_list
 from welfaremax.oracle import (
     DEFAULT_LIMITS,
@@ -108,6 +108,17 @@ def load_catalog_file(path: str):
         return load_catalog_config(lines)
     except CatalogError as exc:
         raise CliError(2, f"bad catalog {path}: {exc}") from exc
+
+
+def _simulated_catalog(path: str):
+    """The catalog config at `path`, for a command that simulates it: at
+    most `MAX_SIM_ITEMS` items."""
+    cfg = load_catalog_file(path)
+    if cfg.catalog.m > MAX_SIM_ITEMS:
+        raise CliError(
+            2, f"catalog {path}: {cfg.catalog.m} items; simulation takes at most {MAX_SIM_ITEMS}"
+        )
+    return cfg
 
 
 def load_allocation_file(path: str, catalog: ItemCatalog, n: int) -> Allocation:
@@ -203,7 +214,7 @@ def _cmd_run_allocators(args, out: TextIO) -> int:
     records = []
     trace = _TraceWriter(args.trace)  # before the inputs load: a bad path costs no work
     try:
-        cfg = load_catalog_file(args.catalog)
+        cfg = _simulated_catalog(args.catalog)
         catalog = cfg.catalog
         budgets = parse_budgets(args.budgets, catalog) if args.budgets else cfg.budgets
         if not budgets:
@@ -239,7 +250,7 @@ def _cmd_run_allocators(args, out: TextIO) -> int:
 
 def _cmd_estimate(args, out: TextIO) -> int:
     graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
-    cfg = load_catalog_file(args.catalog)
+    cfg = _simulated_catalog(args.catalog)
     alloc = load_allocation_file(args.allocation, cfg.catalog, graph.n)
     est = estimate_welfare(
         graph, cfg.catalog, alloc, args.samples, derive_seed(args.seed, "estimate")
@@ -251,7 +262,7 @@ def _cmd_estimate(args, out: TextIO) -> int:
 
 def _cmd_oracle(args, out: TextIO) -> int:
     graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
-    cfg = load_catalog_file(args.catalog)
+    cfg = _simulated_catalog(args.catalog)
     catalog = cfg.catalog
     limits = OracleLimits(
         max_edges=args.max_edges,

@@ -8,7 +8,9 @@ desire set, and targets whose desire grew re-decide by argmax over
 supersets of their current adoption with non-negative utility.
 
 `simulate` runs one allocation in a batch of possible worlds at once, on
-numpy arrays over (world, node) keys and the graph's out-CSR. One loop,
+numpy arrays over (world, node) keys and the graph's out-CSR, and reads
+every bundle's utility from one table with a row per distinct noise
+vector and a column per item mask. One loop,
 `world_runs`, makes worlds a chunk at a time (`chunk_worlds`) and runs
 every allocation of an estimate, or of an exact oracle query, on a chunk
 before making the next.
@@ -27,11 +29,11 @@ import numpy as np
 
 from welfaremax.graph import Graph, csr_slots
 from welfaremax.rng import derive_rng
-from welfaremax.utility import ItemCatalog, NoiseWorld
+from welfaremax.utility import ItemCatalog
 
 MAX_SIM_ITEMS = 10  # the adoption argmax enumerates 2^|desire| subsets
 _MASKS = (1 << MAX_SIM_ITEMS) - 1  # the bits of one item mask
-CHUNK_CELLS = 1 << 23  # most world x max(node, edge) cells in one chunk of worlds
+CHUNK_CELLS = 1 << 23  # most world x max(node, edge, itemset) cells in one chunk of worlds
 
 
 class DiffusionError(ValueError):
@@ -80,11 +82,12 @@ class Allocation:
 class PossibleWorld:
     """One joint sample of noise values and edge liveness.
 
-    ``live[eid]`` is 1 when edge ``eid`` of the graph the world was drawn
-    for is live, else 0, so a world serves one graph only. A sampled world
-    draws its noise first, then one uniform per edge in edge-id order,
-    exactly as ``rng.random()`` would, and marks an edge live when its
-    uniform is below its probability. Replaying one world under different
+    ``noise[i]`` is item i's noise, and ``live[eid]`` is 1 when edge
+    ``eid`` of the graph the world was drawn for is live, else 0, so a
+    world serves one graph only. A sampled world draws its noise first,
+    item by item, then one uniform per edge in edge-id order, exactly as
+    ``rng.random()`` would, and marks an edge live when its uniform is
+    below its probability. Replaying one world under different
     allocations tests identical edges, and diffusion within a world is
     fully deterministic. `simulate` reads the flags of a batch of worlds
     as one stacked byte array and caches nothing on the worlds.
@@ -92,18 +95,18 @@ class PossibleWorld:
 
     __slots__ = ("noise", "live")
 
-    def __init__(self, noise: NoiseWorld, live: bytes):
+    def __init__(self, noise: tuple[float, ...], live: bytes):
         self.noise = noise
         self.live = live
 
     @classmethod
     def sample(cls, graph: Graph, catalog: ItemCatalog, rng) -> "PossibleWorld":
-        noise = NoiseWorld.sample(catalog, rng)
+        noise = tuple(spec.sample(rng) for spec in catalog.noise_specs)
         return cls(noise, _edge_flags(graph.probs, rng))
 
     @classmethod
-    def fixed(cls, live_edges: Iterable[bool], noise: NoiseWorld) -> "PossibleWorld":
-        return cls(noise, bytes(bool(b) for b in live_edges))
+    def fixed(cls, live_edges: Iterable[bool], noise: Sequence[float]) -> "PossibleWorld":
+        return cls(tuple(noise), bytes(bool(b) for b in live_edges))
 
 
 def _edge_flags(probs: np.ndarray, rng) -> bytes:
@@ -163,22 +166,23 @@ class DiffusionResult:
     rounds: list[int]
 
 
-def _best_feasible(desire: int, current: int, util) -> int:
-    """Argmax-utility subset of desire that contains current and has U >= 0.
+def _best_feasible(desire: int, current: int, util: Sequence[float]) -> int:
+    """Argmax-utility subset of desire that contains current and has U >= 0,
+    where ``util[mask]`` is a mask's utility.
 
     Ties prefer the larger itemset, then the smallest bitmask. `current`
     itself is always feasible (its utility was non-negative when adopted).
     """
     free = desire & ~current
     best_mask = current
-    best_u = util(current)
-    best_size = bin(current).count("1")
+    best_u = util[current]
+    best_size = current.bit_count()
     sub = free
     while sub:
         cand = current | sub
-        u = util(cand)
+        u = util[cand]
         if u >= 0.0:
-            size = bin(cand).count("1")
+            size = cand.bit_count()
             if (
                 u > best_u
                 or (u == best_u and size > best_size)
@@ -189,45 +193,24 @@ def _best_feasible(desire: int, current: int, util) -> int:
     return best_mask
 
 
-def _utility(catalog: ItemCatalog, noise: tuple[float, ...]):
-    """The utility of an item mask under one noise vector, memoised."""
-    base = catalog.value  # completed valuation per mask
-    price = catalog.item_prices
-    cache: dict[int, float] = {0: 0.0}
-
-    def util(mask: int) -> float:
-        got = cache.get(mask)
-        if got is None:
-            total = base(mask)
-            mm = mask
-            while mm:
-                low = mm & -mm
-                i = low.bit_length() - 1
-                total += noise[i] - price[i]
-                mm ^= low
-            cache[mask] = got = total
-        return got
-
-    return util
+def _utility_table(catalog: ItemCatalog, noise: np.ndarray) -> np.ndarray:
+    """``table[k, mask]``: the utility of each item mask under each row k of
+    `noise`, its value plus, item by item in index order, the item's noise
+    minus its price."""
+    masks = np.arange(1 << catalog.m)
+    values = np.array([catalog.value(mask) for mask in masks.tolist()], dtype=np.float64)
+    table = np.tile(values, (len(noise), 1))
+    for i, price in enumerate(catalog.item_prices):
+        held = masks >> i & 1 != 0
+        table[:, held] += (noise[:, i] - price)[:, None]
+    return table
 
 
-def _each_distinct(keys: np.ndarray, fn, memo: dict, dtype) -> np.ndarray:
-    """``fn(key)`` for each of the int64 `keys`, calling `fn` once per
-    distinct key not yet in `memo`, which keeps what it returns."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    values = []
-    for key in distinct.tolist():
-        got = memo.get(key)
-        if got is None:
-            memo[key] = got = fn(key)
-        values.append(got)
-    return np.array(values, dtype=dtype)[inverse]
-
-
-def chunk_worlds(graph: Graph) -> int:
-    """The most worlds one chunk holds: `CHUNK_CELLS` over the larger of
-    the graph's node and edge counts, and at least one."""
-    return max(1, CHUNK_CELLS // max(graph.n, graph.m, 1))
+def chunk_worlds(graph: Graph, catalog: ItemCatalog) -> int:
+    """The most worlds one chunk holds: `CHUNK_CELLS` over the largest of
+    the graph's node and edge counts and the catalog's itemset count, and
+    at least one."""
+    return max(1, CHUNK_CELLS // max(graph.n, graph.m, 1 << catalog.m))
 
 
 def _spread(graph: Graph, worlds: Sequence[PossibleWorld], seeds: dict[int, int], choose):
@@ -287,7 +270,10 @@ def simulate(
     the live ones, ORs together the items each target newly hears of, and
     lets those targets re-decide. A decision depends only on the world's
     noise vector, the desire and the current adoption, and is made once
-    per distinct triple. Callers keep ``len(worlds) * max(n, m)`` within
+    per distinct triple. Every utility, in a decision and in the welfare
+    of the final adoption, comes from one table (`_utility_table`) with a
+    row per distinct noise vector, bit for bit, and a column per item
+    mask. Callers keep ``len(worlds) * max(n, m, 2^items)`` within
     `CHUNK_CELLS` (`chunk_worlds`).
     """
     if catalog.m > MAX_SIM_ITEMS:
@@ -301,20 +287,11 @@ def simulate(
             raise DiffusionError(f"unknown item {item!r} in allocation")
         seeds[node] = seeds.get(node, 0) | 1 << catalog.index[item]
 
-    noise_ids: dict[bytes, int] = {}  # each distinct noise vector, bit for bit -> its id
-    utils = []  # per noise id, the memoised utility of a mask
-    noise_of = np.empty(count, dtype=np.int64)
-    for w, world in enumerate(worlds):
-        key = np.array(world.noise.values, dtype=np.float64).tobytes()
-        if key not in noise_ids:
-            noise_ids[key] = len(utils)
-            utils.append(_utility(catalog, world.noise.values))
-        noise_of[w] = noise_ids[key]
+    noise = np.array([world.noise for world in worlds], dtype=np.float64).reshape(count, catalog.m)
+    vectors, noise_of = np.unique(noise.view(np.int64), axis=0, return_inverse=True)  # bit for bit
+    noise_of = noise_of.reshape(-1)  # its shape differs across numpy versions
+    table = _utility_table(catalog, vectors.view(np.float64))  # a row per noise id
     choices: dict[int, int] = {}  # (noise id, desire, current) triple -> new adoption
-
-    def decide(triple: int) -> int:
-        desired, current = triple >> MAX_SIM_ITEMS & _MASKS, triple & _MASKS
-        return _best_feasible(desired, current, utils[triple >> 2 * MAX_SIM_ITEMS])
 
     def choose(keys: np.ndarray, desired: np.ndarray, current: np.ndarray) -> np.ndarray:
         triples = (
@@ -322,18 +299,22 @@ def simulate(
             | desired.astype(np.int64) << MAX_SIM_ITEMS
             | current
         )
-        return _each_distinct(triples, decide, choices, np.uint16)
+        distinct, inverse = np.unique(triples, return_inverse=True)
+        distinct = distinct.tolist()
+        for triple in distinct:
+            if triple not in choices:
+                # its noise id's row, as a memoryview, which reads out Python floats
+                util = memoryview(table[triple >> 2 * MAX_SIM_ITEMS])
+                choices[triple] = _best_feasible(
+                    triple >> MAX_SIM_ITEMS & _MASKS, triple & _MASKS, util
+                )
+        return np.array([choices[triple] for triple in distinct], dtype=np.uint16)[inverse]
 
     adopt, rounds = _spread(graph, worlds, seeds, choose)
     adopters = np.flatnonzero(adopt)
     masks = adopt[adopters]
     owner = adopters // n
-    values = _each_distinct(
-        noise_of[owner] << MAX_SIM_ITEMS | masks,
-        lambda pair: utils[pair >> MAX_SIM_ITEMS](pair & _MASKS),
-        {},
-        np.float64,
-    )
+    values = table[noise_of[owner], masks]
     bounds = np.searchsorted(adopters, np.arange(count + 1) * n).tolist()
     welfare = [math.fsum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
     counts = {
@@ -365,26 +346,39 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 
 
 def world_runs(
-    graph: Graph, catalog: ItemCatalog, allocations: list[Allocation], count: int, world
-) -> list[tuple[array, dict[str, array]]]:
-    """Per allocation, its welfare and its adopters of each item in each of
-    the worlds ``world(0)`` .. ``world(count - 1)``, as flat arrays, which
-    keep each float as it is in a quarter of a list's memory.
+    graph: Graph,
+    catalog: ItemCatalog,
+    allocations: list[Allocation],
+    count: int,
+    world,
+    weights: Optional[Sequence[float]] = None,
+) -> list[tuple[array, dict[str, float]]]:
+    """Per allocation, its welfare in each of the worlds ``world(0)`` ..
+    ``world(count - 1)``, as a flat array, which keeps each float as it is
+    in a quarter of a list's memory, and its adopters of each item summed
+    over the worlds: plain counts, or each world's count times
+    ``weights[idx]``, added in world order.
 
     The worlds are made a chunk of `chunk_worlds` at a time, and every
     allocation runs on a chunk before the next is made.
     """
     if count < 1:
         raise DiffusionError("samples must be >= 1")
-    runs = [(array("d"), {item: array("q") for item in catalog.items}) for _ in allocations]
-    per = chunk_worlds(graph)
+    runs = [(array("d"), dict.fromkeys(catalog.items, 0)) for _ in allocations]
+    per = chunk_worlds(graph, catalog)
     for start in range(0, count, per):
         worlds = [world(idx) for idx in range(start, min(start + per, count))]
         for allocation, (welfare, adopters) in zip(allocations, runs):
             result = simulate(graph, catalog, allocation, worlds)
             welfare.extend(result.welfare)
             for item, counts in result.item_counts.items():
-                adopters[item].extend(counts)
+                if weights is None:
+                    adopters[item] += sum(counts)
+                    continue
+                total = adopters[item]
+                for p, c in zip(weights[start : start + len(counts)], counts):
+                    total += p * c
+                adopters[item] = total
     return runs
 
 
@@ -405,7 +399,7 @@ def estimate_welfare(
         graph, catalog, [allocation], samples, _sampled(graph, catalog, seed)
     )
     mean, stderr = _mean_stderr(welfares)
-    return WelfareEstimate(mean, stderr, {item: sum(c) / samples for item, c in adopters.items()})
+    return WelfareEstimate(mean, stderr, {item: c / samples for item, c in adopters.items()})
 
 
 def estimate_marginal_welfare(

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from welfaremax.diffusion import Allocation, PossibleWorld, world_runs
 from welfaremax.graph import Graph
-from welfaremax.utility import ItemCatalog, NoiseWorld, finite_supports, joint_outcomes
+from welfaremax.utility import ItemCatalog, finite_supports, joint_outcomes
 
 
 class OracleLimitError(ValueError):
@@ -57,7 +57,7 @@ def _noise_worlds(catalog: ItemCatalog, limits: OracleLimits):
     size = math.prod(len(sup) for sup in supports)
     if size > limits.max_noise_support:
         raise OracleLimitError(f"joint noise support {size} exceeds limit")
-    return [(prob, NoiseWorld(vals)) for prob, vals in joint_outcomes(supports)]
+    return joint_outcomes(supports)
 
 
 class WelfareOracle:
@@ -78,7 +78,7 @@ class WelfareOracle:
 
     def _runs(self, allocation: Allocation):
         count, world = len(self.worlds), self.worlds.__getitem__
-        return world_runs(self.graph, self.catalog, [allocation], count, world)[0]
+        return world_runs(self.graph, self.catalog, [allocation], count, world, self.probs)[0]
 
     def welfare(self, allocation: Allocation) -> float:
         welfare, _ = self._runs(allocation)
@@ -88,14 +88,7 @@ class WelfareOracle:
         return self.welfare(candidate.merged(base)) - self.welfare(base)
 
     def item_adoption_means(self, allocation: Allocation) -> dict[str, float]:
-        _, adopters = self._runs(allocation)
-        totals = {}
-        for item, counts in adopters.items():
-            total = 0.0
-            for p, c in zip(self.probs, counts):
-                total += p * c  # in world order
-            totals[item] = total
-        return totals
+        return self._runs(allocation)[1]
 
 
 class SpreadOracle:

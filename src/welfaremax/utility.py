@@ -102,17 +102,6 @@ class NoiseSpec:
         return None
 
 
-@dataclass(frozen=True)
-class NoiseWorld:
-    """One joint draw of per-item noise, fixed for an entire diffusion."""
-
-    values: tuple[float, ...]
-
-    @classmethod
-    def sample(cls, catalog: "ItemCatalog", rng) -> "NoiseWorld":
-        return cls(tuple(spec.sample(rng) for spec in catalog.noise_specs))
-
-
 class ItemCatalog:
     """Items with bundle valuations, additive prices and noise distributions.
 
@@ -222,14 +211,15 @@ class ItemCatalog:
         return f"ItemCatalog(items={list(self.items)})"
 
 
-def utility(catalog: ItemCatalog, items, noise_world: Optional[NoiseWorld] = None) -> float:
-    """U(I) = V(I) - sum of prices + sum of sampled noise; U(empty) = 0."""
+def utility(catalog: ItemCatalog, items, noise: Optional[Sequence[float]] = None) -> float:
+    """U(I) = V(I) - sum of prices + sum of sampled noise, where ``noise[i]``
+    is item i's; U(empty) = 0."""
     mask = catalog.mask(items)
     total = catalog.value(mask) - catalog.price(mask)
-    if noise_world is not None:
+    if noise is not None:
         for i in range(catalog.m):
             if mask >> i & 1:
-                total += noise_world.values[i]
+                total += noise[i]
     return total
 
 
@@ -370,12 +360,16 @@ def utilities_from_probabilities(probs: Iterable[float], scale: float = 10000.0)
     """Map adoption probabilities to expected utilities via ln(scale * p)."""
     if not scale > 0:
         raise CatalogError(f"scale must be positive, got {scale}")
+    if scale == math.inf:
+        raise CatalogError(f"scale must be finite, got {scale}")
     out = []
     for p in probs:
         if not 0 < p < math.inf:
             raise CatalogError(f"adoption probability must be positive and finite, got {p}")
         if p > 1:
             raise CatalogError(f"adoption probability must be at most 1, got {p}")
+        if not scale * p > 0:
+            raise CatalogError(f"scale * probability underflows to 0 for {scale} * {p}")
         out.append(math.log(scale * p))
     return out
 

@@ -6,7 +6,7 @@ import pytest
 
 from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph, load_edge_list
-from welfaremax.utility import ItemCatalog, NoiseSpec, NoiseWorld
+from welfaremax.utility import ItemCatalog, NoiseSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -15,9 +15,9 @@ def graph_from(text: str) -> Graph:
     return load_edge_list(io.StringIO(text))
 
 
-def silent_noise(catalog: ItemCatalog) -> NoiseWorld:
-    """A noise world in which every item's noise is 0."""
-    return NoiseWorld((0.0,) * catalog.m)
+def silent_noise(catalog: ItemCatalog) -> tuple[float, ...]:
+    """A noise vector in which every item's noise is 0."""
+    return (0.0,) * catalog.m
 
 
 @pytest.fixture

@@ -545,3 +545,18 @@ def test_sequential_order_comes_from_one_item_utility_call(monkeypatch, fn, path
     first = "phase=tentative" if fn is seqgrd else "phase=assign"
     order = [ln.split()[1] for ln in lines if ln.startswith(first)]
     assert order == ["item=i", "item=k", "item=j"]
+
+
+@pytest.mark.parametrize("fn", [seqgrd, seqgrd_nm, maxgrd])
+def test_all_zero_budgets_allocate_nothing_without_sampling(
+    monkeypatch, fn, path_graph, blocking_catalog
+):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no seed selection or estimate at budget 0")
+
+    monkeypatch.setattr(allocators, "prima_plus", unexpected)
+    monkeypatch.setattr(allocators, "estimate_marginal_welfare", unexpected)
+    monkeypatch.setattr(allocators, "expected_item_utilities", unexpected)
+    budgets = {"i": 0, "k": 0}
+    got = fn(path_graph, blocking_catalog, Allocation.empty(), ["i", "k"], budgets, CFG)
+    assert got == Allocation.empty()

@@ -105,4 +105,8 @@ def test_traced_rounds_reduce_to_per_layer_metrics(tmp_path, monkeypatch, algo):
         assert metrics[name]["value"] >= 1, name
     # one marginal check per budgeted item (i and j), through the patched name
     assert metrics["allocators.marginal_checks"]["value"] == (2 if algo == "seqgrd" else 0)
+    # one `PossibleWorld.sample` call per world drawn, one adopter per adopting (world, node)
+    worlds, adopters = (60, 380) if algo == "seqgrd" else (20, 120)
+    assert metrics["diffusion.worlds"]["value"] == worlds
+    assert metrics["diffusion.adopters"]["value"] == adopters
     assert tracing.layer_counts(traced.spans) == tracing.layer_counts(again.spans)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from welfaremax import selectors
+from welfaremax import allocators, selectors
 from welfaremax.cli import load_graph_file, main
 
 from conftest import CONFIGS
@@ -883,3 +883,71 @@ def test_negative_oracle_max_edges_exits_2(tmp_path, capsys):
         )
     assert exc.value.code == 2
     assert "argument --max-edges: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def _catalog_of(tmp_path, m):
+    """A zero-noise catalog of m items, each worth 2 at price 1."""
+    path = tmp_path / f"items{m}.cfg"
+    items = [f"x{k}" for k in range(m)]
+    lines = ["[items]", *(f"{it} price=1 noise=zero" for it in items), "[valuation]"]
+    path.write_text("\n".join(lines + [f"{it} = 2" for it in items]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["allocate", "compare", "estimate", "oracle"])
+def test_a_catalog_above_the_simulator_limit_exits_2(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(allocators, "prima_plus", lambda *a, **k: calls.append(a) or [0])
+    alloc = tmp_path / "alloc.txt"
+    alloc.write_text("0 x0\n")
+    argv = [command, "--graph", CONFIGS / "path6.edges", "--catalog", _catalog_of(tmp_path, 11)]
+    if command == "allocate":
+        argv += ["--algo", "seqgrd-nm", "--budgets", "x0=1,x1=1", "--samples", "10"]
+    elif command == "compare":
+        argv += ["--algos", "seqgrd-nm,round-robin", "--budgets", "x0=1", "--samples", "10"]
+    else:
+        argv += ["--allocation", alloc]
+    assert run_cli(*argv, "--out", tmp_path / "o.csv") == 2
+    err = capsys.readouterr().err
+    assert "11 items; simulation takes at most 10" in err
+    assert "Traceback" not in err
+    assert calls == []  # rejected before any seed selection
+
+
+def test_a_catalog_at_the_simulator_limit_runs(tmp_path):
+    alloc = tmp_path / "alloc.txt"
+    alloc.write_text("0 x0\n0 x9\n")
+    out = tmp_path / "o.csv"
+    assert run_cli(
+        "estimate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", _catalog_of(tmp_path, 10),
+        "--allocation", alloc,
+        "--samples", "5",
+        "--out", out,
+    ) == 0
+    assert read_csv(out)[1][-3:] == ["6", "0", "0:x0;0:x9"]  # one item reaches all 6 nodes
+
+
+def test_validate_config_takes_more_items_than_simulation(tmp_path, capsys):
+    assert run_cli("validate-config", "--catalog", _catalog_of(tmp_path, 11)) == 0
+    assert capsys.readouterr().out == "PASS: ok\n"
+
+
+@pytest.mark.parametrize(
+    "scale, line, message",
+    [
+        ("inf", "x 0.5", "scale must be finite, got inf"),
+        ("nan", "x 0.5", "scale must be positive, got nan"),
+        ("1e-300", "a 1e-30", "scale * probability underflows to 0 for 1e-300 * 1e-30"),
+    ],
+    ids=["inf", "nan", "underflow"],
+)
+def test_convert_utilities_rejects_scales_it_cannot_use(tmp_path, capsys, scale, line, message):
+    probs = tmp_path / "p.txt"
+    probs.write_text(line + "\n")
+    assert run_cli("convert-utilities", "--probs", probs, "--scale", scale) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no utility written

@@ -20,7 +20,7 @@ from welfaremax.diffusion import (
 )
 from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle, WelfareOracle
-from welfaremax.utility import ItemCatalog, NoiseSpec, NoiseWorld, utility
+from welfaremax.utility import ItemCatalog, NoiseSpec, utility
 
 from conftest import (
     graph_from,
@@ -274,19 +274,18 @@ def test_sampled_world_flags_equal_per_edge_random_calls(catalog, probs):
         seed = rng.getrandbits(64)
         fast_rng, slow_rng = random.Random(seed), random.Random(seed)
         world = PossibleWorld.sample(g, catalog, fast_rng)
-        noise = NoiseWorld.sample(catalog, slow_rng)
+        noise = tuple(spec.sample(slow_rng) for spec in catalog.noise_specs)
         flags = [slow_rng.random() < p for _, _, p in g.edges]
         assert world.noise == noise, trial
         assert [bool(b) for b in world.live] == flags, trial
         assert fast_rng.getstate() == slow_rng.getstate(), trial
 
 
-def reference_simulate(graph, catalog, allocation, noise_world, edge_live):
+def reference_simulate(graph, catalog, allocation, noise, edge_live):
     """The simulator as it was before possible worlds cached live edges:
     one world, dense per-node state, edges tested through
     ``edge_live(eid, p)``; the result is that of a batch of one world."""
     n = graph.n
-    noise = noise_world.values
     util_cache = {0: 0.0}
 
     def util(mask):
@@ -395,7 +394,7 @@ def test_simulate_matches_reference_on_sampled_worlds():
         seed = rng.getrandbits(64)
         world = PossibleWorld.sample(g, cat, random.Random(seed))
         slow_rng = random.Random(seed)
-        noise = NoiseWorld.sample(cat, slow_rng)
+        noise = tuple(spec.sample(slow_rng) for spec in cat.noise_specs)
         uniforms = [slow_rng.random() for _ in range(g.m)]
         # one world replayed under several allocations
         for alloc in allocations:
@@ -411,7 +410,7 @@ def test_simulate_matches_reference_on_fixed_worlds():
             continue
         cat = random_coverage_catalog(rng, m_hi=4)
         flags = [rng.random() < 0.6 for _ in range(g.m)]
-        noise = NoiseWorld.sample(cat, rng)
+        noise = tuple(spec.sample(rng) for spec in cat.noise_specs)
         world = PossibleWorld.fixed(flags, noise)
         for _ in range(3):
             alloc = random_allocation(rng, g, cat, pairs=rng.randint(1, 6))
@@ -419,10 +418,43 @@ def test_simulate_matches_reference_on_fixed_worlds():
             assert_same_result(simulate(g, cat, alloc, [world]), want)
 
 
+def continuous_noise_catalog(rng: random.Random, m: int) -> ItemCatalog:
+    """m items, every one with gaussian or truncated gaussian noise, and a
+    listed value for every bundle, so that bundles of any size can win."""
+    items = [f"it{k}" for k in range(m)]
+    singles = [rng.uniform(1.0, 2.5) for _ in items]
+    valuations = {}
+    for mask in range(1, 1 << m):
+        members = [k for k in range(m) if mask >> k & 1]
+        scale = 1.0 if len(members) == 1 else rng.uniform(0.6, 1.0)
+        valuations[tuple(items[k] for k in members)] = scale * sum(singles[k] for k in members)
+    prices = {it: rng.uniform(0.8, 2.0) for it in items}
+    noise = {
+        it: NoiseSpec.gaussian(rng.uniform(0.2, 1.0))
+        if rng.random() < 0.5
+        else NoiseSpec.truncated_gaussian(rng.uniform(0.2, 1.0), rng.uniform(0.3, 1.5))
+        for it in items
+    }
+    return ItemCatalog(items, prices, valuations, noise)
+
+
+def assert_batch_matches_reference(rng, g, cat, worlds):
+    for _ in range(3):
+        alloc = random_allocation(rng, g, cat, pairs=rng.randint(0, 6))
+        batch = simulate(g, cat, alloc, worlds)
+        assert len(batch.welfare) == len(batch.rounds) == len(worlds)
+        for w, world in enumerate(worlds):
+            live = world.live
+            want = reference_simulate(g, cat, alloc, world.noise, lambda eid, p: live[eid])
+            assert_same_result(world_result(batch, w), want)
+        per_world = [world_result(batch, w).adoption for w in range(len(worlds))]
+        assert len(batch.adoption) == sum(map(len, per_world))
+
+
 def test_one_batch_of_mixed_noise_worlds_matches_reference_world_by_world():
     rng = random.Random(404)
     cat = NOISE_CATALOGS[1]  # gaussian noise on a, two-point noise on b
-    shared = [NoiseWorld((0.0, 0.4)), NoiseWorld((0.0, -0.4)), NoiseWorld((-0.0, 0.4))]
+    shared = [(0.0, 0.4), (0.0, -0.4), (-0.0, 0.4)]
     for trial in range(15):
         g = fractional_graph(rng, n_hi=25, m_hi=100)
         if g.n == 0:
@@ -435,16 +467,19 @@ def test_one_batch_of_mixed_noise_worlds_matches_reference_world_by_world():
         worlds.append(worlds[0])
         rng.shuffle(worlds)
         assert len({w.noise for w in worlds}) > 1
-        for _ in range(3):
-            alloc = random_allocation(rng, g, cat, pairs=rng.randint(0, 6))
-            batch = simulate(g, cat, alloc, worlds)
-            assert len(batch.welfare) == len(batch.rounds) == len(worlds)
-            for w, world in enumerate(worlds):
-                live = world.live
-                want = reference_simulate(g, cat, alloc, world.noise, lambda eid, p: live[eid])
-                assert_same_result(world_result(batch, w), want)
-            per_world = [world_result(batch, w).adoption for w in range(len(worlds))]
-            assert len(batch.adoption) == sum(map(len, per_world))
+        assert_batch_matches_reference(rng, g, cat, worlds)
+    sizes = set()
+    for trial in range(12):
+        g = fractional_graph(rng, n_hi=25, m_hi=100)
+        if g.n == 0:
+            continue
+        cat = continuous_noise_catalog(rng, rng.randint(4, 6))
+        sizes.add(cat.m)
+        worlds = [PossibleWorld.sample(g, cat, random.Random(rng.getrandbits(64)))
+                  for _ in range(rng.randint(2, 8))]
+        assert len({w.noise for w in worlds}) == len(worlds)  # a table row per world
+        assert_batch_matches_reference(rng, g, cat, worlds)
+    assert sizes == {4, 5, 6}  # 16, 32 and 64 table columns
 
 
 def test_worlds_keep_no_reference_to_their_graph():
@@ -573,9 +608,9 @@ def test_estimates_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
         )
 
     whole = estimates()  # the default cap holds all 60 worlds of this graph at once
-    assert diffusion.chunk_worlds(g) >= samples
+    assert diffusion.chunk_worlds(g, cat) >= samples
     monkeypatch.setattr(diffusion, "CHUNK_CELLS", per_chunk * max(g.n, g.m))
-    assert diffusion.chunk_worlds(g) == per_chunk
+    assert diffusion.chunk_worlds(g, cat) == per_chunk
     batches = []
     real = diffusion.simulate
     monkeypatch.setattr(diffusion, "simulate", lambda *a: batches.append(len(a[3])) or real(*a))
@@ -589,7 +624,7 @@ def test_no_simulate_call_holds_more_than_the_cap_at_the_cli_default(monkeypatch
     g = Graph(n, [(v, v + 1, 0.5) for v in range(0, n - 1, 3)])
     cat = NOISE_CATALOGS[0]
     samples = AllocatorConfig().mc_samples
-    per = diffusion.chunk_worlds(g)
+    per = diffusion.chunk_worlds(g, cat)
     assert per * n <= diffusion.CHUNK_CELLS < (per + 1) * n and per < samples
     batches = []
     real = diffusion.simulate

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -189,7 +190,7 @@ def test_oracle_results_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
     )
     oracle, alloc = WelfareOracle(g, cat), Allocation.of([(0, "a"), (2, "b")])
     whole = (oracle.welfare(alloc), oracle.item_adoption_means(alloc))
-    assert diffusion.chunk_worlds(g) >= len(oracle.worlds) == 32
+    assert diffusion.chunk_worlds(g, cat) >= len(oracle.worlds) == 32
     monkeypatch.setattr(diffusion, "CHUNK_CELLS", per_chunk * max(g.n, g.m))
     batches = []
     real = diffusion.simulate
@@ -197,3 +198,29 @@ def test_oracle_results_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
     chunked = (oracle.welfare(alloc), oracle.item_adoption_means(alloc))
     assert repr(chunked) == repr(whole)  # bit for bit
     assert max(batches) == per_chunk and sum(batches) == 2 * len(oracle.worlds)
+
+
+@pytest.mark.parametrize("per_chunk", [None, 3])
+def test_item_adoption_means_add_each_worlds_weighted_count_in_world_order(
+    monkeypatch, per_chunk
+):
+    g = graph_from("0 1 0.5\n1 2 0.7\n2 3 0.3\n0 3 0.9\n3 1 0.6\n")
+    cat = ItemCatalog(
+        ["a", "b", "c"],
+        prices={"a": 1, "b": 1, "c": 1},
+        valuations={("a",): 3, ("b",): 2.5, ("c",): 1.7, ("a", "b"): 3.2, ("b", "c"): 3.9},
+        noise={"b": NoiseSpec.two_point(0.4), "c": NoiseSpec.two_point(0.3)},
+    )
+    oracle, alloc = WelfareOracle(g, cat), Allocation.of([(0, "a"), (2, "b"), (1, "c")])
+    counts = diffusion.simulate(g, cat, alloc, oracle.worlds).item_counts
+    want = {}
+    for item in cat.items:
+        total = 0.0
+        for p, c in zip(oracle.probs, counts[item]):
+            total += p * c  # in world order
+        want[item] = total.hex()
+    if per_chunk:
+        monkeypatch.setattr(diffusion, "CHUNK_CELLS", per_chunk * max(g.n, g.m))
+    got = oracle.item_adoption_means(alloc)
+    assert {item: mean.hex() for item, mean in got.items()} == want  # bit for bit
+    assert math.fsum(got.values()) > 0

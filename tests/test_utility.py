@@ -11,7 +11,6 @@ from welfaremax.utility import (
     CatalogError,
     ItemCatalog,
     NoiseSpec,
-    NoiseWorld,
     expected_truncated_utility,
     is_pure_competition,
     load_catalog_config,
@@ -45,9 +44,9 @@ def test_utility_unknown_item(trio_catalog):
 
 
 def test_utility_additive_in_noise(trio_catalog):
-    world = NoiseWorld((0.5, -0.25, 1.0))
+    noise = (0.5, -0.25, 1.0)
     base = utility(trio_catalog, ["i1", "i2"])
-    assert utility(trio_catalog, ["i1", "i2"], world) == base + 0.5 - 0.25
+    assert utility(trio_catalog, ["i1", "i2"], noise) == base + 0.5 - 0.25
 
 
 _TRIO = ItemCatalog(
@@ -66,10 +65,9 @@ _TRIO = ItemCatalog(
 def test_utility_is_value_minus_price_plus_noise(mask, noise_vals):
     cat = _TRIO
     items = [it for k, it in enumerate(cat.items) if mask >> k & 1]
-    world = NoiseWorld(tuple(noise_vals))
     expect = cat.value(mask) - sum(cat.item_price(it) for it in items)
     expect += sum(noise_vals[k] for k in range(3) if mask >> k & 1)
-    assert utility(cat, items, world) == pytest.approx(expect, abs=1e-12)
+    assert utility(cat, items, noise_vals) == pytest.approx(expect, abs=1e-12)
 
 
 def test_truncation_of_negative_deterministic_utility():
@@ -103,6 +101,32 @@ def test_gaussian_truncated_utility_matches_closed_form():
     cdf = 0.5 * (1 + math.erf(z / math.sqrt(2)))
     want = mu * cdf + sigma * phi
     assert abs(got - want) < 4 * stderr + 1e-12
+
+
+def test_mixed_noise_truncated_utility_matches_closed_form():
+    # gaussian noise on a, two-point noise on b and none on c, so the Monte
+    # Carlo path draws every kind of noise array: with d the bundle's
+    # deterministic utility, E[max(0, U)] = (f(d + amp) + f(d - amp)) / 2,
+    # where f(mu) = mu * Phi(mu/sigma) + sigma * phi(mu/sigma)
+    sigma, amp = 0.8, 0.5
+    cat = ItemCatalog(
+        ["a", "b", "c"],
+        prices={"a": 1.0, "b": 1.0, "c": 1.0},
+        valuations={("a", "b", "c"): 3.4},
+        noise={"a": NoiseSpec.gaussian(sigma), "b": NoiseSpec.two_point(amp)},
+    )
+
+    def f(mu):
+        z = mu / sigma
+        return mu * 0.5 * (1 + math.erf(z / math.sqrt(2))) + sigma * math.exp(-z * z / 2) / (
+            math.sqrt(2 * math.pi)
+        )
+
+    d = 3.4 - 3.0
+    want = (f(d + amp) + f(d - amp)) / 2
+    got, stderr = expected_truncated_utility(cat, ["a", "b", "c"], 100_000, random.Random(7))
+    assert 0 < stderr < 0.01
+    assert abs(got - want) < 4 * stderr
 
 
 def test_mc_requires_rng():
@@ -280,6 +304,20 @@ def test_probability_conversion_identity_and_errors():
     assert utilities_from_probabilities([1 / 10000])[0] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(CatalogError, match="positive"):
         utilities_from_probabilities([0.0])
+
+
+@pytest.mark.parametrize(
+    "scale, probs, message",
+    [
+        (math.inf, [0.5], "scale must be finite, got inf"),
+        (math.nan, [0.5], "scale must be positive, got nan"),
+        (1e-300, [0.5, 1e-30], "scale \\* probability underflows to 0 for 1e-300 \\* 1e-30"),
+    ],
+    ids=["inf", "nan", "underflow"],
+)
+def test_probability_conversion_needs_a_usable_scale(scale, probs, message):
+    with pytest.raises(CatalogError, match=message):
+        utilities_from_probabilities(probs, scale=scale)
 
 
 def test_validate_passes_fixtures(trio_catalog, premium_catalog):
