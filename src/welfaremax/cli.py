@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import pairwise
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -23,13 +24,7 @@ from typing import Optional, Sequence, TextIO
 from welfaremax import allocators
 from welfaremax.diffusion import MAX_SIM_ITEMS, Allocation, estimate_welfare
 from welfaremax.graph import EdgeListError, Graph, load_edge_list
-from welfaremax.oracle import (
-    DEFAULT_LIMITS,
-    OracleLimitError,
-    OracleLimits,
-    WelfareOracle,
-    optimal_allocation,
-)
+from welfaremax.oracle import DEFAULT_LIMITS, OracleLimitError, WelfareOracle
 from welfaremax.ris import CHUNK_SETS, RISError, sample_marginal_rr
 from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.selectors import RRLimitError
@@ -76,13 +71,20 @@ def _open(path: str, flag: str, mode: str = "w"):
 @contextmanager
 def _output(path: Optional[str]):
     """Stdout if no path; else a buffer written to `path` once the command
-    completes, so a failed run leaves an existing file as it was."""
+    completes, so a failed run leaves an existing file as it was and
+    removes one that only its path check created."""
     if not path:
         yield sys.stdout
         return
+    created = not os.path.lexists(path)
     _open(path, "--out", "a").close()  # a bad path fails before any work
     buffer = io.StringIO()
-    yield buffer
+    try:
+        yield buffer
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
     with _open(path, "--out") as stream:
         stream.write(buffer.getvalue())
 
@@ -264,37 +266,26 @@ def _cmd_oracle(args, out: TextIO) -> int:
     graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
     cfg = _simulated_catalog(args.catalog)
     catalog = cfg.catalog
-    limits = OracleLimits(
-        max_edges=args.max_edges,
-        max_noise_support=DEFAULT_LIMITS.max_noise_support,
-        max_allocation_space=DEFAULT_LIMITS.max_allocation_space,
-    )
-    base = Allocation.empty()
-    if args.base:
-        base = load_allocation_file(args.base, catalog, graph.n)
+    limits = replace(DEFAULT_LIMITS, max_edges=args.max_edges)
+    base = load_allocation_file(args.base, catalog, graph.n) if args.base else Allocation.empty()
     try:
         if args.optimal:
             budgets = parse_budgets(args.budgets, catalog) if args.budgets else cfg.budgets
             if not budgets:
                 raise CliError(2, "oracle --optimal needs budgets")
-            alloc, welfare = optimal_allocation(graph, catalog, budgets, base, limits)
-            full = alloc.merged(base)
             oracle = WelfareOracle(graph, catalog, limits)
-            record = ResultRecord(
-                "oracle-opt", alloc, welfare, 0.0, oracle.item_adoption_means(full), 0.0
-            )
+            alloc, welfare = oracle.optimal(budgets, base)
         else:
             if not args.allocation:
                 raise CliError(2, "oracle needs --allocation or --optimal")
             alloc = load_allocation_file(args.allocation, catalog, graph.n)
             oracle = WelfareOracle(graph, catalog, limits)
-            full = alloc.merged(base)
-            record = ResultRecord(
-                "oracle", alloc, oracle.welfare(full), 0.0, oracle.item_adoption_means(full), 0.0
-            )
+            welfare = oracle.welfare(alloc.merged(base))
+        adoption = oracle.item_adoption_means(alloc.merged(base))
     except OracleLimitError as exc:
         raise CliError(3, f"oracle: {exc}") from exc
-    _write_csv([record], catalog, out)
+    name = "oracle-opt" if args.optimal else "oracle"
+    _write_csv([ResultRecord(name, alloc, welfare, 0.0, adoption, 0.0)], catalog, out)
     return 0
 
 

@@ -198,8 +198,7 @@ def _utility_table(catalog: ItemCatalog, noise: np.ndarray) -> np.ndarray:
     `noise`, its value plus, item by item in index order, the item's noise
     minus its price."""
     masks = np.arange(1 << catalog.m)
-    values = np.array([catalog.value(mask) for mask in masks.tolist()], dtype=np.float64)
-    table = np.tile(values, (len(noise), 1))
+    table = np.tile(catalog.values, (len(noise), 1))
     for i, price in enumerate(catalog.item_prices):
         held = masks >> i & 1 != 0
         table[:, held] += (noise[:, i] - price)[:, None]

@@ -2,7 +2,8 @@
 
 Everything here enumerates all 2^|E| edge worlds (and, for welfare, the
 Cartesian product of finite noise supports), so it is exact and exists
-solely to anchor tests. Limits are enforced before any enumeration.
+solely to anchor tests. The edge and noise limits are enforced before
+any enumeration, the allocation-space limit before any search.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class WelfareOracle:
     def __init__(self, graph: Graph, catalog: ItemCatalog, limits: OracleLimits = DEFAULT_LIMITS):
         self.graph = graph
         self.catalog = catalog
+        self.limits = limits
         self.probs: list[float] = []
         self.worlds: list[PossibleWorld] = []
         for pe, flags in _edge_worlds(graph, limits):
@@ -89,6 +91,37 @@ class WelfareOracle:
 
     def item_adoption_means(self, allocation: Allocation) -> dict[str, float]:
         return self._runs(allocation)[1]
+
+    def optimal(
+        self, budgets: dict[str, int], base: Optional[Allocation] = None
+    ) -> tuple[Allocation, float]:
+        """Exhaustive search over budget-feasible allocations for the given items.
+
+        Seed sets may overlap across items. Returns an argmax allocation and
+        its exact welfare rho(allocation + base).
+        """
+        base = base or Allocation.empty()
+        items = [it for it in self.catalog.items if it in budgets]
+        if set(budgets) - set(items):
+            raise ValueError(f"budgets reference unknown items: {sorted(set(budgets) - set(items))}")
+        universe = list(range(self.graph.n))
+        space = 1
+        for it in items:
+            per_item = sum(math.comb(self.graph.n, k) for k in range(budgets[it] + 1))
+            space *= per_item
+        if space > self.limits.max_allocation_space:
+            raise OracleLimitError(f"allocation space {space} exceeds limit")
+        best_alloc = Allocation.empty()
+        best = self.welfare(base)
+        for combo in itertools.product(
+            *(_bounded_subsets(universe, budgets[it]) for it in items)
+        ):
+            pairs = [(v, it) for it, seeds in zip(items, combo) for v in seeds]
+            alloc = Allocation.of(pairs)
+            val = self.welfare(alloc.merged(base))
+            if val > best:
+                best, best_alloc = val, alloc
+        return best_alloc, best
 
 
 class SpreadOracle:
@@ -180,31 +213,5 @@ def optimal_allocation(
     base: Optional[Allocation] = None,
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> tuple[Allocation, float]:
-    """Exhaustive search over budget-feasible allocations for the given items.
-
-    Seed sets may overlap across items. Returns an argmax allocation and
-    its exact welfare rho(allocation + base).
-    """
-    base = base or Allocation.empty()
-    items = [it for it in catalog.items if it in budgets]
-    if set(budgets) - set(items):
-        raise ValueError(f"budgets reference unknown items: {sorted(set(budgets) - set(items))}")
-    universe = list(range(graph.n))
-    space = 1
-    for it in items:
-        per_item = sum(math.comb(graph.n, k) for k in range(budgets[it] + 1))
-        space *= per_item
-    if space > limits.max_allocation_space:
-        raise OracleLimitError(f"allocation space {space} exceeds limit")
-    oracle = WelfareOracle(graph, catalog, limits)
-    best_alloc = Allocation.empty()
-    best = oracle.welfare(base)
-    for combo in itertools.product(
-        *(_bounded_subsets(universe, budgets[it]) for it in items)
-    ):
-        pairs = [(v, it) for it, seeds in zip(items, combo) for v in seeds]
-        alloc = Allocation.of(pairs)
-        val = oracle.welfare(alloc.merged(base))
-        if val > best:
-            best, best_alloc = val, alloc
-    return best_alloc, best
+    """`WelfareOracle.optimal` on a new oracle of the graph and catalog."""
+    return WelfareOracle(graph, catalog, limits).optimal(budgets, base)

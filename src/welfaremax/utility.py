@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-MAX_ITEMS_ENUM = 20  # 2^m bundle enumeration guard
+MAX_ITEMS_ENUM = 20  # most items a catalog holds: its tables have 2^m entries
 UTILITY_SAMPLES = 100_000  # Monte Carlo draws per expected truncated utility
 _MAX_EXACT_JOINT = 65536  # joint noise outcomes enumerated before Monte Carlo takes over
 
@@ -107,7 +108,8 @@ class ItemCatalog:
 
     valuations maps itemsets (iterables of item ids) to values; the empty
     set is implicitly 0. Unlisted bundles take the maximum value over their
-    listed sub-bundles.
+    listed sub-bundles. A catalog holds at most MAX_ITEMS_ENUM items, and
+    tabulates every bundle's value and price on first use.
     """
 
     def __init__(
@@ -121,6 +123,8 @@ class ItemCatalog:
         self.m = len(self.items)
         if self.m == 0:
             raise CatalogError("catalog needs at least one item")
+        if self.m > MAX_ITEMS_ENUM:
+            raise CatalogError(f"{self.m} items; a catalog holds at most {MAX_ITEMS_ENUM}")
         if len(set(self.items)) != self.m:
             raise CatalogError("duplicate item ids")
         self.index: dict[str, int] = {it: i for i, it in enumerate(self.items)}
@@ -154,7 +158,6 @@ class ItemCatalog:
         if self._listed.get(0, 0.0) != 0.0:
             raise CatalogError("the empty bundle must have value 0")
         self._listed[0] = 0.0
-        self._vcache: dict[int, float] = dict(self._listed)
 
     # -- itemset plumbing ---------------------------------------------------
 
@@ -177,27 +180,35 @@ class ItemCatalog:
 
     # -- valuation / price / utility -----------------------------------------
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """``values[mask]``: a listed bundle's value, else the best value of
+        its single-item removals, which reach every listed sub-bundle."""
+        values = [0.0] * (1 << self.m)
+        bits = [1 << i for i in range(self.m)]
+        for mask in range(1, 1 << self.m):
+            value = self._listed.get(mask)
+            if value is None:
+                value = max([values[mask ^ bit] for bit in bits if mask & bit])
+            values[mask] = value
+        table = np.array(values)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def prices(self) -> np.ndarray:
+        """``prices[mask]``: the bundle's item prices added from 0.0 in index order."""
+        prices = np.zeros(1 << self.m)
+        for i, price in enumerate(self.item_prices):
+            _steps(prices, i)[1][:] += price
+        prices.flags.writeable = False
+        return prices
+
     def value(self, items) -> float:
-        mask = self.mask(items)
-        cached = self._vcache.get(mask)
-        if cached is not None:
-            return cached
-        # single-item removals reach every listed proper sub-bundle
-        best = max(
-            self.value(mask & ~(1 << i))
-            for i in range(self.m)
-            if mask >> i & 1
-        )
-        self._vcache[mask] = best
-        return best
+        return float(self.values[self.mask(items)])
 
     def price(self, items) -> float:
-        mask = self.mask(items)
-        total = 0.0
-        for i in range(self.m):
-            if mask >> i & 1:
-                total += self.item_prices[i]
-        return total
+        return float(self.prices[self.mask(items)])
 
     def item_price(self, item: str) -> float:
         return self.item_prices[self.index[item]]
@@ -205,7 +216,7 @@ class ItemCatalog:
     def deterministic_utility(self, items) -> float:
         """Value minus price, noise ignored."""
         mask = self.mask(items)
-        return self.value(mask) - self.price(mask)
+        return float(self.values[mask] - self.prices[mask])
 
     def __repr__(self) -> str:
         return f"ItemCatalog(items={list(self.items)})"
@@ -215,7 +226,7 @@ def utility(catalog: ItemCatalog, items, noise: Optional[Sequence[float]] = None
     """U(I) = V(I) - sum of prices + sum of sampled noise, where ``noise[i]``
     is item i's; U(empty) = 0."""
     mask = catalog.mask(items)
-    total = catalog.value(mask) - catalog.price(mask)
+    total = catalog.deterministic_utility(mask)
     if noise is not None:
         for i in range(catalog.m):
             if mask >> i & 1:
@@ -262,11 +273,11 @@ def _expected_best(catalog: ItemCatalog, masks, samples: Optional[int], rng) -> 
     noise outcomes, else Monte Carlo: one numpy stream seeded by
     ``rng.getrandbits(63)`` draws those items' noise in index order, (1 << 22)
     // len(masks) rows at a time. A mask adds its noise left to right, then its base."""
-    masks = list(masks)
+    masks = np.fromiter(masks, dtype=np.int64)
     union = int(np.bitwise_or.reduce(masks))
     cols = [i for i in range(catalog.m) if union >> i & 1]
-    base = np.array([catalog.deterministic_utility(mask) for mask in masks])
-    inside = np.array([[mask >> i & 1 for mask in masks] for i in cols], dtype=bool)
+    base = catalog.values[masks] - catalog.prices[masks]
+    inside = np.array([masks >> i & 1 != 0 for i in cols], dtype=bool)
     chunk = max(1, (1 << 22) // len(masks))
 
     def best(noise: np.ndarray) -> np.ndarray:
@@ -329,8 +340,6 @@ def u_max(catalog: ItemCatalog, samples: int = UTILITY_SAMPLES, rng=None) -> flo
     taken over bundles rather than single items. Exact for finite-support
     noise (joint enumeration), Monte Carlo otherwise.
     """
-    if catalog.m > MAX_ITEMS_ENUM:
-        raise CatalogError("u_max enumerates 2^m bundles; m <= %d required" % MAX_ITEMS_ENUM)
     return _expected_best(catalog, range(1 << catalog.m), samples, rng)[0]
 
 
@@ -381,67 +390,56 @@ class ValidationReport:
 
 
 def validate(catalog: ItemCatalog) -> ValidationReport:
-    """Exhaustively check V(empty)=0, monotonicity and submodularity.
+    """Check monotonicity, V(S + i) >= V(S), and submodularity,
+    V(S + i) - V(S) >= V(S + j + i) - V(S + j), on every single-item step.
 
-    Walks all (I, J, x) triples with I subset of J, x outside J; reports the
-    first violation found. Noise distributions are zero-mean by
-    construction, so only the valuation needs checking. Requires m <= 20.
+    For exact values the steps imply both properties over all nested
+    bundles; the 1e-12 tolerance applies per step. Reports the first
+    violation by item, then bundle. Noise distributions are zero-mean by
+    construction, so only the valuation needs checking.
     """
-    m = catalog.m
-    if m > MAX_ITEMS_ENUM:
-        return ValidationReport(False, "m too large for exhaustive validation")
-    full = 1 << m
-    vals = [catalog.value(mk) for mk in range(full)]
-    if vals[0] != 0.0:
-        return ValidationReport(False, f"V(empty) = {vals[0]}, expected 0")
-    for mask in range(full):
-        for i in range(m):
-            if mask >> i & 1:
-                continue
-            if vals[mask | 1 << i] < vals[mask]:
+    values = catalog.values
+    for i in range(catalog.m):
+        without, with_i = _steps(values, i)
+        if (at := _first(with_i < without, i)) is not None:
+            big, small = catalog.itemset(at | 1 << i), catalog.itemset(at)
+            return ValidationReport(False, f"monotonicity violated: V{big} < V{small}")
+    for i in range(catalog.m):
+        without, with_i = _steps(values, i)
+        gain = np.zeros_like(values)  # gain[S]: what item i adds to S, 0 where S holds i
+        _steps(gain, i)[0][:] = with_i - without
+        for j in range(catalog.m):
+            small, big = _steps(gain, j)
+            if j != i and (at := _first(big > small + 1e-12, j)) is not None:
                 return ValidationReport(
                     False,
-                    "monotonicity violated: V%s < V%s"
-                    % (catalog.itemset(mask | 1 << i), catalog.itemset(mask)),
+                    f"submodularity violated: adding {catalog.items[i]!r} to {catalog.itemset(at)}"
+                    f" gains {gain[at]:g}, to {catalog.itemset(at | 1 << j)} gains"
+                    f" {gain[at | 1 << j]:g}",
                 )
-    # submodularity via diminishing marginals of single items
-    for small in range(full):
-        rest = (full - 1) ^ small
-        grow = rest
-        while grow:
-            big = small | grow
-            for i in range(m):
-                if big >> i & 1 or small >> i & 1:
-                    continue
-                gain_small = vals[small | 1 << i] - vals[small]
-                gain_big = vals[big | 1 << i] - vals[big]
-                if gain_big > gain_small + 1e-12:
-                    return ValidationReport(
-                        False,
-                        "submodularity violated: adding %r to %s gains %g, to %s gains %g"
-                        % (
-                            catalog.items[i],
-                            catalog.itemset(small),
-                            gain_small,
-                            catalog.itemset(big),
-                            gain_big,
-                        ),
-                    )
-            grow = (grow - 1) & rest
     return ValidationReport(True)
+
+
+def _steps(table: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``table[S]`` and ``table[S + i]`` over the masks S without
+    item i, shaped (2^(m-1-i), 2^i)."""
+    halves = table.reshape(-1, 2, 1 << i)
+    return halves[:, 0], halves[:, 1]
+
+
+def _first(flags: np.ndarray, i: int) -> Optional[int]:
+    """The smallest mask S without item i whose `_steps` flag is set, if any."""
+    high, low = divmod(int(flags.argmax()), 1 << i)
+    return high << i + 1 | low if flags.any() else None
 
 
 def is_pure_competition(catalog: ItemCatalog) -> bool:
     """True when every multi-item bundle's deterministic utility is at most
     each constituent item's."""
-    if catalog.m > MAX_ITEMS_ENUM:
-        raise CatalogError("pure-competition check requires m <= %d" % MAX_ITEMS_ENUM)
-    table = [catalog.deterministic_utility(mk) for mk in range(1 << catalog.m)]
-    for mask in range(1, 1 << catalog.m):
-        for i in range(catalog.m):
-            if mask >> i & 1 and table[mask] > table[1 << i] + 1e-12:
-                return False
-    return True
+    table = catalog.values - catalog.prices
+    return not any(
+        (_steps(table, i)[1] > table[1 << i] + 1e-12).any() for i in range(catalog.m)
+    )
 
 
 # -- catalog config files -----------------------------------------------------

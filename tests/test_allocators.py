@@ -560,3 +560,32 @@ def test_all_zero_budgets_allocate_nothing_without_sampling(
     budgets = {"i": 0, "k": 0}
     got = fn(path_graph, blocking_catalog, Allocation.empty(), ["i", "k"], budgets, CFG)
     assert got == Allocation.empty()
+
+
+@pytest.mark.parametrize(
+    "items, budgets, base, message",
+    [
+        ([], {}, [], "no items to allocate"),
+        (["a", "zz"], {"a": 1, "zz": 1}, [], "unknown item 'zz'"),
+        (["a", "b"], {"a": 1}, [], "missing budget for item 'b'"),
+        (["a"], {"a": -1}, [], "budget for 'a' must be >= 0"),
+        (["a"], {"a": 1}, [(1, "a")], "items to allocate overlap the base allocation"),
+    ],
+    ids=["no-items", "unknown-item", "missing-budget", "negative-budget", "overlap"],
+)
+@pytest.mark.parametrize("algo", ["seqgrd", "supgrd", "gm"])
+def test_allocators_check_items_and_budgets(algo, items, budgets, base, message):
+    g = graph_from("0 1 1\n1 2 1\n")
+    cat = ItemCatalog(
+        ["a", "b"], prices={"a": 1, "b": 1}, valuations={("a",): 3, ("b",): 2, ("a", "b"): 3}
+    )
+    allocate = getattr(allocators, allocators.ALGORITHMS[algo])
+    if algo == "gm" and base:
+        message = "needs an empty base allocation"  # checked first
+    with pytest.raises(AllocatorError, match=message):
+        allocate(g, cat, Allocation.of(base), items, budgets, CFG)
+
+
+def test_allocator_config_needs_a_sample():
+    with pytest.raises(AllocatorError, match="mc_samples must be >= 1"):
+        AllocatorConfig(mc_samples=0)

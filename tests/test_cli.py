@@ -951,3 +951,168 @@ def test_convert_utilities_rejects_scales_it_cannot_use(tmp_path, capsys, scale,
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""  # no utility written
+
+
+# (argv before --out, files to write first) for runs that exit 2 after --out is checked
+FAILING_RUNS = {
+    "convert-utilities-inf-scale": (
+        ["convert-utilities", "--probs", "{tmp}/p.txt", "--scale", "inf"], {"p.txt": "x 0.5\n"}
+    ),
+    "compare-unknown-algorithm": (
+        ["compare", "--graph", CONFIGS / "path6.edges", "--catalog", CONFIGS / "trio_partial.cfg",
+         "--algos", "seqgrd,nope"],
+        {},
+    ),
+    "compare-unknown-budget-item": (
+        ["compare", "--graph", CONFIGS / "path6.edges", "--catalog", CONFIGS / "pair_even.cfg",
+         "--algos", "seqgrd", "--budgets", "i=1,zz=2"],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("case", FAILING_RUNS)
+def test_failed_run_leaves_no_output_file_it_created(tmp_path, capsys, case, existing):
+    argv, files = FAILING_RUNS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_bytes(b"earlier\x00output")
+    argv = [str(a).replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run_cli(*argv, "--out", out) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    if existing:
+        assert out.read_bytes() == b"earlier\x00output"
+    else:
+        assert not out.exists()
+
+
+def test_oracle_optimal_enumerates_the_worlds_once(tmp_path, monkeypatch):
+    from welfaremax import oracle
+
+    calls = []
+    edge_worlds = oracle._edge_worlds
+    monkeypatch.setattr(oracle, "_edge_worlds", lambda *a: calls.append(a) or edge_worlds(*a))
+    out = tmp_path / "opt.csv"
+    argv = ["--graph", CONFIGS / "fork4.edges", "--catalog", CONFIGS / "pair_strong_weak.cfg"]
+    assert run_cli("oracle", *argv, "--optimal", "--budgets", "i=1,j=1", "--out", out) == 0
+    assert len(calls) == 1
+    assert read_csv(out)[1][0] == "oracle-opt"
+
+
+_NO_BUDGETS = "[items]\ni1 price=1 noise=zero\n[valuation]\ni1 = 2\n"
+
+
+@pytest.mark.parametrize(
+    "flags, base, catalog, message",
+    [
+        (["--algos", "seqgrd,nope"], None, None,
+         "unknown algorithm 'nope'; choose from seqgrd, seqgrd-nm"),
+        (["--budgets", "i1"], None, None, "budget 'i1': expected item=count"),
+        (["--budgets", "i1=1,zz=1"], None, None, "budget for unknown item 'zz'"),
+        (["--budgets", "i1=one"], None, None, "budget for 'i1' must be an integer"),
+        (["--budgets", ","], None, None, "empty budget list"),
+        ([], None, _NO_BUDGETS, "no budgets given (flag or [budgets] section)"),
+        (["--budgets", "i1=1"], "0\n", None, "allocation line 1: expected 'node item'"),
+        (["--budgets", "i1=1"], "0 i2\n1 zz\n", None, "allocation line 2: unknown item 'zz'"),
+    ],
+    ids=[
+        "unknown-algorithm", "budget-without-count", "budget-unknown-item", "budget-not-integer",
+        "empty-budget-list", "no-budgets", "base-line-fields", "base-unknown-item",
+    ],
+)
+def test_compare_input_errors_exit_2(tmp_path, capsys, flags, base, catalog, message):
+    cfg = CONFIGS / "trio_partial.cfg"
+    if catalog:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(catalog)
+    argv = ["compare", "--graph", CONFIGS / "path6.edges", "--catalog", cfg, "--samples", "5"]
+    if "--algos" not in flags:
+        argv += ["--algos", "seqgrd"]
+    if base:
+        (tmp_path / "base.txt").write_text(base)
+        argv += ["--base", tmp_path / "base.txt"]
+    assert run_cli(*argv, *flags) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, catalog, message",
+    [
+        ([], None, "oracle needs --allocation or --optimal"),
+        (["--optimal"], _NO_BUDGETS, "oracle --optimal needs budgets"),
+        (["--allocation", "{tmp}/a.txt"], None, "allocation line 1: expected 'node item'"),
+    ],
+    ids=["no-allocation", "optimal-without-budgets", "allocation-line-fields"],
+)
+def test_oracle_input_errors_exit_2(tmp_path, capsys, flags, catalog, message):
+    cfg = CONFIGS / "trio_partial.cfg"
+    if catalog:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(catalog)
+    (tmp_path / "a.txt").write_text("0 i1 extra\n")
+    flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+    assert run_cli("oracle", "--graph", CONFIGS / "edge_pair.edges", "--catalog", cfg, *flags) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_base_adds_to_the_scored_allocation(tmp_path):
+    from welfaremax.diffusion import Allocation
+    from welfaremax.oracle import WelfareOracle
+    from welfaremax.cli import load_catalog_file
+
+    (tmp_path / "a.txt").write_text("0 i\n")
+    (tmp_path / "base.txt").write_text("2 j\n")
+    out = tmp_path / "o.csv"
+    argv = ["--graph", CONFIGS / "fork4.edges", "--catalog", CONFIGS / "pair_strong_weak.cfg"]
+    code = run_cli(
+        "oracle", *argv, "--allocation", tmp_path / "a.txt", "--base", tmp_path / "base.txt",
+        "--out", out,
+    )
+    assert code == 0
+    row = read_csv(out)[1]
+    catalog = load_catalog_file(str(CONFIGS / "pair_strong_weak.cfg")).catalog
+    oracle = WelfareOracle(load_graph_file(str(CONFIGS / "fork4.edges")), catalog)
+    full = Allocation.of([(0, "i"), (2, "j")])
+    assert float(row[3]) == oracle.welfare(full)
+    assert row[1:3] == [f"{v:.17g}" for v in oracle.item_adoption_means(full).values()]
+    assert row[5] == "0:i"  # the base is scored, not reported
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("x", "line 1: expected 'name probability'"), ("x 0.5 y", "line 1: expected"),
+     ("x half", "line 1: bad probability 'half'")],
+    ids=["one-field", "three-fields", "not-a-number"],
+)
+def test_convert_utilities_malformed_lines_exit_2(tmp_path, capsys, line, message):
+    probs = tmp_path / "p.txt"
+    probs.write_text(line + "\n")
+    assert run_cli("convert-utilities", "--probs", probs) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_trace_dash_writes_to_stderr(capsys):
+    code = run_cli(
+        "allocate", "--graph", CONFIGS / "edge_pair.edges", "--catalog", CONFIGS / "trio_partial.cfg",
+        "--algo", "seqgrd", "--budgets", "i1=1", "--samples", "20", "--trace", "-",
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "phase=run algorithm=seqgrd\n" in captured.err
+    assert "phase=" not in captured.out
+
+
+def test_validate_config_above_the_item_limit_exits_2(tmp_path, capsys):
+    assert run_cli("validate-config", "--catalog", _catalog_of(tmp_path, 21)) == 2
+    err = capsys.readouterr().err
+    assert "21 items; a catalog holds at most 20" in err
+    assert "Traceback" not in err

@@ -411,3 +411,162 @@ def test_config_parser_strictness():
         load_catalog_config(["[items]", "a price=1", "a price=2"])
     with pytest.raises(CatalogError, match="budget must be an integer"):
         load_catalog_config(["[items]", "a price=1", "[budgets]", "a = 1.5"])
+
+
+# -- the bundle tables against the code they replaced ---------------------------
+
+
+class _Reference:
+    """The per-query arithmetic the catalog's tables replaced: a recursive
+    memoised completion, a price loop, and a `validate` that walks every
+    nested pair of bundles."""
+
+    def __init__(self, m: int, prices, listed: dict[int, float]):
+        self.m = m
+        self.prices = [float(p) for p in prices]
+        self.memo = {mask: float(v) for mask, v in listed.items()}
+        self.memo[0] = 0.0
+
+    def value(self, mask: int) -> float:
+        if mask not in self.memo:
+            self.memo[mask] = max(
+                self.value(mask & ~(1 << i)) for i in range(self.m) if mask >> i & 1
+            )
+        return self.memo[mask]
+
+    def price(self, mask: int) -> float:
+        total = 0.0
+        for i in range(self.m):
+            if mask >> i & 1:
+                total += self.prices[i]
+        return total
+
+    def is_pure_competition(self) -> bool:
+        table = [self.value(mk) - self.price(mk) for mk in range(1 << self.m)]
+        return not any(
+            table[mask] > table[1 << i] + 1e-12
+            for mask in range(1, 1 << self.m)
+            for i in range(self.m)
+            if mask >> i & 1
+        )
+
+    def validate_ok(self) -> bool:
+        full = 1 << self.m
+        vals = [self.value(mk) for mk in range(full)]
+        for mask in range(full):
+            for i in range(self.m):
+                if not mask >> i & 1 and vals[mask | 1 << i] < vals[mask]:
+                    return False
+        for small in range(full):
+            rest = (full - 1) ^ small
+            grow = rest
+            while grow:
+                big = small | grow
+                for i in range(self.m):
+                    if big >> i & 1 or small >> i & 1:
+                        continue
+                    if vals[big | 1 << i] - vals[big] > vals[small | 1 << i] - vals[small] + 1e-12:
+                        return False
+                grow = (grow - 1) & rest
+        return True
+
+
+_ODD_NUMBERS = [0.0, -0.0, 1.0, 2.5, -1.5, 3.0, 0.1, 0.3, -0.2]
+
+
+def _odd_catalog(rng: random.Random):
+    """A catalog with some bundles unlisted and listed values that may be
+    negative, -0.0 or non-monotone."""
+    m = rng.randint(1, 6)
+    prices = [rng.choice(_ODD_NUMBERS + [rng.uniform(-2, 2)]) for _ in range(m)]
+    listed = {
+        mask: rng.choice(_ODD_NUMBERS + [rng.uniform(-3, 6)])
+        for mask in range(1, 1 << m)
+        if rng.random() < 0.4
+    }
+    return _pair(m, prices, listed)
+
+
+def _coverage_catalog(rng: random.Random, jitter: bool):
+    """A fully listed coverage valuation (monotone and submodular), with each
+    value perturbed by up to 1e-13 to 1e-6 when `jitter` is set."""
+    m = rng.randint(1, 6)
+    ground = [rng.uniform(0.5, 2.0) for _ in range(6)]
+    covers = [[g for g in range(6) if rng.random() < 0.5] for _ in range(m)]
+    scale = 10 ** rng.uniform(-13, -6)
+    listed = {}
+    for mask in range(1, 1 << m):
+        union = {g for k in range(m) if mask >> k & 1 for g in covers[k]}
+        listed[mask] = sum(ground[g] for g in sorted(union))
+        if jitter:
+            listed[mask] += rng.uniform(-scale, scale)
+    return _pair(m, [rng.uniform(0, 2) for _ in range(m)], listed)
+
+
+def _pair(m, prices, listed):
+    items = [f"x{k}" for k in range(m)]
+    catalog = ItemCatalog(items, dict(zip(items, prices)), listed)
+    return catalog, _Reference(m, prices, listed)
+
+
+def test_tables_match_the_recursive_value_and_the_price_loop():
+    rng = random.Random(19)
+    for _ in range(400):
+        catalog, ref = _odd_catalog(rng)
+        for mask in range(1 << catalog.m):
+            assert repr(catalog.value(mask)) == repr(ref.value(mask))
+            assert repr(catalog.price(mask)) == repr(ref.price(mask))
+            want = ref.value(mask) - ref.price(mask)
+            assert repr(catalog.deterministic_utility(mask)) == repr(want)
+            assert repr(utility(catalog, mask)) == repr(want)
+        assert is_pure_competition(catalog) == ref.is_pure_competition()
+
+
+@pytest.mark.parametrize("excess, pure", [(5e-13, True), (5e-12, False)])
+def test_pure_competition_tolerance(excess, pure):
+    catalog, ref = _pair(2, [0.0, 0.0], {1: 1.0, 2: 2.0, 3: 1.0 + excess})
+    assert is_pure_competition(catalog) == ref.is_pure_competition() == pure
+
+
+def test_single_step_validate_matches_the_nested_pair_walk():
+    rng = random.Random(20)
+    verdicts = []
+    for k in range(900):
+        if k % 3 == 0:
+            catalog, ref = _odd_catalog(rng)
+        else:
+            catalog, ref = _coverage_catalog(rng, jitter=k % 3 == 2)
+        verdicts.append(validate(catalog).ok)
+        assert verdicts[-1] == ref.validate_ok(), k
+    assert 100 < sum(verdicts) < 800  # both verdicts are common
+
+
+def test_tables_are_read_only_and_built_once(trio_catalog):
+    assert trio_catalog.values is trio_catalog.values
+    assert trio_catalog.prices.tolist() == [0.0, 1.0, 4.0, 5.0, 1.0, 2.0, 5.0, 6.0]
+    with pytest.raises(ValueError, match="read-only"):
+        trio_catalog.values[1] = 0.0
+
+
+def _singles_catalog(m: int, planted: bool = False) -> ItemCatalog:
+    """m items whose bundles are worth their best item (monotone and
+    submodular); `planted` lists a 14-item bundle one above that."""
+    items = [f"x{k}" for k in range(m)]
+    valuations = {(it,): 2 + k / 10 for k, it in enumerate(items)}
+    if planted:
+        valuations[tuple(items[:14])] = 4.5
+    return ItemCatalog(items, dict.fromkeys(items, 1.0), valuations)
+
+
+def test_validate_at_the_item_limit():
+    assert validate(_singles_catalog(20)).ok
+    report = validate(_singles_catalog(20, planted=True))
+    assert not report.ok
+    # x0 adds nothing to x2..x13, but completes the planted bundle from x1..x13
+    assert report.message.startswith("submodularity violated: adding 'x0' to ('x2',")
+    assert report.message.endswith("'x13') gains 1.2")
+
+
+def test_a_catalog_above_the_item_limit_is_rejected():
+    with pytest.raises(CatalogError, match="21 items; a catalog holds at most 20"):
+        _singles_catalog(21)
