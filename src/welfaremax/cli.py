@@ -273,15 +273,12 @@ def _cmd_oracle(args, out: TextIO) -> int:
             budgets = parse_budgets(args.budgets, catalog) if args.budgets else cfg.budgets
             if not budgets:
                 raise CliError(2, "oracle --optimal needs budgets")
-            oracle = WelfareOracle(graph, catalog, limits)
-            alloc, welfare = oracle.optimal(budgets, base)
+            alloc, welfare, adoption = WelfareOracle(graph, catalog, limits).optimal(budgets, base)
         else:
             if not args.allocation:
                 raise CliError(2, "oracle needs --allocation or --optimal")
             alloc = load_allocation_file(args.allocation, catalog, graph.n)
-            oracle = WelfareOracle(graph, catalog, limits)
-            welfare = oracle.welfare(alloc.merged(base))
-        adoption = oracle.item_adoption_means(alloc.merged(base))
+            welfare, adoption = WelfareOracle(graph, catalog, limits).evaluate(alloc.merged(base))
     except OracleLimitError as exc:
         raise CliError(3, f"oracle: {exc}") from exc
     name = "oracle-opt" if args.optimal else "oracle"

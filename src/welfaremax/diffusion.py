@@ -7,10 +7,12 @@ out-edges once, live edges carry the full adoption set into the target's
 desire set, and targets whose desire grew re-decide by argmax over
 supersets of their current adoption with non-negative utility.
 
-`simulate` runs one allocation in a batch of possible worlds at once, on
-numpy arrays over (world, node) keys and the graph's out-CSR, and reads
-every bundle's utility from one table with a row per distinct noise
-vector and a column per item mask. One loop,
+A sampled possible world is its noise vector and one 64-bit key; an
+edge's coin is a hash of the key and the edge id, flipped only when the
+diffusion tests the edge. `simulate` runs one allocation in a batch of
+possible worlds at once, on numpy arrays over (world, node) keys and the
+graph's out-CSR, and reads every bundle's utility from one table with a
+row per distinct noise vector and a column per item mask. One loop,
 `world_runs`, makes worlds a chunk at a time (`chunk_worlds`) and runs
 every allocation of an estimate, or of an exact oracle query, on a chunk
 before making the next.
@@ -82,45 +84,50 @@ class Allocation:
 class PossibleWorld:
     """One joint sample of noise values and edge liveness.
 
-    ``noise[i]`` is item i's noise, and ``live[eid]`` is 1 when edge
-    ``eid`` of the graph the world was drawn for is live, else 0, so a
-    world serves one graph only. A sampled world draws its noise first,
-    item by item, then one uniform per edge in edge-id order, exactly as
-    ``rng.random()`` would, and marks an edge live when its uniform is
-    below its probability. Replaying one world under different
-    allocations tests identical edges, and diffusion within a world is
-    fully deterministic. `simulate` reads the flags of a batch of worlds
-    as one stacked byte array and caches nothing on the worlds.
+    ``noise[i]`` is item i's noise. A sampled world draws its noise item by
+    item, then one 64-bit ``key`` with ``rng.getrandbits(64)``, and holds no
+    per-edge data: edge ``eid`` is live when ``coin(key, eid) < p[eid]``,
+    where ``coin(key, eid)``, output ``eid`` of a SplitMix64 stream seeded
+    at ``key``, is ``(rng._splitmix64((key + eid * 0x9E3779B97F4A7C15) mod
+    2**64) >> 11) * 2**-53``. `simulate` flips only the coins of the edges
+    it tests, and an edge tested again gets the same coin, so replaying one
+    world under different allocations tests identical edges and diffusion
+    within a world is fully deterministic. A fixed world (`fixed`, for the
+    oracle and tests) has ``key`` None and ``live[eid]`` 1 when edge ``eid``
+    is live, else 0, so it serves one graph only.
     """
 
-    __slots__ = ("noise", "live")
+    __slots__ = ("noise", "live", "key")
 
-    def __init__(self, noise: tuple[float, ...], live: bytes):
+    def __init__(
+        self, noise: tuple[float, ...], live: Optional[bytes] = None, key: Optional[int] = None
+    ):
+        if (live is None) == (key is None):
+            raise DiffusionError("a world has either live flags or a key")
         self.noise = noise
         self.live = live
+        self.key = key
 
     @classmethod
     def sample(cls, graph: Graph, catalog: ItemCatalog, rng) -> "PossibleWorld":
         noise = tuple(spec.sample(rng) for spec in catalog.noise_specs)
-        return cls(noise, _edge_flags(graph.probs, rng))
+        return cls(noise, key=rng.getrandbits(64))
 
     @classmethod
     def fixed(cls, live_edges: Iterable[bool], noise: Sequence[float]) -> "PossibleWorld":
         return cls(tuple(noise), bytes(bool(b) for b in live_edges))
 
 
-def _edge_flags(probs: np.ndarray, rng) -> bytes:
-    """``bytes(rng.random() < p for p in probs)``, from one RNG call.
-
-    ``getrandbits(64 * m)`` consumes the 2m 32-bit outputs that m calls
-    to ``random()`` would, the first in the lowest word, and ``random()``
-    makes its double from a pair (a, b) as
-    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, which is exact in float64.
-    """
-    m = len(probs)
-    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
-    uniforms = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
-    return (uniforms < probs).tobytes()
+def _coins(keys: np.ndarray, eids: np.ndarray) -> np.ndarray:
+    """``coin(keys[k], eids[k])`` of `PossibleWorld` for each k, on uint64
+    arrays, whose arithmetic wraps mod 2**64 as `rng._splitmix64` masks."""
+    z = keys + (eids.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 class Adoption(Mapping):
@@ -212,12 +219,30 @@ def chunk_worlds(graph: Graph, catalog: ItemCatalog) -> int:
     return max(1, CHUNK_CELLS // max(graph.n, graph.m, 1 << catalog.m))
 
 
-def _spread(graph: Graph, worlds: Sequence[PossibleWorld], seeds: dict[int, int], choose):
-    """The rounds of `simulate`: the final adoption mask at each
-    ``w * n + node`` key, and each world's round count. `seeds` maps each
-    seed node to its items' mask, and ``choose(keys, desired, current)``
-    gives the new adoption at each key."""
-    n, m, count = graph.n, graph.m, len(worlds)
+def _edge_test(graph: Graph, worlds: Sequence[PossibleWorld]):
+    """``is_live(owner, eids)``: whether edge ``eids[k]`` is live in world
+    ``owner[k]`` of `worlds`, all sampled (their coins) or all fixed
+    (their flags, stacked as ``w * m + eid``)."""
+    keyed = [world.key is not None for world in worlds]
+    if all(keyed):
+        keys, probs = np.array([world.key for world in worlds], dtype=np.uint64), graph.probs
+        return lambda owner, eids: _coins(keys[owner], eids) < probs[eids]
+    if any(keyed):
+        raise DiffusionError("a batch mixes sampled and fixed worlds")
+    m = graph.m
+    wrong = {len(world.live) for world in worlds} - {m}
+    if wrong:
+        raise DiffusionError(f"a fixed world has {min(wrong)} edge flags; the graph has {m} edges")
+    live = np.frombuffer(b"".join(world.live for world in worlds), dtype=bool)
+    return lambda owner, eids: live[owner * m + eids]
+
+
+def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
+    """The rounds of `simulate` in `count` worlds: the final adoption mask
+    at each ``w * n + node`` key, and each world's round count. `is_live`
+    is `_edge_test`'s, `seeds` maps each seed node to its items' mask, and
+    ``choose(keys, desired, current)`` gives the new adoption at each key."""
+    n = graph.n
     desire = np.zeros(count * n, dtype=np.uint16)
     adopt = np.zeros(count * n, dtype=np.uint16)
     seed_nodes = np.array(sorted(seeds), dtype=np.int64)
@@ -226,7 +251,6 @@ def _spread(graph: Graph, worlds: Sequence[PossibleWorld], seeds: dict[int, int]
     adopt[frontier] = choose(frontier, desire[frontier], adopt[frontier])
     frontier = frontier[adopt[frontier] != 0]
     rounds = np.zeros(count, dtype=np.int64)
-    live = np.frombuffer(b"".join(world.live for world in worlds), dtype=bool)
     out_ptr, out_dst, out_eid = graph.out_ptr, graph.out_dst, graph.out_eid
     round_no = 0
     while len(frontier):
@@ -235,7 +259,7 @@ def _spread(graph: Graph, worlds: Sequence[PossibleWorld], seeds: dict[int, int]
         rounds[owner] = round_no  # a world is done once its frontier is empty
         slots, degrees = csr_slots(out_ptr, nodes)  # the frontier's out-slots, node after node
         owner = np.repeat(owner, degrees)
-        live_slots = live[owner * m + out_eid[slots]]
+        live_slots = is_live(owner, out_eid[slots])
         targets = owner[live_slots] * n + out_dst[slots[live_slots]]
         gains = np.repeat(adopt[frontier], degrees)[live_slots] & ~desire[targets]
         # sort the (target, gain) pairs packed in one key, then OR each target's gains
@@ -263,11 +287,12 @@ def simulate(
 ) -> DiffusionResult:
     """Run one deterministic diffusion of `allocation` in each of `worlds`.
 
-    The worlds run together, their state flat over keys ``w * n + node``:
-    desire and adoption masks, and the worlds' live flags stacked as
-    ``w * m + eid``. Each round expands the frontier's out-slots, keeps
-    the live ones, ORs together the items each target newly hears of, and
-    lets those targets re-decide. A decision depends only on the world's
+    The worlds, all sampled or all fixed, run together, their desire and
+    adoption masks flat over keys ``w * n + node``. Each round expands the
+    frontier's out-slots, keeps the live ones (flipping each sampled
+    world's coins for those slots only, or reading a fixed world's flags),
+    ORs together the items each target newly hears of, and lets those
+    targets re-decide. A decision depends only on the world's
     noise vector, the desire and the current adoption, and is made once
     per distinct triple. Every utility, in a decision and in the welfare
     of the final adoption, comes from one table (`_utility_table`) with a
@@ -286,6 +311,10 @@ def simulate(
             raise DiffusionError(f"unknown item {item!r} in allocation")
         seeds[node] = seeds.get(node, 0) | 1 << catalog.index[item]
 
+    wrong = {len(world.noise) for world in worlds} - {catalog.m}
+    if wrong:
+        raise DiffusionError(f"a world has {min(wrong)} noise values for {catalog.m} items")
+    is_live = _edge_test(graph, worlds)
     noise = np.array([world.noise for world in worlds], dtype=np.float64).reshape(count, catalog.m)
     vectors, noise_of = np.unique(noise.view(np.int64), axis=0, return_inverse=True)  # bit for bit
     noise_of = noise_of.reshape(-1)  # its shape differs across numpy versions
@@ -309,7 +338,7 @@ def simulate(
                 )
         return np.array([choices[triple] for triple in distinct], dtype=np.uint16)[inverse]
 
-    adopt, rounds = _spread(graph, worlds, seeds, choose)
+    adopt, rounds = _spread(graph, count, is_live, seeds, choose)
     adopters = np.flatnonzero(adopt)
     masks = adopt[adopters]
     owner = adopters // n

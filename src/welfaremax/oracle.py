@@ -78,27 +78,32 @@ class WelfareOracle:
                 self.probs.append(pe * pn)
                 self.worlds.append(PossibleWorld.fixed(flags, noise))
 
-    def _runs(self, allocation: Allocation):
+    def evaluate(self, allocation: Allocation) -> tuple[float, dict[str, float]]:
+        """The exact welfare of `allocation` and its per-item adoption means,
+        from one pass over the worlds."""
         count, world = len(self.worlds), self.worlds.__getitem__
-        return world_runs(self.graph, self.catalog, [allocation], count, world, self.probs)[0]
+        ((welfare, adopters),) = world_runs(
+            self.graph, self.catalog, [allocation], count, world, self.probs
+        )
+        return math.fsum(p * w for p, w in zip(self.probs, welfare)), adopters
 
     def welfare(self, allocation: Allocation) -> float:
-        welfare, _ = self._runs(allocation)
-        return math.fsum(p * w for p, w in zip(self.probs, welfare))
+        return self.evaluate(allocation)[0]
 
     def marginal(self, candidate: Allocation, base: Allocation) -> float:
         return self.welfare(candidate.merged(base)) - self.welfare(base)
 
     def item_adoption_means(self, allocation: Allocation) -> dict[str, float]:
-        return self._runs(allocation)[1]
+        return self.evaluate(allocation)[1]
 
     def optimal(
         self, budgets: dict[str, int], base: Optional[Allocation] = None
-    ) -> tuple[Allocation, float]:
+    ) -> tuple[Allocation, float, dict[str, float]]:
         """Exhaustive search over budget-feasible allocations for the given items.
 
-        Seed sets may overlap across items. Returns an argmax allocation and
-        its exact welfare rho(allocation + base).
+        Seed sets may overlap across items. Returns an argmax allocation, its
+        exact welfare rho(allocation + base) and the per-item adoption means
+        of allocation + base.
         """
         base = base or Allocation.empty()
         items = [it for it in self.catalog.items if it in budgets]
@@ -111,17 +116,16 @@ class WelfareOracle:
             space *= per_item
         if space > self.limits.max_allocation_space:
             raise OracleLimitError(f"allocation space {space} exceeds limit")
-        best_alloc = Allocation.empty()
-        best = self.welfare(base)
+        best = None  # the first allocation searched is the empty one, which scores the base
         for combo in itertools.product(
             *(_bounded_subsets(universe, budgets[it]) for it in items)
         ):
             pairs = [(v, it) for it, seeds in zip(items, combo) for v in seeds]
             alloc = Allocation.of(pairs)
-            val = self.welfare(alloc.merged(base))
-            if val > best:
-                best, best_alloc = val, alloc
-        return best_alloc, best
+            val, means = self.evaluate(alloc.merged(base))
+            if best is None or val > best[1]:
+                best = alloc, val, means
+        return best
 
 
 class SpreadOracle:
@@ -213,5 +217,7 @@ def optimal_allocation(
     base: Optional[Allocation] = None,
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> tuple[Allocation, float]:
-    """`WelfareOracle.optimal` on a new oracle of the graph and catalog."""
-    return WelfareOracle(graph, catalog, limits).optimal(budgets, base)
+    """`WelfareOracle.optimal` on a new oracle of the graph and catalog,
+    without the adoption means."""
+    alloc, welfare, _ = WelfareOracle(graph, catalog, limits).optimal(budgets, base)
+    return alloc, welfare

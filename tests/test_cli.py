@@ -1002,6 +1002,26 @@ def test_oracle_optimal_enumerates_the_worlds_once(tmp_path, monkeypatch):
     assert read_csv(out)[1][0] == "oracle-opt"
 
 
+@pytest.mark.parametrize("mode", ["allocation", "optimal"])
+def test_oracle_runs_each_allocation_over_the_worlds_once(tmp_path, monkeypatch, mode):
+    from welfaremax import oracle
+
+    calls = []
+    world_runs = oracle.world_runs
+    monkeypatch.setattr(oracle, "world_runs", lambda *a: calls.append(a) or world_runs(*a))
+    alloc = tmp_path / "alloc.txt"
+    alloc.write_text("0 i\n1 j\n")
+    out = tmp_path / "oracle.csv"
+    argv = ["--graph", CONFIGS / "fork4.edges", "--catalog", CONFIGS / "pair_strong_weak.cfg"]
+    if mode == "allocation":
+        assert run_cli("oracle", *argv, "--allocation", alloc, "--out", out) == 0
+        assert len(calls) == 1
+    else:
+        assert run_cli("oracle", *argv, "--optimal", "--budgets", "i=1,j=1", "--out", out) == 0
+        n = load_graph_file(str(CONFIGS / "fork4.edges")).n
+        assert len(calls) == (1 + n) ** 2  # each allocation searched, the empty one first
+
+
 _NO_BUDGETS = "[items]\ni1 price=1 noise=zero\n[valuation]\ni1 = 2\n"
 
 

@@ -3,6 +3,7 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from welfaremax.diffusion import (
 )
 from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle, WelfareOracle
+from welfaremax.rng import _splitmix64, derive_rng
 from welfaremax.utility import ItemCatalog, NoiseSpec, utility
 
 from conftest import (
@@ -33,6 +35,17 @@ from conftest import (
 
 def certain_world(graph, catalog):
     return PossibleWorld.fixed([True] * graph.m, silent_noise(catalog))
+
+
+def coin(key, eid):
+    """A sampled world's uniform for edge `eid`: output `eid` of the
+    SplitMix64 stream seeded at `key`."""
+    return (_splitmix64((key + eid * 0x9E3779B97F4A7C15) % 2**64) >> 11) * 2.0**-53
+
+
+def live_flags(world, graph):
+    """A sampled world's live flag per edge, one `coin` call per edge."""
+    return [coin(world.key, eid) < p for eid, p in enumerate(graph.probs.tolist())]
 
 
 def test_single_seed_carries_item_downstream(pair_graph, trio_catalog):
@@ -96,7 +109,7 @@ def test_single_item_adoption_equals_reachability():
     res = simulate(g, cat, alloc, worlds)
     for trial, world in enumerate(worlds):
         # replay reachability over the same live edges
-        live = world.live
+        live = live_flags(world, g)
         reach = set(alloc.seed_nodes())
         frontier = list(reach)
         while frontier:
@@ -267,6 +280,8 @@ NOISE_CATALOGS = [
 @pytest.mark.parametrize("catalog", NOISE_CATALOGS, ids=["zero", "gauss-two-point", "truncated"])
 @pytest.mark.parametrize("probs", [None, (0.0,), (1.0,), (0.0, 1.0)], ids=["mixed", "p0", "p1", "p01"])
 def test_sampled_world_flags_equal_per_edge_random_calls(catalog, probs):
+    """A sampled world draws its noise, then one 64-bit key, and holds no
+    flags; `simulate`'s coins are the per-edge `coin` calls, bit for bit."""
     rng = random.Random(f"flags/{probs}")
     graphs = [Graph(3, [])] + [fractional_graph(rng, probs=probs) for _ in range(12)]
     assert any(g.m == 0 for g in graphs)
@@ -275,10 +290,13 @@ def test_sampled_world_flags_equal_per_edge_random_calls(catalog, probs):
         fast_rng, slow_rng = random.Random(seed), random.Random(seed)
         world = PossibleWorld.sample(g, catalog, fast_rng)
         noise = tuple(spec.sample(slow_rng) for spec in catalog.noise_specs)
-        flags = [slow_rng.random() < p for _, _, p in g.edges]
         assert world.noise == noise, trial
-        assert [bool(b) for b in world.live] == flags, trial
+        assert world.key == slow_rng.getrandbits(64) and world.live is None, trial
         assert fast_rng.getstate() == slow_rng.getstate(), trial
+        keys = np.full(g.m, world.key, dtype=np.uint64)
+        coins = diffusion._coins(keys, np.arange(g.m))
+        assert coins.tolist() == [coin(world.key, eid) for eid in range(g.m)], trial
+        assert (coins < g.probs).tolist() == live_flags(world, g), trial
 
 
 def reference_simulate(graph, catalog, allocation, noise, edge_live):
@@ -395,10 +413,10 @@ def test_simulate_matches_reference_on_sampled_worlds():
         world = PossibleWorld.sample(g, cat, random.Random(seed))
         slow_rng = random.Random(seed)
         noise = tuple(spec.sample(slow_rng) for spec in cat.noise_specs)
-        uniforms = [slow_rng.random() for _ in range(g.m)]
+        key = slow_rng.getrandbits(64)
         # one world replayed under several allocations
         for alloc in allocations:
-            want = reference_simulate(g, cat, alloc, noise, lambda eid, p: uniforms[eid] < p)
+            want = reference_simulate(g, cat, alloc, noise, lambda eid, p: coin(key, eid) < p)
             assert_same_result(simulate(g, cat, alloc, [world]), want)
 
 
@@ -416,6 +434,74 @@ def test_simulate_matches_reference_on_fixed_worlds():
             alloc = random_allocation(rng, g, cat, pairs=rng.randint(1, 6))
             want = reference_simulate(g, cat, alloc, noise, lambda eid, p: flags[eid])
             assert_same_result(simulate(g, cat, alloc, [world]), want)
+
+
+@pytest.mark.parametrize("probs", [None, (0.0,), (1.0,), (0.0, 1.0)], ids=["mixed", "p0", "p1", "p01"])
+def test_simulate_matches_the_coin_reference_at_extreme_keys(probs):
+    rng = random.Random(f"coins/{probs}")
+    keys = [0, 2**64 - 1, 2**63, 1]
+    for trial in range(25):
+        g = fractional_graph(rng, n_hi=25, m_hi=100, probs=probs)
+        if g.n == 0:
+            continue
+        cat = random_coverage_catalog(rng, m_hi=3)
+        worlds = [PossibleWorld(silent_noise(cat), key=key) for key in keys]
+        for _ in range(3):
+            alloc = random_allocation(rng, g, cat, pairs=rng.randint(1, 5))
+            batch = simulate(g, cat, alloc, worlds)
+            for w, key in enumerate(keys):
+                want = reference_simulate(
+                    g, cat, alloc, worlds[w].noise, lambda eid, p: coin(key, eid) < p
+                )
+                assert_same_result(world_result(batch, w), want)
+
+
+def test_edge_coins_are_unbiased_and_independent():
+    """20,000 sampled worlds on a star whose leaf adopts exactly when its
+    edge is live: each edge's live fraction, and the joint fraction of
+    neighbouring edges and of one edge in consecutive worlds, lie within 4
+    standard errors of p and of the product of the probabilities."""
+    probs = [0.001, 0.1, 0.5, 0.999, 0.5, 0.001, 0.999, 0.1]
+    g = Graph(len(probs) + 1, [(0, leaf + 1, p) for leaf, p in enumerate(probs)])
+    cat = ItemCatalog(["a"], prices={"a": 1}, valuations={("a",): 2})
+    count = 20_000
+    worlds = [PossibleWorld.sample(g, cat, derive_rng(17, idx)) for idx in range(count)]
+    adoption = simulate(g, cat, Allocation.of([(0, "a")]), worlds).adoption
+    live = np.zeros((count, g.m), dtype=bool)
+    for w, v in adoption:
+        if v:
+            live[w, v - 1] = True
+
+    def within_4_stderr(hits: np.ndarray, p: float) -> bool:
+        return abs(hits.mean() - p) <= 4 * math.sqrt(p * (1 - p) / len(hits))
+
+    for eid, p in enumerate(probs):
+        assert within_4_stderr(live[:, eid], p), eid
+        assert within_4_stderr(live[1:, eid] & live[:-1, eid], p * p), eid
+    for eid, (p, q) in enumerate(zip(probs, probs[1:])):
+        assert within_4_stderr(live[:, eid] & live[:, eid + 1], p * q), eid
+
+
+def test_mis_sized_or_mixed_worlds_fail_loudly():
+    g = graph_from("0 1 1\n1 2 1\n")
+    cat = ItemCatalog(["a"], prices={"a": 1}, valuations={("a",): 2})
+    alloc = Allocation.of([(0, "a")])
+    every = PossibleWorld.fixed([True, True], (0.0,))
+    none = PossibleWorld.fixed([False, False], (0.0,))
+    assert simulate(g, cat, alloc, [none, every]).welfare == [1.0, 3.0]
+    cases = [
+        ([PossibleWorld.fixed([False] * 3, (0.0,)), every], "3 edge flags; the graph has 2"),
+        ([every, PossibleWorld.fixed([True], (0.0,))], "1 edge flags; the graph has 2"),
+        ([every, PossibleWorld.fixed([True, True], (0.0, 0.0))], "2 noise values for 1 items"),
+        ([PossibleWorld((), key=5)], "0 noise values for 1 items"),
+        ([every, PossibleWorld((0.0,), key=5)], "mixes sampled and fixed worlds"),
+    ]
+    for worlds, message in cases:
+        with pytest.raises(DiffusionError, match=message):
+            simulate(g, cat, alloc, worlds)
+    for live, key in [(None, None), (b"\x01\x01", 5)]:
+        with pytest.raises(DiffusionError, match="either live flags or a key"):
+            PossibleWorld((0.0,), live, key)
 
 
 def continuous_noise_catalog(rng: random.Random, m: int) -> ItemCatalog:
@@ -444,7 +530,7 @@ def assert_batch_matches_reference(rng, g, cat, worlds):
         batch = simulate(g, cat, alloc, worlds)
         assert len(batch.welfare) == len(batch.rounds) == len(worlds)
         for w, world in enumerate(worlds):
-            live = world.live
+            live = live_flags(world, g) if world.live is None else world.live
             want = reference_simulate(g, cat, alloc, world.noise, lambda eid, p: live[eid])
             assert_same_result(world_result(batch, w), want)
         per_world = [world_result(batch, w).adoption for w in range(len(worlds))]
@@ -460,8 +546,10 @@ def test_one_batch_of_mixed_noise_worlds_matches_reference_world_by_world():
         if g.n == 0:
             continue
         seeds = [rng.getrandbits(64) for _ in range(rng.randint(1, 8))]
-        worlds = [PossibleWorld.sample(g, cat, random.Random(seed)) for seed in seeds]
-        # worlds that share a noise vector, and one world twice
+        sampled = [PossibleWorld.sample(g, cat, random.Random(seed)) for seed in seeds]
+        # fixed worlds only, as a batch holds one kind: the sampled worlds'
+        # flags, worlds that share a noise vector, and one world twice
+        worlds = [PossibleWorld.fixed(live_flags(world, g), world.noise) for world in sampled]
         worlds += [PossibleWorld.fixed([rng.random() < 0.5 for _ in range(g.m)], noise)
                    for noise in shared + shared]
         worlds.append(worlds[0])
@@ -518,7 +606,8 @@ def test_simulate_is_deterministic_per_world(case):
     result = simulate(graph, catalog, allocation, [world])
     # on the same world object, on a copy, and as every world of a longer batch
     assert simulate(graph, catalog, allocation, [world]) == result
-    assert simulate(graph, catalog, allocation, [PossibleWorld(world.noise, world.live)]) == result
+    copy = PossibleWorld(world.noise, key=world.key)
+    assert simulate(graph, catalog, allocation, [copy]) == result
     batch = simulate(graph, catalog, allocation, [world] * 3)
     assert all(world_result(batch, w) == result for w in range(3))
 
@@ -531,8 +620,9 @@ def test_adoption_is_a_subset_of_desire(case):
     adoption = {v: bundle for (_, v), bundle in result.adoption.items()}
     # desire: a node's own seeds plus whatever its live in-neighbours adopted
     desire = {v: set(allocation.items_at(v)) for v in range(graph.n)}
+    live = live_flags(world, graph)
     for eid, (u, v, _) in enumerate(graph.edges):
-        if world.live[eid]:
+        if live[eid]:
             desire[v] |= adoption.get(u, frozenset())
     assert all(bundle <= desire[v] for v, bundle in adoption.items())
 
