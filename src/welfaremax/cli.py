@@ -16,7 +16,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import pairwise
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -24,7 +24,7 @@ from typing import Optional, Sequence, TextIO
 from welfaremax import allocators
 from welfaremax.diffusion import MAX_SIM_ITEMS, Allocation, estimate_welfare
 from welfaremax.graph import EdgeListError, Graph, load_edge_list
-from welfaremax.oracle import DEFAULT_LIMITS, OracleLimitError, WelfareOracle
+from welfaremax.oracle import MAX_EDGES, OracleLimitError, WelfareOracle
 from welfaremax.ris import CHUNK_SETS, RISError, sample_marginal_rr
 from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.selectors import RRLimitError
@@ -263,24 +263,31 @@ def _cmd_estimate(args, out: TextIO) -> int:
 
 
 def _cmd_oracle(args, out: TextIO) -> int:
+    if args.optimal and args.allocation:
+        raise CliError(2, "oracle takes --allocation or --optimal, not both")
+    if args.budgets and not args.optimal:
+        raise CliError(2, "oracle --budgets needs --optimal")
     graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
     cfg = _simulated_catalog(args.catalog)
     catalog = cfg.catalog
-    limits = replace(DEFAULT_LIMITS, max_edges=args.max_edges)
     base = load_allocation_file(args.base, catalog, graph.n) if args.base else Allocation.empty()
     try:
         if args.optimal:
             budgets = parse_budgets(args.budgets, catalog) if args.budgets else cfg.budgets
             if not budgets:
                 raise CliError(2, "oracle --optimal needs budgets")
-            alloc, welfare, adoption = WelfareOracle(graph, catalog, limits).optimal(budgets, base)
+            oracle = WelfareOracle(graph, catalog, args.max_edges)
+            alloc, welfare, adoption = oracle.optimal(budgets, base)
         else:
             if not args.allocation:
                 raise CliError(2, "oracle needs --allocation or --optimal")
             alloc = load_allocation_file(args.allocation, catalog, graph.n)
-            welfare, adoption = WelfareOracle(graph, catalog, limits).evaluate(alloc.merged(base))
+            oracle = WelfareOracle(graph, catalog, args.max_edges)
+            welfare, adoption = oracle.evaluate(alloc.merged(base))
     except OracleLimitError as exc:
         raise CliError(3, f"oracle: {exc}") from exc
+    except ValueError as exc:  # continuous noise has no finite world set
+        raise CliError(2, f"oracle: {exc}") from exc
     name = "oracle-opt" if args.optimal else "oracle"
     _write_csv([ResultRecord(name, alloc, welfare, 0.0, adoption, 0.0)], catalog, out)
     return 0
@@ -406,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimal", action="store_true", help="search all feasible allocations")
     p.add_argument("--budgets", default=None)
     p.add_argument("--base", default=None)
-    p.add_argument("--max-edges", type=_at_least(0), default=DEFAULT_LIMITS.max_edges)
+    p.add_argument("--max-edges", type=_at_least(0), default=MAX_EDGES)
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("convert-utilities", help="map adoption probabilities to utilities")

@@ -19,7 +19,7 @@ from welfaremax.diffusion import (
     estimate_welfare,
     simulate,
 )
-from welfaremax.oracle import SpreadOracle, WelfareOracle, optimal_allocation
+from welfaremax.oracle import SpreadOracle, WelfareOracle
 from welfaremax.ris import sample_weighted_rr
 from welfaremax.rng import derive_rng
 from welfaremax.selectors import prima_plus
@@ -78,15 +78,15 @@ def test_criterion_01_two_node_fixture_exactness(trio):
 
     world = PossibleWorld.fixed([True], silent_noise(trio))
     checks = [
-        oracle.welfare(s1) == 8.0,
+        oracle.evaluate(s1)[0] == 8.0,
         simulate(g, trio, s1, [world]).welfare == [8.0],
-        oracle.welfare(s2) == 7.0,
+        oracle.evaluate(s2)[0] == 7.0,
         simulate(g, trio, s2, [world]).welfare == [7.0],
         # diminishing-returns counterexample: marginal grows from 4 to 5
-        oracle.marginal(s1, pair_low) == 4.0,
-        oracle.marginal(s1, pair_both) == 5.0,
+        oracle.evaluate(s1.merged(pair_low))[0] - oracle.evaluate(pair_low)[0] == 4.0,
+        oracle.evaluate(s1.merged(pair_both))[0] - oracle.evaluate(pair_both)[0] == 5.0,
         # increasing-returns counterexample: marginal falls from 8 to 4
-        oracle.marginal(s1, Allocation.empty()) == 8.0,
+        oracle.evaluate(s1)[0] - oracle.evaluate(Allocation.empty())[0] == 8.0,
     ]
     elapsed = time.perf_counter() - started
     ok = all(checks) and elapsed < 1.0
@@ -106,9 +106,9 @@ def test_criterion_02_worked_example_exactness():
     cfg = AllocatorConfig(seed=17, mc_samples=400)
     items, budgets = ["i", "j"], {"i": 1, "j": 1}
     oracle = WelfareOracle(g, cat)
-    w_seq = oracle.welfare(seqgrd(g, cat, Allocation.empty(), items, budgets, cfg))
-    w_max = oracle.welfare(maxgrd(g, cat, Allocation.empty(), items, budgets, cfg))
-    w_best = oracle.welfare(max_seq(g, cat, Allocation.empty(), items, budgets, cfg))
+    w_seq = oracle.evaluate(seqgrd(g, cat, Allocation.empty(), items, budgets, cfg))[0]
+    w_max = oracle.evaluate(maxgrd(g, cat, Allocation.empty(), items, budgets, cfg))[0]
+    w_best = oracle.evaluate(max_seq(g, cat, Allocation.empty(), items, budgets, cfg))[0]
     elapsed = time.perf_counter() - started
     ok = (w_seq, w_max, w_best) == (22.0, 30.0, 30.0) and elapsed < 1.0
     report(2, "worked-example welfares 22/30/30", ok, f"{elapsed:.2f}s")
@@ -132,7 +132,7 @@ def test_criterion_03_estimator_oracle_agreement():
     hits = 0
     instances = _agreement_instances()
     for idx, (g, cat, alloc) in enumerate(instances):
-        exact = WelfareOracle(g, cat).welfare(alloc)
+        exact = WelfareOracle(g, cat).evaluate(alloc)[0]
         est = estimate_welfare(g, cat, alloc, 10_000, seed=900 + idx)
         if abs(est.mean - exact) <= 3 * est.stderr or est.mean == exact:
             hits += 1
@@ -155,7 +155,7 @@ def test_criterion_04_weighted_rr_identity():
         seeds = master.sample(free, 2)
         cand = Allocation.of([(v, "sup") for v in seeds])
         oracle = WelfareOracle(graph, catalog)
-        want = oracle.marginal(cand, base)
+        want = oracle.evaluate(cand.merged(base))[0] - oracle.evaluate(base)[0]
         utils = expected_item_utilities(catalog)
         rng = derive_rng(3000, idx)
         sset = set(seeds)
@@ -214,13 +214,13 @@ def test_criterion_06_superior_item_bound():
     runs = 0
     for inst in range(10):
         graph, catalog, base = superior_instance(master, n_hi=10, e_hi=10)
-        _, opt = optimal_allocation(graph, catalog, {"sup": 2}, base)
         oracle = WelfareOracle(graph, catalog)
+        _, opt, _ = oracle.optimal({"sup": 2}, base)
         for trial in range(10):
             runs += 1
             cfg = AllocatorConfig(eps=0.1, ell=1.0, seed=5000 + 100 * inst + trial)
             alloc = supgrd(graph, catalog, base, ["sup"], {"sup": 2}, cfg)
-            got = oracle.welfare(alloc.merged(base))
+            got = oracle.evaluate(alloc.merged(base))[0]
             if got >= APPROX_BOUND * opt:
                 passes += 1
     elapsed = time.perf_counter() - started
@@ -235,8 +235,8 @@ def test_criterion_07_sandwich_and_subadditivity():
     violations = []
     for idx, (g, cat, alloc) in enumerate(_agreement_instances()):
         oracle = WelfareOracle(g, cat)
-        rho = oracle.welfare(alloc)
-        sigma = SpreadOracle(g).spread(sorted(alloc.seed_nodes()))
+        rho = oracle.evaluate(alloc)[0]
+        sigma = SpreadOracle(g).marginal_spread(sorted(alloc.seed_nodes()))
         lo = u_min(cat)
         hi = u_max(cat)
         if not relaxed_le(lo * sigma, rho):
@@ -244,7 +244,7 @@ def test_criterion_07_sandwich_and_subadditivity():
         if not relaxed_le(rho, hi * sigma):
             violations.append(f"inst {idx}: upper sandwich")
         per_item_sum = math.fsum(
-            oracle.welfare(Allocation.of([(v, it) for v, it in alloc.pairs if it == item]))
+            oracle.evaluate(Allocation.of([(v, it) for v, it in alloc.pairs if it == item]))[0]
             for item in sorted(alloc.items())
         )
         if not relaxed_le(rho, per_item_sum):

@@ -22,7 +22,7 @@ from welfaremax.allocators import (
 from welfaremax.diffusion import Allocation, estimate_marginal_welfare
 from welfaremax.graph import Graph
 from welfaremax.selectors import SelectorError
-from welfaremax.oracle import SpreadOracle, WelfareOracle, exact_welfare, optimal_allocation
+from welfaremax.oracle import SpreadOracle, WelfareOracle
 from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.utility import ItemCatalog, NoiseSpec, expected_truncated_utility
 
@@ -37,8 +37,8 @@ def test_seqgrd_single_item_reduces_to_influence_maximization():
     alloc = seqgrd(g, cat, Allocation.empty(), ["a"], {"a": 2}, CFG)
     assert alloc.seeds_for("a") == {0, 3}
     util = expected_truncated_utility(cat, ["a"])[0]
-    spread = SpreadOracle(g).spread([0, 3])
-    assert exact_welfare(g, cat, alloc) == pytest.approx(util * spread)
+    spread = SpreadOracle(g).marginal_spread([0, 3])
+    assert WelfareOracle(g, cat).evaluate(alloc)[0] == pytest.approx(util * spread)
 
 
 def test_seqgrd_exhausts_budgets_with_distinct_seeds(path_graph, blocking_catalog):
@@ -82,8 +82,9 @@ def test_seqgrd_beats_seqgrd_nm_on_blocking_fixture(path_graph, blocking_catalog
     budgets = {"i": 1, "j": 1, "k": 1}
     with_check = seqgrd(path_graph, blocking_catalog, Allocation.empty(), items, budgets, CFG)
     without = seqgrd_nm(path_graph, blocking_catalog, Allocation.empty(), items, budgets, CFG)
-    w1 = exact_welfare(path_graph, blocking_catalog, with_check)
-    w2 = exact_welfare(path_graph, blocking_catalog, without)
+    oracle = WelfareOracle(path_graph, blocking_catalog)
+    w1 = oracle.evaluate(with_check)[0]
+    w2 = oracle.evaluate(without)[0]
     assert w1 > w2
 
 
@@ -180,8 +181,9 @@ def test_worked_example_welfare_gap(fork_graph, strong_weak_catalog):
     items, budgets = ["i", "j"], {"i": 1, "j": 1}
     seq = seqgrd(fork_graph, strong_weak_catalog, Allocation.empty(), items, budgets, CFG)
     mx = maxgrd(fork_graph, strong_weak_catalog, Allocation.empty(), items, budgets, CFG)
-    assert exact_welfare(fork_graph, strong_weak_catalog, seq) == 22.0
-    assert exact_welfare(fork_graph, strong_weak_catalog, mx) == 30.0
+    oracle = WelfareOracle(fork_graph, strong_weak_catalog)
+    assert oracle.evaluate(seq)[0] == 22.0
+    assert oracle.evaluate(mx)[0] == 30.0
     best = max_seq(fork_graph, strong_weak_catalog, Allocation.empty(), items, budgets, CFG)
     assert best == mx
 
@@ -266,8 +268,9 @@ def test_supgrd_near_optimal_on_small_instance():
     graph, catalog, base = superior_instance(rng, n_hi=8, e_hi=9)
     cfg = AllocatorConfig(eps=0.15, ell=1.0, seed=31)
     alloc = supgrd(graph, catalog, base, ["sup"], {"sup": 2}, cfg)
-    got = exact_welfare(graph, catalog, alloc.merged(base))
-    _, opt = optimal_allocation(graph, catalog, {"sup": 2}, base)
+    oracle = WelfareOracle(graph, catalog)
+    got = oracle.evaluate(alloc.merged(base))[0]
+    _, opt, _ = oracle.optimal({"sup": 2}, base)
     assert got >= 0.6 * opt
 
 
@@ -322,13 +325,12 @@ def test_greedy_marginal_three_items_follows_oracle_trace(pair_graph, trio_catal
                     continue
                 if len(chosen.seeds_for(item)) >= 1:
                     continue
-                val = oracle.marginal(Allocation.of([(node, item)]), chosen)
+                cand = Allocation.of([(node, item)])
+                val = oracle.evaluate(cand.merged(chosen))[0] - oracle.evaluate(chosen)[0]
                 if val > best_val:
                     best, best_val = (node, item), val
         chosen = chosen.merged(Allocation.of([best]))
-    assert exact_welfare(pair_graph, trio_catalog, alloc) == pytest.approx(
-        oracle.welfare(chosen)
-    )
+    assert oracle.evaluate(alloc)[0] == pytest.approx(oracle.evaluate(chosen)[0])
 
 
 def test_greedy_marginal_zero_budgets_yield_empty():

@@ -149,11 +149,11 @@ def test_oracle_optimal_matches_api(tmp_path):
     assert code == 0
     rows = read_csv(out)
     from welfaremax.cli import load_catalog_file, load_graph_file
-    from welfaremax.oracle import optimal_allocation
+    from welfaremax.oracle import WelfareOracle
 
     g = load_graph_file(str(CONFIGS / "fork4.edges"))
     cat = load_catalog_file(str(CONFIGS / "pair_strong_weak.cfg")).catalog
-    _, want = optimal_allocation(g, cat, {"i": 1, "j": 1})
+    _, want, _ = WelfareOracle(g, cat).optimal({"i": 1, "j": 1})
     assert float(rows[1][3]) == want
 
 
@@ -1066,8 +1066,15 @@ def test_compare_input_errors_exit_2(tmp_path, capsys, flags, base, catalog, mes
         ([], None, "oracle needs --allocation or --optimal"),
         (["--optimal"], _NO_BUDGETS, "oracle --optimal needs budgets"),
         (["--allocation", "{tmp}/a.txt"], None, "allocation line 1: expected 'node item'"),
+        (["--allocation", "{tmp}/b.txt", "--budgets", "garbage"], None,
+         "oracle --budgets needs --optimal"),
+        (["--optimal", "--allocation", "{tmp}/b.txt"], None,
+         "oracle takes --allocation or --optimal, not both"),
     ],
-    ids=["no-allocation", "optimal-without-budgets", "allocation-line-fields"],
+    ids=[
+        "no-allocation", "optimal-without-budgets", "allocation-line-fields",
+        "budgets-without-optimal", "both-modes",
+    ],
 )
 def test_oracle_input_errors_exit_2(tmp_path, capsys, flags, catalog, message):
     cfg = CONFIGS / "trio_partial.cfg"
@@ -1075,10 +1082,23 @@ def test_oracle_input_errors_exit_2(tmp_path, capsys, flags, catalog, message):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(catalog)
     (tmp_path / "a.txt").write_text("0 i1 extra\n")
+    (tmp_path / "b.txt").write_text("0 i1\n")
     flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
     assert run_cli("oracle", "--graph", CONFIGS / "edge_pair.edges", "--catalog", cfg, *flags) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config", ["pair_even", "pair_partial", "pair_partial_uneven", "pair_skewed"]
+)
+def test_oracle_rejects_continuous_noise_as_bad_input(tmp_path, capsys, config):
+    (tmp_path / "a.txt").write_text("0 i\n")
+    argv = ["--graph", CONFIGS / "edge_pair.edges", "--catalog", CONFIGS / f"{config}.cfg"]
+    assert run_cli("oracle", *argv, "--allocation", tmp_path / "a.txt") == 2
+    err = capsys.readouterr().err
+    assert "error: oracle: exact welfare needs finite noise supports" in err
     assert "Traceback" not in err
 
 
@@ -1100,8 +1120,8 @@ def test_oracle_base_adds_to_the_scored_allocation(tmp_path):
     catalog = load_catalog_file(str(CONFIGS / "pair_strong_weak.cfg")).catalog
     oracle = WelfareOracle(load_graph_file(str(CONFIGS / "fork4.edges")), catalog)
     full = Allocation.of([(0, "i"), (2, "j")])
-    assert float(row[3]) == oracle.welfare(full)
-    assert row[1:3] == [f"{v:.17g}" for v in oracle.item_adoption_means(full).values()]
+    assert float(row[3]) == oracle.evaluate(full)[0]
+    assert row[1:3] == [f"{v:.17g}" for v in oracle.evaluate(full)[1].values()]
     assert row[5] == "0:i"  # the base is scored, not reported
 
 

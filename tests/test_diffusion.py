@@ -165,11 +165,11 @@ def test_estimate_welfare_matches_oracle_within_three_stderr():
     g = graph_from("0 1 0.5\n0 2 0.5\n1 3 0.5\n2 3 0.5\n")
     cat = ItemCatalog(["a"], prices={"a": 0}, valuations={("a",): 1})
     alloc = Allocation.of([(0, "a")])
-    exact = WelfareOracle(g, cat).welfare(alloc)
+    exact = WelfareOracle(g, cat).evaluate(alloc)[0]
     est = estimate_welfare(g, cat, alloc, 10_000, seed=7)
     assert abs(est.mean - exact) <= 3 * est.stderr
     # single zero-noise item: welfare is utility times spread
-    assert exact == pytest.approx(SpreadOracle(g).spread([0]))
+    assert exact == pytest.approx(SpreadOracle(g).marginal_spread([0]))
 
 
 def test_estimate_welfare_deterministic_in_seed(pair_graph, trio_catalog):
@@ -213,7 +213,7 @@ def test_marginal_matches_oracle_on_random_instance():
     base = Allocation.of([(5, "b")])
     cand = Allocation.of([(0, "a")])
     oracle = WelfareOracle(g, cat)
-    exact = oracle.marginal(cand, base)
+    exact = oracle.evaluate(cand.merged(base))[0] - oracle.evaluate(base)[0]
     ((mean, stderr),) = estimate_marginal_welfare(g, cat, [cand], base, 20_000, seed=13).estimates
     assert abs(mean - exact) <= 3 * stderr
 

@@ -270,7 +270,8 @@ def test_weighted_rr_weight_never_understates_the_subtraction():
         free = sorted(set(range(graph.n)))
         seeds = rng.sample(free, 2)
     cand = Allocation.of([(v, "sup") for v in seeds])
-    want = WelfareOracle(graph, catalog).marginal(cand, base)
+    oracle = WelfareOracle(graph, catalog)
+    want = oracle.evaluate(cand.merged(base))[0] - oracle.evaluate(base)[0]
     utils = expected_item_utilities(catalog)
     expected = exact_covered_value(graph, base, "sup", seeds, utils)
     assert expected < want - 1e-3  # visibly below on this instance
@@ -286,7 +287,8 @@ def test_weighted_identity_matches_marginal_welfare():
     graph, catalog, base = superior_instance(rng, n_hi=8, e_hi=9)
     seeds = [0, 3]
     cand = Allocation.of([(v, "sup") for v in seeds])
-    want = WelfareOracle(graph, catalog).marginal(cand, base)
+    oracle = WelfareOracle(graph, catalog)
+    want = oracle.evaluate(cand.merged(base))[0] - oracle.evaluate(base)[0]
     utils = expected_item_utilities(catalog)
     coll = sample_weighted_rr(graph, base, "sup", catalog, 40_000, derive_rng(77), utils)
     mean, sigma = _mean_and_sigma(_covered_values(graph, coll, seeds))
@@ -403,7 +405,7 @@ def test_standard_unbiasedness_against_oracle():
     g = graph_from("0 1 0.5\n0 2 0.7\n1 3 0.5\n2 3 0.3\n3 4 0.5\n2 4 0.5\n0 5 0.3\n5 4 0.5\n")
     oracle = SpreadOracle(g)
     seeds = {0, 3}
-    want = oracle.spread(seeds)
+    want = oracle.marginal_spread(seeds)
     draws = 50_000
     p_hat = sample_rr(g, draws, derive_rng(123)).coverage_fraction(seeds)
     sigma = math.sqrt(p_hat * (1 - p_hat) / draws)
@@ -620,7 +622,7 @@ def _mean_and_sigma(values):
 def test_skip_plain_coverage_matches_spread_oracle():
     g = skip_graph()
     seeds = {7, 8, 4}
-    want = SpreadOracle(core_graph([7, 8])).spread(seeds)
+    want = SpreadOracle(core_graph([7, 8])).marginal_spread(seeds)
     coll = sample_rr(g, 60_000, derive_rng(501))
     mean, sigma = _mean_and_sigma([g.n * bool(seeds & members) for members in sets_of(coll)])
     assert abs(mean - want) <= 3 * sigma
@@ -649,7 +651,8 @@ def test_skip_weighted_identity_matches_welfare_oracle():
     catalog, base = _skip_superior_instance()
     seeds = {7, 8, 5}
     cand = Allocation.of((v, "sup") for v in seeds)
-    want = WelfareOracle(core_graph([7, 8]), catalog).marginal(cand, base)
+    oracle = WelfareOracle(core_graph([7, 8]), catalog)
+    want = oracle.evaluate(cand.merged(base))[0] - oracle.evaluate(base)[0]
     utils = expected_item_utilities(catalog)
     coll = sample_weighted_rr(g, base, "sup", catalog, 60_000, derive_rng(503), utils)
     mean, sigma = _mean_and_sigma(_covered_values(g, coll, seeds))

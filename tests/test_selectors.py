@@ -247,10 +247,11 @@ def test_prima_plus_certified_bounds_stay_below_opt_statistically():
 def test_supgrd_sampling_certified_bound_below_opt_statistically():
     rng = random.Random(8)
     graph, catalog, base = superior_instance(rng, n_hi=8, e_hi=9)
-    from welfaremax.oracle import WelfareOracle, optimal_allocation
+    from welfaremax.oracle import WelfareOracle
 
-    _, opt_total = optimal_allocation(graph, catalog, {"sup": 2}, base)
-    opt_marginal = opt_total - WelfareOracle(graph, catalog).welfare(base)
+    oracle = WelfareOracle(graph, catalog)
+    _, opt_total, _ = oracle.optimal({"sup": 2}, base)
+    opt_marginal = opt_total - oracle.evaluate(base)[0]
     good_runs = 0
     for trial in range(100):
         lines = []
@@ -267,10 +268,11 @@ def test_supgrd_sampling_certified_bound_below_opt_statistically():
 def test_supgrd_sampling_lower_bound_below_marginal_opt():
     rng = random.Random(8)
     graph, catalog, base = superior_instance(rng, n_hi=8, e_hi=9)
-    from welfaremax.oracle import WelfareOracle, optimal_allocation
+    from welfaremax.oracle import WelfareOracle
 
-    _, opt_total = optimal_allocation(graph, catalog, {"sup": 2}, base)
-    opt_marginal = opt_total - WelfareOracle(graph, catalog).welfare(base)
+    oracle = WelfareOracle(graph, catalog)
+    _, opt_total, _ = oracle.optimal({"sup": 2}, base)
+    opt_marginal = opt_total - oracle.evaluate(base)[0]
     lines = []
     supgrd_sampling(graph, catalog, base, "sup", 2, 0.2, 1.0, derive_rng(9), trace=lines.append)
     final = dict(kv.split("=") for kv in lines[-1].split())
