@@ -1,11 +1,13 @@
 """Allocation algorithms and baselines.
 
-Every allocator named in `ALGORITHMS` takes `(graph, catalog, base, items,
+Every allocator named in `ALGORITHMS` takes `(graph, catalog, base,
 budgets, config, trace=None)` and returns the budget-respecting pairs it
-adds to the fixed `base`. Each first checks that the items are known, have
-budgets >= 0 and are absent from `base`; the sequential and max-item
-algorithms and the round-robin and snake baselines then take their seeds
-from one prefix-preserving list over the base seeds (`prefix_seed_list`).
+adds to the fixed `base`. The budgets' keys are the items, in the order
+round-robin and snake deal them and maxgrd and gm break ties by. Each
+first checks that the items are known, have budgets >= 0 and are absent
+from `base`; the sequential and max-item algorithms and the round-robin
+and snake baselines then take their seeds from one prefix-preserving list
+over the base seeds (`_items_and_seeds`).
 `max_seq` and `greedy_marginal` need an empty `base`; `greedy_marginal`
 also budgets of at most n and at most `GM_PAIR_CAP` pair evaluations.
 `supgrd` needs one item, the superior one, a pure-competition catalog and
@@ -18,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from welfaremax.diffusion import CHUNK_CELLS, Allocation, estimate_marginal_welfare
 from welfaremax.graph import Graph
 from welfaremax.ris import node_selection_weighted
 from welfaremax.rng import derive_rng, derive_seed
-from welfaremax.selectors import check_superior_instance, prima_plus, supgrd_sampling
+from welfaremax.selectors import check_accuracy, check_superior_instance, prima_plus, supgrd_sampling
 from welfaremax.utility import ItemCatalog, expected_item_utilities
 
 Trace = Optional[Callable[[str], None]]
@@ -57,65 +59,66 @@ class AllocatorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_accuracy(self.eps, self.ell)
         if self.mc_samples < 1:
             raise AllocatorError("mc_samples must be >= 1")
 
 
-def _check_items_budgets(
-    catalog: ItemCatalog, items: Iterable[str], budgets: dict[str, int], base: Allocation
-) -> list[str]:
-    items = list(items)
-    if not items:
+def _check_items_budgets(catalog: ItemCatalog, budgets: dict[str, int], base: Allocation) -> None:
+    if not budgets:
         raise AllocatorError("no items to allocate")
-    for it in items:
+    for it, budget in budgets.items():
         if it not in catalog.index:
             raise AllocatorError(f"unknown item {it!r}")
-        if it not in budgets:
-            raise AllocatorError(f"missing budget for item {it!r}")
-        if budgets[it] < 0:
+        if budget < 0:
             raise AllocatorError(f"budget for {it!r} must be >= 0")
-    if base.items() & set(items):
+    if base.items() & budgets.keys():
         raise AllocatorError("items to allocate overlap the base allocation")
-    return items
 
 
-def prefix_seed_list(
-    graph: Graph,
-    base: Allocation,
-    budgets: Iterable[int],
-    b_max: int,
-    config: AllocatorConfig,
-    trace: Trace = None,
-) -> list[int]:
-    """The b_max-long prefix-preserving seed list over the base seeds,
-    certified at every positive budget; empty when b_max is 0."""
+def _items_and_seeds(graph, catalog, base, budgets, config, trace, length=sum):
+    """The checked items, in budget order, and their prefix-preserving seed
+    list over the base seeds, as long as `length` of their budgets and
+    certified at every positive budget; empty when that length is 0."""
+    _check_items_budgets(catalog, budgets, base)
+    items, wanted = list(budgets), list(budgets.values())
+    b_max = length(wanted)
     if b_max == 0:
-        return []
-    return prima_plus(
+        return items, []
+    return items, prima_plus(
         graph,
         config.eps,
         config.ell,
         base.seed_nodes(),
-        [b for b in budgets if b > 0],
+        [b for b in wanted if b > 0],
         b_max,
         derive_rng(config.seed, "prima"),
         trace=trace,
     )
 
 
-def _items_and_seeds(graph, catalog, base, items, budgets, config, trace, length=sum):
-    """The checked items and their prefix-preserving seed list, as long as
-    `length` of their budgets (empty when that is 0)."""
-    items = _check_items_budgets(catalog, items, budgets, base)
-    wanted = [budgets[it] for it in items]
-    return items, prefix_seed_list(graph, base, wanted, length(wanted), config, trace)
+def _by_utility(catalog: ItemCatalog, items: list[str], config: AllocatorConfig) -> list[str]:
+    """`items` in decreasing expected truncated utility, ties in catalog order."""
+    utils = expected_item_utilities(catalog, rng=derive_rng(config.seed, "item-utility"))
+    return sorted(items, key=lambda it: (-utils[it], catalog.index[it]))
+
+
+def _walk_blocks(order, budgets, seeds, cursor, phase, emit) -> Allocation:
+    """Each item of `order` takes its next block of `seeds` from `cursor` on,
+    and emits one `phase=<phase>` line."""
+    pairs = []
+    for item in order:
+        block = seeds[cursor : cursor + budgets[item]]
+        cursor += budgets[item]
+        pairs += [(v, item) for v in block]
+        emit(f"phase={phase} item={item} seeds={';'.join(map(str, block))}")
+    return Allocation.of(pairs)
 
 
 def seqgrd(
     graph: Graph,
     catalog: ItemCatalog,
     base: Allocation,
-    items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
     trace: Trace = None,
@@ -131,11 +134,10 @@ def seqgrd(
     chunk of worlds.
     """
     emit = trace or (lambda line: None)
-    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
+    items, seeds = _items_and_seeds(graph, catalog, base, budgets, config, trace)
     if not seeds:
         return Allocation.empty()
-    utils = expected_item_utilities(catalog, rng=derive_rng(config.seed, "item-utility"))
-    order = sorted(items, key=lambda it: (-utils[it], catalog.index[it]))  # ties: catalog order
+    order = _by_utility(catalog, items, config)
     chosen = Allocation.empty()
     added: set[str] = set()
     cursor = 0
@@ -165,46 +167,30 @@ def seqgrd(
             chosen = chosen.merged(tentative)
             added.add(item)
             cursor += budgets[item]
-    for item in order:
-        if item in added:
-            continue
-        block = seeds[cursor : cursor + budgets[item]]
-        cursor += budgets[item]
-        chosen = chosen.merged(Allocation.of((v, item) for v in block))
-        emit(f"phase=append item={item} seeds={';'.join(map(str, block))}")
-    return chosen
+    deferred = [item for item in order if item not in added]
+    return chosen.merged(_walk_blocks(deferred, budgets, seeds, cursor, "append", emit))
 
 
 def seqgrd_nm(
     graph: Graph,
     catalog: ItemCatalog,
     base: Allocation,
-    items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
     trace: Trace = None,
 ) -> Allocation:
     """seqgrd without the marginal check: sorted items take consecutive blocks."""
     emit = trace or (lambda line: None)
-    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
+    items, seeds = _items_and_seeds(graph, catalog, base, budgets, config, trace)
     if not seeds:
         return Allocation.empty()
-    utils = expected_item_utilities(catalog, rng=derive_rng(config.seed, "item-utility"))
-    chosen = Allocation.empty()
-    cursor = 0
-    for item in sorted(items, key=lambda it: (-utils[it], catalog.index[it])):  # ties: catalog order
-        block = seeds[cursor : cursor + budgets[item]]
-        cursor += budgets[item]
-        chosen = chosen.merged(Allocation.of((v, item) for v in block))
-        emit(f"phase=assign item={item} seeds={';'.join(map(str, block))}")
-    return chosen
+    return _walk_blocks(_by_utility(catalog, items, config), budgets, seeds, 0, "assign", emit)
 
 
 def maxgrd(
     graph: Graph,
     catalog: ItemCatalog,
     base: Allocation,
-    items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
     trace: Trace = None,
@@ -216,11 +202,10 @@ def maxgrd(
     which share one base run per world.
     """
     emit = trace or (lambda line: None)
-    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace, max)
+    items, seeds = _items_and_seeds(graph, catalog, base, budgets, config, trace, max)
     if not seeds:
         return Allocation.empty()
-    best_item = None
-    best_mean = -math.inf
+    best_item, best_mean = None, -math.inf
     scores = estimate_marginal_welfare(
         graph,
         catalog,
@@ -229,7 +214,7 @@ def maxgrd(
         config.mc_samples,
         derive_seed(config.seed, "maxgrd-eval"),
     ).estimates
-    for item, (mean, stderr) in zip(items, scores):  # caller's order; first max wins
+    for item, (mean, stderr) in zip(items, scores):  # budget order; first max wins
         emit(f"phase=score item={item} marginal={mean:.6g} stderr={stderr:.6g}")
         if mean > best_mean:
             best_item, best_mean = item, mean
@@ -241,7 +226,6 @@ def max_seq(
     graph: Graph,
     catalog: ItemCatalog,
     base: Allocation,
-    items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
     trace: Trace = None,
@@ -255,8 +239,8 @@ def max_seq(
     if base:
         raise AllocatorError("needs an empty base allocation")
     emit = trace or (lambda line: None)
-    seq_alloc = seqgrd(graph, catalog, base, items, budgets, config, trace)
-    max_alloc = maxgrd(graph, catalog, base, items, budgets, config, trace)
+    seq_alloc = seqgrd(graph, catalog, base, budgets, config, trace)
+    max_alloc = maxgrd(graph, catalog, base, budgets, config, trace)
     eval_seed = derive_seed(config.seed, "max-seq-eval")
     (seq_w, _), (max_w, _) = estimate_marginal_welfare(
         graph, catalog, [seq_alloc, max_alloc], base, config.mc_samples, eval_seed
@@ -269,17 +253,16 @@ def supgrd(
     graph: Graph,
     catalog: ItemCatalog,
     base: Allocation,
-    items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
     trace: Trace = None,
 ) -> Allocation:
     """Seed the one budgeted item, which must be the superior item, over the
     fixed inferior seeds of `base` via weighted RR sets."""
-    items = _check_items_budgets(catalog, items, budgets, base)
-    if len(items) != 1:
+    _check_items_budgets(catalog, budgets, base)
+    if len(budgets) != 1:
         raise AllocatorError("budgets must name exactly the superior item")
-    superior, b_prime = items[0], budgets[items[0]]
+    ((superior, b_prime),) = budgets.items()
     if b_prime == 0:  # the sampler checks the instance for a positive budget
         check_superior_instance(catalog, base, superior)
         return Allocation.empty()
@@ -302,41 +285,37 @@ def round_robin(
     graph: Graph,
     catalog: ItemCatalog,
     base: Allocation,
-    items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
     trace: Trace = None,
 ) -> Allocation:
     """Cycle items over the ordered seeds: s1:i1, s2:i2, ... wrapping around
     and skipping items with exhausted budgets."""
-    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
-    return _deal(seeds, items, budgets, snake_order=False)
+    _, seeds = _items_and_seeds(graph, catalog, base, budgets, config, trace)
+    return _deal(seeds, budgets, snake_order=False)
 
 
 def snake(
     graph: Graph,
     catalog: ItemCatalog,
     base: Allocation,
-    items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
     trace: Trace = None,
 ) -> Allocation:
     """Round-robin that reverses the item order on every successive pass."""
-    items, seeds = _items_and_seeds(graph, catalog, base, items, budgets, config, trace)
-    return _deal(seeds, items, budgets, snake_order=True)
+    _, seeds = _items_and_seeds(graph, catalog, base, budgets, config, trace)
+    return _deal(seeds, budgets, snake_order=True)
 
 
-def _deal(
-    seeds: list[int], items: list[str], budgets: dict[str, int], snake_order: bool
-) -> Allocation:
+def _deal(seeds: list[int], budgets: dict[str, int], snake_order: bool) -> Allocation:
     """Deal `seeds` in order over passes in which every item with budget left
-    takes one seed; `seeds` holds exactly the budgets' total."""
-    remaining = {it: budgets[it] for it in items}
+    takes one seed, in budget order; `seeds` holds exactly the budgets' total."""
+    remaining = dict(budgets)
     turns: list[str] = []
     reverse = False
     while any(remaining.values()):
-        active = [it for it in items if remaining[it] > 0]
+        active = [it for it, left in remaining.items() if left > 0]
         for it in reversed(active) if reverse else active:
             turns.append(it)
             remaining[it] -= 1
@@ -348,7 +327,6 @@ def greedy_marginal(
     graph: Graph,
     catalog: ItemCatalog,
     base: Allocation,
-    items: Iterable[str],
     budgets: dict[str, int],
     config: AllocatorConfig,
     trace: Trace = None,
@@ -360,12 +338,12 @@ def greedy_marginal(
     if base:
         raise AllocatorError("needs an empty base allocation")
     emit = trace or (lambda line: None)
-    items = _check_items_budgets(catalog, items, budgets, base)
-    for item in items:
-        if budgets[item] > graph.n:
-            raise AllocatorError(f"budget {budgets[item]} for {item!r} exceeds the {graph.n} nodes")
-    total = sum(budgets[it] for it in items)
-    work = graph.n * len(items) * total
+    _check_items_budgets(catalog, budgets, base)
+    for item, budget in budgets.items():
+        if budget > graph.n:
+            raise AllocatorError(f"budget {budget} for {item!r} exceeds the {graph.n} nodes")
+    total = sum(budgets.values())
+    work = graph.n * len(budgets) * total
     if work > GM_PAIR_CAP:
         raise AllocatorError(
             f"needs {work} pair evaluations, cap is {GM_PAIR_CAP}; "
@@ -373,13 +351,13 @@ def greedy_marginal(
         )
     group = max(1, CHUNK_CELLS // config.mc_samples)
     chosen = Allocation.empty()
-    remaining = {it: budgets[it] for it in items}
+    remaining = dict(budgets)
     for step in range(total):
-        pairs = [  # ties: smaller node id, then item order
+        pairs = [  # ties: smaller node id, then budget order
             (node, item)
             for node in range(graph.n)
-            for item in items
-            if remaining[item] > 0 and (node, item) not in chosen.pairs
+            for item, left in remaining.items()
+            if left > 0 and (node, item) not in chosen.pairs
         ]
         means = []
         for start in range(0, len(pairs), group):  # each group draws the step's worlds

@@ -213,6 +213,12 @@ def _cmd_run_allocators(args, out: TextIO) -> int:
         if a not in allocators.ALGORITHMS:
             known = ", ".join(allocators.ALGORITHMS)
             raise CliError(2, f"unknown algorithm {a!r}; choose from {known}")
+    try:  # before the trace opens and the inputs load: a bad value costs no work
+        config = allocators.AllocatorConfig(
+            eps=args.epsilon, ell=args.ell, mc_samples=args.samples, seed=args.seed
+        )
+    except ValueError as exc:
+        raise CliError(2, str(exc)) from exc
     records = []
     trace = _TraceWriter(args.trace)  # before the inputs load: a bad path costs no work
     try:
@@ -221,18 +227,15 @@ def _cmd_run_allocators(args, out: TextIO) -> int:
         budgets = parse_budgets(args.budgets, catalog) if args.budgets else cfg.budgets
         if not budgets:
             raise CliError(2, "no budgets given (flag or [budgets] section)")
+        budgets = {it: budgets[it] for it in catalog.items if it in budgets}  # catalog order
         graph = load_graph_file(args.graph, args.undirected, args.compact_ids)
         base = load_allocation_file(args.base, catalog, graph.n) if args.base else Allocation.empty()
-        items = [it for it in catalog.items if it in budgets]
-        config = allocators.AllocatorConfig(
-            eps=args.epsilon, ell=args.ell, mc_samples=args.samples, seed=args.seed
-        )
         for algo in algos:
             trace(f"phase=run algorithm={algo}")
             started = time.perf_counter()
             allocate = getattr(allocators, allocators.ALGORITHMS[algo])
             try:
-                alloc = allocate(graph, catalog, base, items, budgets, config, trace)
+                alloc = allocate(graph, catalog, base, budgets, config, trace)
             except RRLimitError as exc:
                 raise CliError(3, f"{algo}: {exc}") from exc
             except ValueError as exc:
@@ -379,9 +382,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by `allocate` and `compare`."""
     parser.add_argument("--budgets", default=None, help="item=count[,item=count...]")
     parser.add_argument("--base", default=None, help="fixed allocation file")
-    parser.add_argument("--epsilon", type=float, default=0.5)
-    parser.add_argument("--ell", type=float, default=1.0)
-    parser.add_argument("--samples", type=_at_least(1), default=5000)
+    defaults = allocators.AllocatorConfig
+    parser.add_argument("--epsilon", type=float, default=defaults.eps)
+    parser.add_argument("--ell", type=float, default=defaults.ell)
+    parser.add_argument("--samples", type=_at_least(1), default=defaults.mc_samples)
     parser.add_argument("--trace", default=None, help="trace file ('-' for stderr)")
 
 

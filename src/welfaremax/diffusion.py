@@ -109,7 +109,7 @@ class PossibleWorld:
         self.key = key
 
     @classmethod
-    def sample(cls, graph: Graph, catalog: ItemCatalog, rng) -> "PossibleWorld":
+    def sample(cls, catalog: ItemCatalog, rng) -> "PossibleWorld":
         noise = tuple(spec.sample(rng) for spec in catalog.noise_specs)
         return cls(noise, key=rng.getrandbits(64))
 
@@ -410,9 +410,9 @@ def world_runs(
     return runs
 
 
-def _sampled(graph: Graph, catalog: ItemCatalog, seed: int):
+def _sampled(catalog: ItemCatalog, seed: int):
     """World ``idx`` of `seed`, drawn from its own stream, ``derive_rng(seed, idx)``."""
-    return lambda idx: PossibleWorld.sample(graph, catalog, derive_rng(seed, idx))
+    return lambda idx: PossibleWorld.sample(catalog, derive_rng(seed, idx))
 
 
 def estimate_welfare(
@@ -424,7 +424,7 @@ def estimate_welfare(
 ) -> WelfareEstimate:
     """Monte Carlo mean welfare with standard error and per-item adoption means."""
     ((welfares, adopters),) = world_runs(
-        graph, catalog, [allocation], samples, _sampled(graph, catalog, seed)
+        graph, catalog, [allocation], samples, _sampled(catalog, seed)
     )
     mean, stderr = _mean_stderr(welfares)
     return WelfareEstimate(mean, stderr, {item: c / samples for item, c in adopters.items()})
@@ -457,7 +457,7 @@ def estimate_marginal_welfare(
     allocations = [candidate.merged(base) for candidate in candidates]
     if base_runs is None:
         allocations.insert(0, base)
-    worlds = _sampled(graph, catalog, seed)
+    worlds = _sampled(catalog, seed)
     runs = [welfare for welfare, _ in world_runs(graph, catalog, allocations, samples, worlds)]
     base_runs = runs.pop(0) if base_runs is None else array("d", base_runs)
     estimates = [_mean_stderr([w - b for w, b in zip(run, base_runs)]) for run in runs]

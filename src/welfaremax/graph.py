@@ -212,11 +212,8 @@ def _load_lines(lines: list[str], undirected: bool, compact_ids: bool) -> Graph:
         if key in probs:
             raise EdgeListError(f"line {lineno}: duplicate edge ({u}, {v})")
         probs[key] = p
-        if undirected:
-            key = (v, u)
-            if key in probs:
-                raise EdgeListError(f"line {lineno}: duplicate edge ({v}, {u})")
-            probs[key] = p
+        if undirected:  # both directions go in together, so (v, u) is new as well
+            probs[(v, u)] = p
         if u > max_id:
             max_id = u
         if v > max_id:

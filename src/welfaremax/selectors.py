@@ -65,8 +65,6 @@ def _over_eps_squared(x: float, eps: float) -> float:
 
 
 def _log_binom(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        raise SelectorError(f"binomial C({n}, {k}) undefined")
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
@@ -95,6 +93,14 @@ def lambda_star(n: int, k: int, eps: float, ell_prime: float) -> float:
     return _over_eps_squared(2.0 * n * ((1.0 - 1.0 / math.e) * alpha + beta) ** 2, eps)
 
 
+def check_accuracy(eps: float, ell: float) -> None:
+    """Raise unless eps lies in (0, 1) and ell is positive and finite."""
+    if not 0.0 < eps < 1.0:
+        raise SelectorError("eps must lie in (0, 1)")
+    if not 0.0 < ell < math.inf:  # nan fails too
+        raise SelectorError(f"ell must be positive and finite, got {ell}")
+
+
 @dataclass(frozen=True)
 class SamplerParams:
     """Accuracy/confidence knobs and the derived schedule constants."""
@@ -107,10 +113,7 @@ class SamplerParams:
     def __post_init__(self):
         if self.n < 2:
             raise SelectorError("need at least 2 nodes")
-        if not 0.0 < self.eps < 1.0:
-            raise SelectorError("eps must lie in (0, 1)")
-        if not 0.0 < self.ell < math.inf:  # nan fails too
-            raise SelectorError(f"ell must be positive and finite, got {self.ell}")
+        check_accuracy(self.eps, self.ell)
         if not self.budgets or list(self.budgets) != sorted(set(self.budgets)):
             raise SelectorError("budgets must be non-empty, ascending, distinct")
         if self.budgets[0] < 1:

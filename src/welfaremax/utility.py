@@ -480,7 +480,7 @@ def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
     items: list[str] = []
     prices: dict[str, float] = {}
     noise: dict[str, NoiseSpec] = {}
-    valuations: dict[tuple[str, ...], float] = {}
+    valuations: dict[frozenset[str], float] = {}
     budgets: dict[str, int] = {}
     section = None
     for lineno, raw in enumerate(lines, start=1):
@@ -519,6 +519,8 @@ def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
                 if key not in kv:
                     raise CatalogError(f"line {lineno}: noise {kind!r} needs {key}=")
                 params[field] = _number(kv.pop(key), f"noise {key}", lineno)
+                if params[field] <= 0:
+                    raise CatalogError(f"line {lineno}: {kind} noise needs {key} > 0")
             if kv:
                 raise CatalogError(f"line {lineno}: unknown keys {sorted(kv)}")
             items.append(item)
@@ -534,9 +536,12 @@ def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
             for it in ids:
                 if it not in prices:
                     raise CatalogError(f"line {lineno}: unknown item {it!r} in valuation")
-            if ids in valuations:
+            bundle = frozenset(ids)  # a bundle is the same in any order
+            if len(bundle) < len(ids):
+                raise CatalogError(f"line {lineno}: an item repeats in {ids}")
+            if bundle in valuations:
                 raise CatalogError(f"line {lineno}: duplicate valuation for {ids}")
-            valuations[ids] = _number(rhs.strip(), "valuation", lineno)
+            valuations[bundle] = _number(rhs.strip(), "valuation", lineno)
         else:
             if "=" not in line:
                 raise CatalogError(f"line {lineno}: expected 'id = count'")

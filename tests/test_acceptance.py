@@ -104,11 +104,11 @@ def test_criterion_02_worked_example_exactness():
         valuations={("i",): 22, ("j",): 13, ("i", "j"): 24},
     )
     cfg = AllocatorConfig(seed=17, mc_samples=400)
-    items, budgets = ["i", "j"], {"i": 1, "j": 1}
+    budgets = {"i": 1, "j": 1}
     oracle = WelfareOracle(g, cat)
-    w_seq = oracle.evaluate(seqgrd(g, cat, Allocation.empty(), items, budgets, cfg))[0]
-    w_max = oracle.evaluate(maxgrd(g, cat, Allocation.empty(), items, budgets, cfg))[0]
-    w_best = oracle.evaluate(max_seq(g, cat, Allocation.empty(), items, budgets, cfg))[0]
+    w_seq = oracle.evaluate(seqgrd(g, cat, Allocation.empty(), budgets, cfg))[0]
+    w_max = oracle.evaluate(maxgrd(g, cat, Allocation.empty(), budgets, cfg))[0]
+    w_best = oracle.evaluate(max_seq(g, cat, Allocation.empty(), budgets, cfg))[0]
     elapsed = time.perf_counter() - started
     ok = (w_seq, w_max, w_best) == (22.0, 30.0, 30.0) and elapsed < 1.0
     report(2, "worked-example welfares 22/30/30", ok, f"{elapsed:.2f}s")
@@ -219,7 +219,7 @@ def test_criterion_06_superior_item_bound():
         for trial in range(10):
             runs += 1
             cfg = AllocatorConfig(eps=0.1, ell=1.0, seed=5000 + 100 * inst + trial)
-            alloc = supgrd(graph, catalog, base, ["sup"], {"sup": 2}, cfg)
+            alloc = supgrd(graph, catalog, base, {"sup": 2}, cfg)
             got = oracle.evaluate(alloc.merged(base))[0]
             if got >= APPROX_BOUND * opt:
                 passes += 1
@@ -279,12 +279,12 @@ def test_criterion_09_marginal_check_blocking():
             ("i", "j", "k"): 28.8,
         },
     )
-    items, budgets = ["i", "j", "k"], {"i": 1, "j": 1, "k": 1}
+    budgets = {"i": 1, "j": 1, "k": 1}
     cfg = AllocatorConfig(seed=77, mc_samples=5000)
-    a_check = seqgrd(g, cat, Allocation.empty(), items, budgets, cfg)
-    a_plain = seqgrd_nm(g, cat, Allocation.empty(), items, budgets, cfg)
+    a_check = seqgrd(g, cat, Allocation.empty(), budgets, cfg)
+    a_plain = seqgrd_nm(g, cat, Allocation.empty(), budgets, cfg)
     # common random worlds for the two welfare estimates
-    worlds = [PossibleWorld.sample(g, cat, derive_rng(8800, idx)) for idx in range(5000)]
+    worlds = [PossibleWorld.sample(cat, derive_rng(8800, idx)) for idx in range(5000)]
     diffs = [
         w_check - w_plain
         for w_check, w_plain in zip(

@@ -1,10 +1,12 @@
 import csv
 import math
+import re
 
 import pytest
 
 from welfaremax import allocators, selectors
 from welfaremax.cli import load_graph_file, main
+from welfaremax.utility import CatalogError, load_catalog_config
 
 from conftest import CONFIGS
 
@@ -318,6 +320,52 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, command, text, message):
     assert message in err
     assert "Traceback" not in err
     assert not out.exists() or out.read_text() == ""  # --out opens first, stays empty
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[items]\na price=1 loud\n", "line 2: expected key=value, got 'loud'"),
+        ("[items]\na price=1 noise=cauchy\n", "line 2: unknown noise kind 'cauchy'"),
+        ("[items]\na price=1 noise=gaussian sigma=0\n", "line 2: gaussian noise needs sigma > 0"),
+        (
+            "[items]\na price=1 noise=truncated-gaussian sigma=1 bound=0\n",
+            "line 2: truncated-gaussian noise needs bound > 0",
+        ),
+        ("[items]\na price=1 noise=two-point a=-1\n", "line 2: two-point noise needs a > 0"),
+        ("[items]\na price=1\n[valuation]\na 3\n", "line 4: expected 'ids = value'"),
+        ("[items]\na price=1\n[valuation]\n, = 3\n", "line 4: empty itemset"),
+        (
+            "[items]\na price=1\nb price=1\n[valuation]\na,a = 4\n",
+            "line 5: an item repeats in ('a', 'a')",
+        ),
+        (
+            "[items]\na price=1\n[valuation]\na = 3\na = 4\n",
+            "line 5: duplicate valuation for ('a',)",
+        ),
+        (
+            "[items]\na price=1\nb price=1\n[valuation]\na,b = 4\nb,a = 4\n",
+            "line 6: duplicate valuation for ('b', 'a')",
+        ),
+        ("[items]\na price=1\n[budgets]\na 1\n", "line 4: expected 'id = count'"),
+        ("[items]\na price=1\n[budgets]\nz = 1\n", "line 4: unknown item 'z' in budgets"),
+        ("[items]\na price=1\n[budgets]\na = -1\n", "line 4: budget must be non-negative"),
+        ("[valuation]\n", "config defines no items"),
+    ],
+    ids=[
+        "key-value", "noise-kind", "sigma-zero", "bound-zero", "a-negative", "valuation-line",
+        "empty-itemset", "repeated-item", "duplicate-valuation", "reordered-valuation",
+        "budget-line", "budget-item", "budget-negative", "no-items",
+    ],
+)
+def test_catalog_errors_exit_2_naming_the_line(tmp_path, capsys, text, message):
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        load_catalog_config(text.splitlines())
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert run_cli("validate-config", "--catalog", cfg) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad catalog {cfg}: {message}\n"  # no traceback
 
 
 def test_validate_config_repeated_item_key_exits_2(tmp_path, capsys):
@@ -765,6 +813,27 @@ def test_supgrd_zero_budget_on_an_inferior_item_exits_2(tmp_path, capsys):
     assert "supgrd: superior item is 'i', not 'j'" in capsys.readouterr().err
 
 
+def test_supgrd_superior_item_never_adopted_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[items]\na price=1\nb price=1\n[valuation]\na = 1\nb = 0\n")
+    base = tmp_path / "base.txt"
+    base.write_text("0 b\n")
+    code = run_cli(
+        "allocate",
+        "--graph", CONFIGS / "path6.edges",
+        "--catalog", cfg,
+        "--algo", "supgrd",
+        "--budgets", "a=1",
+        "--base", base,
+        "--samples", "20",
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: supgrd: superior item has zero expected truncated utility" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "algo, budgets, base_line, message",
     [
@@ -823,8 +892,8 @@ def test_rr_set_cap_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flag, value, code, message",
     [
-        ("--ell", "inf", 2, "error: seqgrd: ell must be positive and finite, got inf"),
-        ("--ell", "nan", 2, "error: seqgrd: ell must be positive and finite, got nan"),
+        ("--ell", "inf", 2, "error: ell must be positive and finite, got inf"),
+        ("--ell", "nan", 2, "error: ell must be positive and finite, got nan"),
         ("--ell", "1e308", 3, "error: seqgrd: planned inf RR sets"),
         ("--epsilon", "1e-300", 3, "error: seqgrd: planned inf RR sets"),
     ],
@@ -843,6 +912,47 @@ def test_extreme_accuracy_knobs_exit_cleanly(tmp_path, capsys, flag, value, code
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["compare", *NO_INPUTS, "--algos", "gm,round-robin,seqgrd", "--epsilon", "7"],
+            "error: eps must lie in (0, 1)\n",
+        ),
+        (
+            [
+                "allocate", "--graph", CONFIGS / "path6.edges",
+                "--catalog", CONFIGS / "trio_blocking.cfg", "--algo", "gm", "--ell", "nan",
+            ],
+            "error: ell must be positive and finite, got nan\n",
+        ),
+    ],
+    ids=["compare-eps", "gm-ell"],
+)
+def test_accuracy_knobs_are_checked_before_any_input_or_trace(tmp_path, capsys, argv, message):
+    trace = tmp_path / "t.txt"
+    trace.write_text("earlier trace\n")
+    assert run_cli(*argv, "--samples", "20", "--trace", trace) == 2
+    assert capsys.readouterr().err == message  # no algorithm named, no traceback
+    assert trace.read_text() == "earlier trace\n"
+
+
+def test_budgets_deal_in_catalog_order_whatever_the_flag_order(tmp_path):
+    outs = []
+    for budgets in ("j=1,i=1", "i=1,j=1"):
+        outs.append(tmp_path / f"{budgets}.csv")
+        assert run_cli(
+            "compare",
+            "--graph", CONFIGS / "path6.edges",
+            "--catalog", CONFIGS / "trio_blocking.cfg",
+            "--algos", "round-robin,snake,maxgrd",
+            "--budgets", budgets,
+            "--samples", "20",
+            "--out", outs[-1],
+        ) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_gm_budget_above_the_node_count_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import weakref
 
 import numpy as np
@@ -18,10 +19,11 @@ from welfaremax.diffusion import (
     estimate_marginal_welfare,
     estimate_welfare,
     simulate,
+    world_runs,
 )
 from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle, WelfareOracle
-from welfaremax.rng import _splitmix64, derive_rng
+from welfaremax.rng import _splitmix64, derive_rng, derive_seed
 from welfaremax.utility import ItemCatalog, NoiseSpec, utility
 
 from conftest import (
@@ -105,7 +107,7 @@ def test_single_item_adoption_equals_reachability():
     g = random_graph(rng)
     cat = ItemCatalog(["a"], prices={"a": 1}, valuations={("a",): 2})
     alloc = Allocation.of([(0, "a"), (g.n - 1, "a")])
-    worlds = [PossibleWorld.sample(g, cat, random.Random(trial)) for trial in range(20)]
+    worlds = [PossibleWorld.sample(cat, random.Random(trial)) for trial in range(20)]
     res = simulate(g, cat, alloc, worlds)
     for trial, world in enumerate(worlds):
         # replay reachability over the same live edges
@@ -132,6 +134,28 @@ def test_simulate_rejects_large_catalogs(pair_graph):
     )
     with pytest.raises(DiffusionError, match="m <= 10"):
         simulate(pair_graph, cat, Allocation.empty(), [certain_world(pair_graph, cat)])
+
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [([(9, "i1")], "seed node 9 outside graph"), ([(0, "z")], "unknown item 'z' in allocation")],
+    ids=["node", "item"],
+)
+def test_simulate_rejects_an_allocation_off_the_instance(pair_graph, trio_catalog, pairs, message):
+    world = certain_world(pair_graph, trio_catalog)
+    with pytest.raises(DiffusionError, match=re.escape(message)):
+        simulate(pair_graph, trio_catalog, Allocation.of(pairs), [world])
+
+
+def test_world_runs_needs_a_world(pair_graph, trio_catalog):
+    with pytest.raises(DiffusionError, match="samples must be >= 1"):
+        world_runs(pair_graph, trio_catalog, [Allocation.empty()], 0, lambda idx: None)
+
+
+def test_seed_parts_are_ints_or_strings():
+    with pytest.raises(TypeError, match="seed parts must be int or str, got <class 'float'>"):
+        derive_seed(1, 0.5)
 
 
 def test_adoption_ties_prefer_larger_then_smaller_mask():
@@ -288,7 +312,7 @@ def test_sampled_world_flags_equal_per_edge_random_calls(catalog, probs):
     for trial, g in enumerate(graphs):
         seed = rng.getrandbits(64)
         fast_rng, slow_rng = random.Random(seed), random.Random(seed)
-        world = PossibleWorld.sample(g, catalog, fast_rng)
+        world = PossibleWorld.sample(catalog, fast_rng)
         noise = tuple(spec.sample(slow_rng) for spec in catalog.noise_specs)
         assert world.noise == noise, trial
         assert world.key == slow_rng.getrandbits(64) and world.live is None, trial
@@ -410,7 +434,7 @@ def test_simulate_matches_reference_on_sampled_worlds():
         cat = random_coverage_catalog(rng, m_hi=4)
         allocations = [random_allocation(rng, g, cat, pairs=rng.randint(0, 5)) for _ in range(4)]
         seed = rng.getrandbits(64)
-        world = PossibleWorld.sample(g, cat, random.Random(seed))
+        world = PossibleWorld.sample(cat, random.Random(seed))
         slow_rng = random.Random(seed)
         noise = tuple(spec.sample(slow_rng) for spec in cat.noise_specs)
         key = slow_rng.getrandbits(64)
@@ -465,7 +489,7 @@ def test_edge_coins_are_unbiased_and_independent():
     g = Graph(len(probs) + 1, [(0, leaf + 1, p) for leaf, p in enumerate(probs)])
     cat = ItemCatalog(["a"], prices={"a": 1}, valuations={("a",): 2})
     count = 20_000
-    worlds = [PossibleWorld.sample(g, cat, derive_rng(17, idx)) for idx in range(count)]
+    worlds = [PossibleWorld.sample(cat, derive_rng(17, idx)) for idx in range(count)]
     adoption = simulate(g, cat, Allocation.of([(0, "a")]), worlds).adoption
     live = np.zeros((count, g.m), dtype=bool)
     for w, v in adoption:
@@ -546,7 +570,7 @@ def test_one_batch_of_mixed_noise_worlds_matches_reference_world_by_world():
         if g.n == 0:
             continue
         seeds = [rng.getrandbits(64) for _ in range(rng.randint(1, 8))]
-        sampled = [PossibleWorld.sample(g, cat, random.Random(seed)) for seed in seeds]
+        sampled = [PossibleWorld.sample(cat, random.Random(seed)) for seed in seeds]
         # fixed worlds only, as a batch holds one kind: the sampled worlds'
         # flags, worlds that share a noise vector, and one world twice
         worlds = [PossibleWorld.fixed(live_flags(world, g), world.noise) for world in sampled]
@@ -563,7 +587,7 @@ def test_one_batch_of_mixed_noise_worlds_matches_reference_world_by_world():
             continue
         cat = continuous_noise_catalog(rng, rng.randint(4, 6))
         sizes.add(cat.m)
-        worlds = [PossibleWorld.sample(g, cat, random.Random(rng.getrandbits(64)))
+        worlds = [PossibleWorld.sample(cat, random.Random(rng.getrandbits(64)))
                   for _ in range(rng.randint(2, 8))]
         assert len({w.noise for w in worlds}) == len(worlds)  # a table row per world
         assert_batch_matches_reference(rng, g, cat, worlds)
@@ -574,7 +598,7 @@ def test_worlds_keep_no_reference_to_their_graph():
     g = fractional_graph(random.Random(3), n_hi=30)
     cat = NOISE_CATALOGS[1]
     ref = weakref.ref(g)
-    worlds = [PossibleWorld.sample(g, cat, random.Random(i)) for i in range(5)]
+    worlds = [PossibleWorld.sample(cat, random.Random(i)) for i in range(5)]
     simulate(g, cat, Allocation.of([(0, "a"), (1, "b")]), worlds)
     estimate_welfare(g, cat, Allocation.of([(0, "a")]), 5, seed=1)
     del g, worlds
@@ -596,7 +620,7 @@ def diffusion_cases(draw):
     allocation = random_allocation(rng, graph, catalog, pairs=rng.randint(0, 4)) if graph.n else (
         Allocation.empty()
     )
-    return graph, catalog, allocation, PossibleWorld.sample(graph, catalog, rng)
+    return graph, catalog, allocation, PossibleWorld.sample(catalog, rng)
 
 
 @given(diffusion_cases())

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 import warnings
 
 import numpy as np
@@ -76,6 +77,21 @@ def test_constructor_validation():
         Graph(2, [(0, 1, 0.5), (0, 1, 0.6)])
     with pytest.raises(GraphError):
         Graph(2, [(1, 1, 0.5)])
+
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (-1, [], "node count must be non-negative"),
+        (2, [(0, 1, 1.5)], "edge (0, 1) probability 1.5 outside [0, 1]"),
+        (2, [(0, 1, -0.5)], "edge (0, 1) probability -0.5 outside [0, 1]"),
+    ],
+    ids=["negative-n", "probability-above-1", "probability-below-0"],
+)
+def test_constructor_rejects_bad_counts_and_probabilities(n, edges, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        Graph(n, edges)
 
 
 def test_loaded_graph_equals_validated_construction():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -129,6 +130,25 @@ def test_optimal_allocation_cross_checked_by_recursive_enumeration():
 def test_optimal_rejects_a_negative_budget(pair_graph, trio_catalog):
     with pytest.raises(ValueError, match="budget for 'i1' must be non-negative"):
         WelfareOracle(pair_graph, trio_catalog).optimal({"i1": -1})
+
+
+
+def test_optimal_rejects_budgets_for_unknown_items(pair_graph, trio_catalog):
+    with pytest.raises(ValueError, match=re.escape("budgets reference unknown items: ['z']")):
+        WelfareOracle(pair_graph, trio_catalog).optimal({"i1": 1, "z": 1})
+
+
+def test_joint_noise_support_limit_enforced():
+    # 13 two-point items: 2^13 = 8,192 joint outcomes, above the 4,096 limit
+    items = [f"x{k}" for k in range(13)]
+    cat = ItemCatalog(
+        items,
+        prices={it: 0 for it in items},
+        valuations={(it,): 1 for it in items},
+        noise={it: NoiseSpec.two_point(0.5) for it in items},
+    )
+    with pytest.raises(OracleLimitError, match="joint noise support 8192 exceeds limit"):
+        WelfareOracle(graph_from("0 1 1\n"), cat)
 
 
 @pytest.mark.parametrize("k, base", [(4, []), (3, [0]), (-1, [])])

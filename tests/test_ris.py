@@ -175,6 +175,12 @@ def test_weighted_rr_no_contact_keeps_full_weight():
     assert list(coll.weights) == [1.0] * 20  # E[U+(sup)]
 
 
+def test_weighted_rr_rejects_an_unknown_superior_item():
+    cat = ItemCatalog(["a"], prices={"a": 0}, valuations={("a",): 1})
+    with pytest.raises(RISError, match="unknown superior item 'z'"):
+        sample_weighted_rr(graph_from("0 1 1\n"), Allocation.empty(), "z", cat, 1, derive_rng(0), {})
+
+
 def test_weighted_rr_root_on_fixed_seed():
     # node 1 has no out-edge to 0: the sets holding 1 are the root-1 sets
     g = graph_from("0 1 1\n")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -82,6 +83,22 @@ def test_sampler_params_validation():
     assert p.eps_prime == pytest.approx(math.sqrt(2) * 0.5)
     assert p.ell_prime >= p.ell_hat >= p.ell
     assert p.b_max == 3
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [lambda k: lambda_prime(5, k, 0.5, 1.0, 3.0), lambda k: lambda_star(5, k, 0.5, 1.0)],
+    ids=["lambda-prime", "lambda-star"],
+)
+@pytest.mark.parametrize("k", [0, 6])
+def test_sample_size_scales_need_a_budget_in_1_to_n(scale, k):
+    with pytest.raises(SelectorError, match=re.escape(f"budget {k} outside [1, 5]")):
+        scale(k)
+
+
+def test_sampler_params_need_positive_budgets():
+    with pytest.raises(SelectorError, match="budgets must be positive"):
+        SamplerParams(8, 0.5, 1.0, (0, 1))
 
 
 def _star(leaves=5):
@@ -219,6 +236,16 @@ def test_supgrd_sampling_validates_conditions():
     )
     with pytest.raises(SelectorError, match="ell must be positive"):
         supgrd_sampling(g, pure, Allocation.of([(0, "b")]), "a", 1, 0.3, 0.0, derive_rng(7))
+
+
+def test_supgrd_sampling_needs_a_superior_item_worth_adopting():
+    # a's utility is exactly 0 and b's is -1: a is superior, yet never adopted
+    cat = ItemCatalog(["a", "b"], prices={"a": 1, "b": 1}, valuations={("a",): 1, ("b",): 0})
+    with pytest.raises(SelectorError, match="superior item has zero expected truncated utility"):
+        supgrd_sampling(
+            graph_from("0 1 1\n1 2 1\n"), cat, Allocation.of([(0, "b")]), "a", 1, 0.5, 1.0,
+            derive_rng(1),
+        )
 
 
 def test_prima_plus_certified_bounds_stay_below_opt_statistically():

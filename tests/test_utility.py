@@ -238,6 +238,49 @@ def test_non_finite_numbers_are_rejected(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: NoiseSpec("cauchy"), "unknown noise kind 'cauchy'"),
+        (lambda: NoiseSpec.gaussian(0.0), "gaussian noise needs sigma > 0"),
+        (lambda: NoiseSpec.truncated_gaussian(1.0, 0.0), "truncated gaussian needs bound > 0"),
+        (lambda: NoiseSpec.two_point(-1.0), "two-point noise needs amplitude > 0"),
+        (lambda: ItemCatalog([], prices={}, valuations={}), "catalog needs at least one item"),
+        (lambda: ItemCatalog(["a", "a"], prices={"a": 1}, valuations={}), "duplicate item ids"),
+        (
+            lambda: ItemCatalog(["a"], prices={"a": 1, "z": 1}, valuations={}),
+            "prices for unknown items: ['z']",
+        ),
+        (
+            lambda: ItemCatalog(["a", "b"], prices={"a": 1}, valuations={}),
+            "missing prices for items: ['b']",
+        ),
+        (
+            lambda: ItemCatalog(["a"], {"a": 1}, {}, noise={"z": NoiseSpec.zero()}),
+            "noise for unknown items: ['z']",
+        ),
+        (
+            lambda: ItemCatalog(
+                ["a", "b"], prices={"a": 1, "b": 1}, valuations={("a", "b"): 3, ("b", "a"): 3}
+            ),
+            "duplicate valuation for ('a', 'b')",
+        ),
+        (
+            lambda: ItemCatalog(["a"], prices={"a": 1}, valuations={2: 1}),
+            "mask 2 out of range for m=1",
+        ),
+    ],
+    ids=[
+        "unknown-kind", "sigma-zero", "bound-zero", "amplitude-negative", "no-items",
+        "duplicate-ids", "unknown-price", "missing-price", "unknown-noise",
+        "duplicate-valuation", "mask-out-of-range",
+    ],
+)
+def test_bad_noise_and_catalogs_are_rejected(build, message):
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        build()
+
+
 def test_u_min_below_every_item_and_u_max_above_every_bundle(trio_catalog):
     cat = trio_catalog
     lo, hi = u_min(cat), u_max(cat)
