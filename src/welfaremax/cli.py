@@ -89,18 +89,24 @@ def _output(path: Optional[str]):
         stream.write(buffer.getvalue())
 
 
-def _read_lines(path: str, what: str) -> list[str]:
+def _existing(path: str, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
         raise CliError(2, f"{what} not found: {path}")
-    return p.read_text().splitlines()
+    return p
+
+
+def _read_lines(path: str, what: str) -> list[str]:
+    try:
+        return _existing(path, what).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CliError(2, f"bad {what} {path}: {exc}") from exc
 
 
 def load_graph_file(path: str, undirected: bool = False, compact_ids: bool = False) -> Graph:
-    lines = _read_lines(path, "graph")
     try:
-        return load_edge_list(lines, undirected, compact_ids)
-    except EdgeListError as exc:
+        return load_edge_list(_existing(path, "graph"), undirected, compact_ids)
+    except (EdgeListError, UnicodeDecodeError) as exc:
         raise CliError(2, f"bad graph {path}: {exc}") from exc
 
 

@@ -8,13 +8,19 @@ edge-id order. The batched RR samplers walk the in-edges: v's in-slots
 are ``in_ptr[v]:in_ptr[v + 1]``, holding sources ``in_src`` and
 probabilities ``in_prob``. The batched diffusion walks the out-edges:
 u's out-slots are ``out_ptr[u]:out_ptr[u + 1]``, holding targets
-``out_dst`` and edge ids ``out_eid``. No per-node or per-edge Python
-object is built on the load path.
+``out_dst`` and edge ids ``out_eid``. Each CSR orders its slots with one
+plain sort of the unique keys ``key * m + slot``, which is the stable
+order. No per-node or per-edge Python object is built on the load path.
 
 Edge-list text format: one "src dst prob" per line, '#'-prefixed comment
-lines skipped. `load_edge_list` parses with ``np.loadtxt`` and checks the
-arrays with vectorised tests. Any input that fails to parse, makes numpy
-warn or fails a check is read again by the line-by-line parser, which
+lines skipped. `load_edge_list` takes a file `Path` or the lines
+themselves. ``np.loadtxt`` parses a file in place, decoded as
+``Path.read_text`` decodes it, with no list of lines; it parses lines
+after their comment lines are dropped. Either way the arrays are then
+checked with vectorised tests. A file that fails to parse (a comment line
+is enough), makes numpy warn, fails a check or breaks a line other than
+at "\n" is read as ``read_text().splitlines()`` and goes the way of
+lines. Lines that fail are read again by the line-by-line parser, which
 either builds the graph (it accepts a few spellings numpy does not, such
 as ``1_0`` or non-ASCII digits) or raises the `EdgeListError` naming the
 line. So the numpy path never accepts an input the line parser rejects,
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import chain
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -44,7 +51,23 @@ def csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``order[ptr[k]:ptr[k + 1]]``, its positions in ascending order."""
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
-    return ptr, np.argsort(keys, kind="stable")
+    return ptr, stable_order(n, keys)
+
+
+def stable_order(n: int, keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for `keys` in [0, n), by one plain
+    sort of the unique keys ``keys * m + position`` (m = len(keys)) wherever
+    they fit in int64."""
+    m = len(keys)
+    if n * m > np.iinfo(np.int64).max:
+        return np.argsort(keys, kind="stable")
+    order = np.multiply(keys, m, dtype=np.int64)
+    for start in range(0, m, 1 << 16):  # positions a block at a time: no second m-sized array
+        block = order[start : start + (1 << 16)]
+        block += np.arange(start, start + len(block))
+    order.sort()
+    order %= m
+    return order
 
 
 def csr_slots(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,12 +146,16 @@ def _check(n: int, edges: list[tuple[int, int, float]]) -> None:
 
 
 _ROW = np.dtype([("u", np.int64), ("v", np.int64), ("p", np.float64)])
+# the line breaks of `str.splitlines` other than "\n" and "\r" (which a file
+# read as text turns into "\n"): numpy reads them as spaces within a line
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def load_edge_list(
-    lines: Iterable[str], undirected: bool = False, compact_ids: bool = False
+    source: Path | Iterable[str], undirected: bool = False, compact_ids: bool = False
 ) -> Graph:
-    """Parse an edge-list text stream into a Graph.
+    """Parse an edge-list file (a `Path`, decoded as ``read_text`` decodes
+    it) or its lines into a Graph.
 
     Each non-comment line is "src dst prob". Self-loops and repeated
     (src, dst) pairs are rejected, each error naming its line. With
@@ -136,10 +163,12 @@ def load_edge_list(
     probability. n is 1 + the largest node id seen; with ``compact_ids``,
     the ids in use are renumbered 0, 1, ... in ascending order instead.
     """
-    lines = list(lines)
-    arrays = _parse_arrays(lines, undirected)
+    arrays = _parse_arrays(source, undirected) if isinstance(source, Path) else None
     if arrays is None:
-        return _load_lines(lines, undirected, compact_ids)
+        lines = source.read_text().splitlines() if isinstance(source, Path) else list(source)
+        arrays = _parse_arrays(lines, undirected)
+        if arrays is None:
+            return _load_lines(lines, undirected, compact_ids)
     src, dst, probs = arrays
     if compact_ids:
         ids, inverse = np.unique(np.concatenate((src, dst)), return_inverse=True)
@@ -150,18 +179,24 @@ def load_edge_list(
     return Graph.from_arrays(n, src, dst, probs)
 
 
-def _parse_arrays(lines: list[str], undirected: bool):
+def _parse_arrays(source: Path | list[str], undirected: bool):
     """``(src, dst, probs)`` from ``np.loadtxt``, or None if numpy cannot
-    parse the lines or warns while parsing them, or the edges fail any
-    check of `_load_lines`."""
-    rows = [line for line in lines if "#" not in line or not line.lstrip().startswith("#")]
+    parse the file or lines or warns while parsing them, or the edges fail
+    any check of `_load_lines`. A file is parsed whole, so a comment line
+    fails it; lines are parsed without their comment lines."""
     try:
-        with warnings.catch_warnings():
-            # loadtxt warns, rather than fails, on input without rows and,
-            # in numpy 1.x, when it reads an id such as "1.0" as 1
-            warnings.simplefilter("error")
-            table = np.loadtxt(rows, dtype=_ROW, comments=None, ndmin=1)
-    except (ValueError, Warning):
+        if isinstance(source, Path):
+            with source.open() as fh:
+                if any(c in chunk for chunk in iter(lambda: fh.read(1 << 20), "")
+                       for c in _OTHER_BREAKS):
+                    return None
+                fh.seek(0)
+                table = _table(fh)
+        else:
+            table = _table(
+                [line for line in source if "#" not in line or not line.lstrip().startswith("#")]
+            )
+    except (ValueError, Warning):  # a file that does not decode raises a ValueError too
         return None
     u, v, p = table["u"], table["v"], table["p"]
     if not (np.all(u >= 0) and np.all(v >= 0) and np.all(u != v)):
@@ -180,6 +215,14 @@ def _parse_arrays(lines: list[str], undirected: bool):
     if np.any(keys[1:] == keys[:-1]):
         return None
     return u, v, p
+
+
+def _table(rows) -> np.ndarray:
+    with warnings.catch_warnings():
+        # loadtxt warns, rather than fails, on input without rows and,
+        # in numpy 1.x, when it reads an id such as "1.0" as 1
+        warnings.simplefilter("error")
+        return np.loadtxt(rows, dtype=_ROW, comments=None, ndmin=1)
 
 
 def _load_lines(lines: list[str], undirected: bool, compact_ids: bool) -> Graph:

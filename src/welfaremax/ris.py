@@ -17,7 +17,7 @@ chunk to chunk, keeps each member once per set.
 
 A collection is flat: the members of all sets end to end, each set's in
 ascending node order, with per-set offsets and weights. Greedy
-max-coverage groups member slots by node with one stable argsort per call
+max-coverage groups member slots by node with one plain sort per call
 and works on numpy arrays, adding and subtracting weights in the set order
 a per-set loop would use, so its picks and totals are the same floats.
 """

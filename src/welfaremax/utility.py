@@ -499,6 +499,8 @@ def load_catalog_config(lines: Iterable[str]) -> CatalogConfig:
             item = parts[0]
             if item in prices:
                 raise CatalogError(f"line {lineno}: duplicate item {item!r}")
+            if len(items) == MAX_ITEMS_ENUM:
+                raise CatalogError(f"line {lineno}: a catalog holds at most {MAX_ITEMS_ENUM} items")
             kv = {}
             for tok in parts[1:]:
                 if "=" not in tok:

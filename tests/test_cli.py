@@ -1264,5 +1264,25 @@ def test_trace_dash_writes_to_stderr(capsys):
 def test_validate_config_above_the_item_limit_exits_2(tmp_path, capsys):
     assert run_cli("validate-config", "--catalog", _catalog_of(tmp_path, 21)) == 2
     err = capsys.readouterr().err
-    assert "21 items; a catalog holds at most 20" in err
+    assert f"error: bad catalog {tmp_path / 'items21.cfg'}: line 22: a catalog holds at most 20 items" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("what", ["graph", "catalog", "allocation", "probabilities file"])
+def test_undecodable_input_exits_2(tmp_path, capsys, what):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1 0.5\n\xff\xfe\n")
+    with pytest.raises(UnicodeDecodeError) as decode:
+        bad.read_text()
+    alloc = tmp_path / "alloc.txt"
+    alloc.write_text("0 i\n")
+    graph, catalog = CONFIGS / "path6.edges", CONFIGS / "trio_blocking.cfg"
+    argv = {
+        "graph": ["allocate", "--graph", bad, "--catalog", catalog, "--algo", "round-robin",
+                  "--budgets", "j=1"],
+        "catalog": ["validate-config", "--catalog", bad],
+        "allocation": ["estimate", "--graph", graph, "--catalog", catalog, "--allocation", bad],
+        "probabilities file": ["convert-utilities", "--probs", bad],
+    }[what]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: bad {what} {bad}: {decode.value}\n"

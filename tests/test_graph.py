@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from welfaremax import graph as graph_module
 from welfaremax.graph import EdgeListError, Graph, GraphError, load_edge_list
 
-from conftest import graph_from
+from conftest import CONFIGS, graph_from
 
 EDGE_ARRAYS = ("src", "dst", "probs", "in_ptr", "in_src", "in_prob")
 OUT_CSR = ("out_ptr", "out_dst", "out_eid")
@@ -282,3 +282,129 @@ def test_csr_arrays_list_each_nodes_edges_in_id_order(edges):
         slots = slice(g.out_ptr[node], g.out_ptr[node + 1])  # the out-CSR slots, likewise
         assert g.out_dst[slots].tolist() == [v for v, _ in outs]
         assert g.out_eid[slots].tolist() == [e for _, e in outs]
+
+
+# -- the file path of the loader against its lines -----------------------------
+
+FILE_CORPUS = LOADER_CORPUS + [
+    "0 1 0.5\r1 2 0.25\r",  # lone CR line ends
+    "0 1 0.5\r\n1 2 0.25\r2 0 1\n",  # mixed line ends
+    "0 1 0.5\x0c\n1 2 0.25\n",  # a form feed ends a line that holds an edge
+    "0 1\x0c0.5\n",  # ... and splits one in two
+    "0 1 0.5\x85\n",  # so does U+0085
+    "0\x851 0.5\n",
+    "0 1 0.5\n1 2 0.25\n",
+    "0\v1 0.5\n0 1\x1c0.5\n0\x1d1\x1e0.5\n",
+    "0 1 0.5\x0c\x0c\n\x0c1 2 0.25\n",
+    "0\xa01 0.5\n1 2　0.25\n",  # whitespace that is no line break
+    "0\t1\t0.5\n\t1 2\t0.25\t\n",
+    "0 1 0.5\n1 2 0.25\n\n\n   \n",  # trailing blank lines
+    "0 1 0.5\n1 2 0.25",  # no final line end
+    "# one\n# two\n",
+    "\n\n",
+    "0 1 0.5\n1 2 0.25 # inline\n",
+    "0 1 0.5#\n",
+    "1_0 2 0.5\n2 1_0 0.25\n",
+    "﻿0 1 0.5\n",
+]
+
+
+@pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+@pytest.mark.parametrize("compact_ids", [False, True], ids=["ids", "compact"])
+def test_file_loader_equals_its_lines(tmp_path, undirected, compact_ids):
+    texts = [path.read_text() for path in sorted(CONFIGS.glob("*.edges"))]
+    from test_golden import FRACTIONAL_EDGES
+
+    texts.append(FRACTIONAL_EDGES)
+    file_runs = 0
+    for k, text in enumerate(texts + FILE_CORPUS):
+        if ("5000000000" in text or "99999999999999999999" in text) and not compact_ids:
+            continue  # as in the corpus test above
+        path = tmp_path / f"g{k}.edges"
+        path.write_text(text, newline="")  # line ends as written
+        lines = path.read_text().splitlines()
+        want = _outcome(graph_module._load_lines, lines, undirected, compact_ids)
+        got = _outcome(load_edge_list, path, undirected, compact_ids)
+        assert type(got) is type(want), repr(text)
+        if isinstance(want, str):
+            assert graph_module._parse_arrays(path, undirected) is None, repr(text)
+            assert got == want, repr(text)
+        else:
+            _same_graph(got, want)
+            _same_graph(got, load_edge_list(lines, undirected, compact_ids))
+            file_runs += graph_module._parse_arrays(path, undirected) is not None
+    assert file_runs >= 12  # most accepted files never become lines
+
+
+def test_a_comment_free_file_is_never_read_as_lines(tmp_path, monkeypatch):
+    path = tmp_path / "g.edges"
+    path.write_text("0 1 0.5\n1 2 0.25\n\n2 0 1\n")
+    want = load_edge_list(path.read_text().splitlines())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read as lines")
+
+    monkeypatch.setattr(graph_module, "_load_lines", refuse)
+    monkeypatch.setattr(graph_module.Path, "read_text", refuse)
+    _same_graph(load_edge_list(path), want)
+
+
+def test_an_undecodable_file_raises_as_read_text_does(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"0 1 0.5\n\xff\xfe 2 0.25\n")
+    with pytest.raises(UnicodeDecodeError) as want:
+        path.read_text()
+    assert graph_module._parse_arrays(path, False) is None
+    with pytest.raises(UnicodeDecodeError) as got:
+        load_edge_list(path)
+    assert str(got.value) == str(want.value)
+
+
+# -- one plain sort against the stable argsort ---------------------------------
+
+
+def _same_order(n: int, keys: np.ndarray) -> None:
+    want = np.argsort(keys, kind="stable")
+    got = graph_module.stable_order(n, keys)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_csr_order_is_the_stable_argsort():
+    from test_golden import FRACTIONAL_EDGES
+
+    from welfaremax.ris import sample_marginal_rr, sample_rr
+
+    graphs = [load_edge_list(path) for path in sorted(CONFIGS.glob("*.edges"))]
+    graphs += [graph_from(FRACTIONAL_EDGES), graph_from(LOADER_CORPUS[0])]
+    rng = random.Random(23)
+    for g in graphs:
+        for keys in (g.src, g.dst):
+            _same_order(g.n, keys)
+            ptr, order = graph_module.csr(g.n, keys)
+            assert np.array_equal(order, np.argsort(keys, kind="stable"))
+            assert np.array_equal(ptr[1:], np.cumsum(np.bincount(keys, minlength=g.n)))
+        for rr in (sample_rr(g, 300, rng), sample_marginal_rr(g, frozenset({0}), 300, rng)):
+            _same_order(g.n, rr._arrays()[0])
+    draw = np.random.default_rng(23)
+    for n in (1, 2, 3, 7, 50, 1000):
+        for m in (0, 1, 2, 5, 64, 1000, 20_000):
+            _same_order(n, draw.integers(0, n, m))  # ties everywhere once m > n
+            _same_order(n, np.sort(draw.integers(0, n, m))[::-1].copy())
+            _same_order(n, draw.integers(0, n, m, dtype=np.int32))
+    _same_order(0, np.zeros(0, dtype=np.int64))
+    _same_order(1, np.zeros(5, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(2**62 - 1, 2), (2**62, 2), (2**62 + 1, 2), (2**63 // 3, 3), (2**63 // 3 + 1, 3)],
+    ids=["below", "at", "over", "below-m3", "over-m3"],
+)
+def test_csr_order_falls_back_to_the_argsort_where_keys_overflow(n, m):
+    # n * m straddles 2**63 with no n-sized array: the order does not count keys
+    keys = np.zeros(m, dtype=np.int64)
+    for top in (0, m // 2, m - 1):
+        keys[:] = 0
+        keys[top] = n - 1
+        _same_order(n, keys)
+        _same_order(n, n - 1 - keys)

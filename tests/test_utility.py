@@ -613,3 +613,11 @@ def test_validate_at_the_item_limit():
 def test_a_catalog_above_the_item_limit_is_rejected():
     with pytest.raises(CatalogError, match="21 items; a catalog holds at most 20"):
         _singles_catalog(21)
+
+
+def test_the_catalog_parser_names_the_line_of_the_item_above_the_limit():
+    lines = ["[items]", *(f"x{k} price=1" for k in range(21)), "[valuation]", "x1 = 2"]
+    with pytest.raises(CatalogError, match=re.escape("line 22: a catalog holds at most 20 items")):
+        load_catalog_config(lines)
+    lines[1] = "# the first item is gone"
+    assert load_catalog_config(lines).catalog.m == 20
