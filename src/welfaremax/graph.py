@@ -6,11 +6,13 @@ order, and ``src``, ``dst`` and ``probs`` are numpy arrays indexed by edge
 id. Both adjacencies are read-only CSR arrays, each node's slots in
 edge-id order. The batched RR samplers walk the in-edges: v's in-slots
 are ``in_ptr[v]:in_ptr[v + 1]``, holding sources ``in_src`` and
-probabilities ``in_prob``. The batched diffusion walks the out-edges:
-u's out-slots are ``out_ptr[u]:out_ptr[u + 1]``, holding targets
-``out_dst`` and edge ids ``out_eid``. Each CSR orders its slots with one
-plain sort of the unique keys ``key * m + slot``, which is the stable
-order. No per-node or per-edge Python object is built on the load path.
+probabilities ``in_prob``, and `Graph.in_skips` adds, on first use, the
+per-node arrays their geometric skips need. The batched diffusion walks
+the out-edges: u's out-slots are ``out_ptr[u]:out_ptr[u + 1]``, holding
+targets ``out_dst`` and edge ids ``out_eid``. Each CSR orders its slots
+with one plain sort of the unique keys ``key * m + slot``, which is the
+stable order. No per-node or per-edge Python object is built on the load
+path.
 
 Edge-list text format: one "src dst prob" per line, '#'-prefixed comment
 lines skipped. `load_edge_list` takes a file `Path` or the lines
@@ -75,7 +77,12 @@ def csr_slots(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     in ascending order, and each row's length."""
     starts = ptr[rows]
     sizes = ptr[rows + 1] - starts
-    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes), sizes
+    return spans(starts, sizes), sizes
+
+
+def spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``starts[i], ..., starts[i] + sizes[i] - 1`` for each i in turn."""
+    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
 
 
 class Graph:
@@ -87,7 +94,7 @@ class Graph:
 
     __slots__ = (
         "n", "src", "dst", "probs", "in_ptr", "in_src", "in_prob", "out_ptr", "out_dst",
-        "out_eid", "__weakref__",
+        "out_eid", "_in_skips", "__weakref__",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
@@ -111,9 +118,33 @@ class Graph:
         self.n, self.src, self.dst, self.probs = n, src, dst, probs
         self.in_ptr, self.in_src, self.in_prob = in_ptr, src[in_eids], probs[in_eids]
         self.out_ptr, self.out_dst, self.out_eid = out_ptr, dst[out_eids], out_eids
+        self._in_skips = None
         for arr in (src, dst, probs, in_ptr, self.in_src, self.in_prob, out_ptr, self.out_dst,
                     out_eids):
             arr.flags.writeable = False
+
+    @property
+    def in_skips(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What the RR samplers' geometric skips over in-slots need, built on
+        first use (so loading a graph does not pay for it) and kept. Per
+        node: the largest in-probability q (0 with no in-edge), the
+        in-degree where q > 0 and 0 elsewhere (float64), and the skip scale
+        ``-1 / log1p(-q)`` (0 where q is 0 or 1). Per in-slot: whether its
+        probability is below its node's q."""
+        if self._in_skips is None:
+            degree = np.diff(self.in_ptr)
+            q = np.zeros(self.n)
+            starts = np.flatnonzero(degree)
+            if len(starts):
+                q[starts] = np.maximum.reduceat(self.in_prob, self.in_ptr[starts])
+            with np.errstate(divide="ignore", over="ignore"):  # log1p(-1) is -inf: scale 0
+                scale = np.where(q > 0, -1.0 / np.log1p(-q), 0.0)
+            reach = np.where(q > 0, degree, 0).astype(np.float64)
+            below = self.in_prob < np.repeat(q, degree)
+            for arr in (q, reach, scale, below):
+                arr.flags.writeable = False
+            self._in_skips = (q, reach, scale, below)
+        return self._in_skips
 
     @property
     def m(self) -> int:

@@ -1,19 +1,23 @@
 """Reverse-reachable set sampling and greedy node selection.
 
-Each sampler call draws `count` RR sets into one collection. One
-level-synchronous reverse BFS grows a chunk of sets at once on the
-graph's in-CSR arrays; a set stops after the first level that touches a
-stop set. The marginal sampler stops at the fixed seeds and empties (but
-still counts) a set that reached one; with no fixed seeds it is the plain
-RR sampler. The weighted sampler stops at the base seeds and carries a
-welfare-gain weight.
+Each sampler call draws `count` RR sets into one collection with one
+pooled level-synchronous reverse BFS on the graph's in-CSR arrays: when
+a set ends, its slot takes the next root. A set stops after the first
+level that touches a stop set. The marginal sampler stops at the fixed
+seeds and empties (but still counts) a set that reached one; with no
+fixed seeds it is the plain RR sampler. The weighted sampler stops at
+the base seeds and carries a welfare-gain weight.
 
 Draws: a call seeds one ``numpy.random.Generator`` with
-``rng.getrandbits(64)``. Each chunk of at most `CHUNK_SETS` sets draws its
-roots with ``integers``, then each level draws one uniform per in-edge of
-its frontier, in (set, in-slot) order, member sources included. A
-bit-packed (set, node) mark of at most `MARK_BYTES` bytes, reused from
-chunk to chunk, keeps each member once per set.
+``rng.getrandbits(64)`` and draws all its roots with ``integers``. Each
+level walks the in-slots of its nodes, in (slot, node) order, by
+geometric skips: `SKIPS` rounds of one exponential gap per walk still
+inside its in-slots, one uniform per candidate whose probability is
+below the skip rate, then one plain coin per slot past a walk's
+`SKIPS`-th candidate. Slots take roots in order, the slots that ended
+together in slot order. Sets reach the collection in blocks: whenever a
+pool's worth of sets has ended, those sets in root order, and the rest
+at the end.
 
 A collection is flat: the members of all sets end to end, each set's in
 ascending node order, with per-set offsets and weights. Greedy
@@ -30,11 +34,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from welfaremax.diffusion import Allocation
-from welfaremax.graph import Graph, csr, csr_slots
+from welfaremax.graph import Graph, csr, csr_slots, spans
 from welfaremax.utility import ItemCatalog
 
-MARK_BYTES = 1 << 22  # most bytes of one chunk's (set, node) mark
-CHUNK_SETS = 1024  # most RR sets grown together
+MARK_BYTES = 1 << 22  # most bytes of the pool's (slot, node) mark
+CHUNK_SETS = 1024  # most RR sets grown together: the pool's slots
+SKIPS = 3  # geometric-skip candidates per in-edge walk before its plain coins
+_BITS = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
 
 class RISError(ValueError):
@@ -88,51 +94,149 @@ class RRCollection:
         return len(np.unique(hit)) / len(self)
 
 
-def _bfs(graph: Graph, roots: np.ndarray, stop: np.ndarray, gen, mark: np.ndarray):
-    """Grow one RR set from each root at once, level by level, over live
-    in-edges. A set stops after the first level that holds a node where
-    `stop` is true (at once, with no draw, if its root is one). `mark` is
-    a zeroed bit per (set, node) and is left zeroed. Returns every member
-    as a key ``set * n + node``, sorted, and which sets stopped that way."""
-    n, in_ptr, in_src, in_prob = graph.n, graph.in_ptr, graph.in_src, graph.in_prob
-    keys = np.arange(len(roots), dtype=np.int64) * n + roots
-    levels, stopped = [], np.zeros(len(roots), dtype=bool)
-    while len(keys):
-        np.bitwise_or.at(mark, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
-        levels.append(keys)
-        sets, nodes = np.divmod(keys, n)
-        touched = stop[nodes]
-        if touched.any():
-            stopped[sets[touched]] = True
-            going = ~stopped[sets]
-            sets, nodes = sets[going], nodes[going]
-        slots, degrees = csr_slots(in_ptr, nodes)  # the frontier's in-slots, node after node
-        live = gen.random(len(slots)) < in_prob[slots]
-        keys = np.repeat(sets, degrees)[live] * n + in_src[slots[live]]
-        keys = np.sort(keys[(mark[keys >> 3] >> (keys & 7) & 1) == 0])
-        keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique hashes: 10x slower
-    keys = np.sort(np.concatenate(levels), kind="stable")  # sorted runs, one per level
-    mark[keys >> 3] = 0
-    return keys, stopped
+def _live_in_edges(graph: Graph, nodes: np.ndarray, gen) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the live in-edges of each of `nodes`; returns the index in
+    `nodes` and the source of every live in-edge.
+
+    A node's walk over its in-slots takes geometric skips at its largest
+    in-probability q and keeps each candidate it lands on with probability
+    p / q. A walk still inside its in-slots after `SKIPS` candidates draws
+    one plain coin per later slot instead, which is exact because the
+    Bernoulli process has no memory, and which keeps a hub at p = 1 from
+    taking one round per in-edge. Draws: `SKIPS` rounds of one exponential
+    per walk still inside, in `nodes` order; one uniform per candidate with
+    p < q, round after round; then the tail coins, walk after walk."""
+    q, reach, scale, below = graph.in_skips
+    in_prob = graph.in_prob
+    # per walk still inside its node's in-slots: its last candidate's slot,
+    # its skip scale, the end of its in-slots and its index in `nodes`
+    walks = np.empty((4, len(nodes)))
+    start = graph.in_ptr[nodes]
+    np.subtract(start, 1, out=walks[0])
+    np.take(scale, nodes, out=walks[1])
+    np.add(start, reach[nodes], out=walks[2])
+    walks[3] = np.arange(len(nodes))
+    found = []
+    for _ in range(SKIPS):
+        gaps = gen.standard_exponential(walks.shape[1])
+        gaps *= walks[1]
+        np.floor(gaps, out=gaps)
+        walks[0] += gaps + 1.0
+        walks = walks[:, walks[0] < walks[2]]
+        found.append(walks[[0, 3]])
+        if not walks.shape[1]:
+            break
+    slots, entry = np.concatenate(found, axis=1).astype(np.int64)
+    thin = below[slots].nonzero()[0]
+    if len(thin):
+        keep = np.ones(len(slots), dtype=bool)
+        keep[thin] = gen.random(len(thin)) * q[nodes[entry[thin]]] < in_prob[slots[thin]]
+        entry, slots = entry[keep], slots[keep]
+    if walks.shape[1]:
+        last, end, tail = walks[[0, 2, 3]].astype(np.int64)
+        rest = spans(last + 1, end - last - 1)
+        coins = gen.random(len(rest)) < in_prob[rest]
+        entry = np.concatenate((entry, np.repeat(tail, end - last - 1)[coins]))
+        slots = np.concatenate((slots, rest[coins]))
+    return entry, graph.in_src[slots]
 
 
-def _grown(graph: Graph, count: int, stop_nodes: Iterable[int], rng) -> Iterator:
-    """`count` RR sets from uniformly random roots, grown by `_bfs` a chunk
-    at a time; yields each chunk's members grouped by set, its set sizes,
-    and which of its sets stopped at `stop_nodes`."""
-    n = graph.n
-    if n < 1:
+def _roots(graph: Graph, count: int, rng) -> tuple[np.ndarray, np.random.Generator]:
+    """`count` uniformly random roots, and the generator that drew them,
+    seeded with ``rng.getrandbits(64)``, to grow their sets with."""
+    if graph.n < 1:
         raise RISError("graph has no nodes")
     gen = np.random.default_rng(rng.getrandbits(64))
+    return gen.integers(graph.n, size=count), gen
+
+
+def _grown(graph: Graph, roots: np.ndarray, stop_nodes: Iterable[int], gen) -> Iterator:
+    """One RR set from each of `roots`, grown by one pooled reverse BFS;
+    yields blocks of sets, each as its members grouped by set, its set
+    sizes and which of its sets stopped at `stop_nodes`.
+
+    A pool of at most `CHUNK_SETS` slots grows one set each, a level at a
+    time. A set stops after the first level that holds a stop node (at
+    once, with no draw, if its root is one) and ends at its first level
+    with no new member. Its slot's mark row is then zeroed and the slot
+    takes the next root at the next level, the slots that ended together
+    in slot order, so levels stay full until the roots run out. Whenever a
+    pool's worth of sets has ended, they are yielded in root order, and
+    the rest at the end, so memory stays near a pool's members."""
+    n, count = graph.n, len(roots)
+    reach = graph.in_skips[1]
     stop = np.zeros(n, dtype=bool)
     stop[list(stop_nodes)] = True
-    per = max(1, min(count, CHUNK_SETS, MARK_BYTES * 8 // n))
-    mark = np.zeros((per * n + 7) // 8, dtype=np.uint8)
-    for done in range(0, count, per):
-        roots = gen.integers(n, size=min(per, count - done))
-        keys, stopped = _bfs(graph, roots, stop, gen, mark)
-        sets, nodes = np.divmod(keys, n)
-        yield nodes, np.bincount(sets, minlength=len(roots)), stopped
+    stops = bool(stop.any())
+    row = (n + 7) // 8  # mark bytes per slot: zeroing one slot's row spares the others
+    width = 8 * row
+    per = max(1, min(count, CHUNK_SETS, MARK_BYTES // row))
+    rows = np.zeros((per, row), dtype=np.uint8)
+    mark = rows.ravel()
+    held = np.arange(per)  # the set each slot grows
+    keys = held * width + roots[:per]  # a level: slot * width + node, ascending
+    given, yielded = per, 0
+    members, stopped = [], np.zeros(count, dtype=bool)  # members: set * n + node
+    while len(keys):
+        np.bitwise_or.at(mark, keys >> 3, _BITS[keys & 7])
+        slots, nodes = np.divmod(keys, width)
+        sets = held[slots]
+        members.append(sets * n + nodes)
+        go = reach[nodes] > 0  # nodes with an in-edge that can be live
+        if stops:
+            hit = stop[nodes]
+            if hit.any():
+                stopped[sets[hit]] = True
+                go &= ~stopped[sets]
+        entry, src = _live_in_edges(graph, nodes[go], gen)
+        keys = slots[go][entry] * width + src
+        keys = keys[(mark[keys >> 3] >> (keys & 7) & 1) == 0]
+        keys.sort()
+        fresh = np.ones(len(keys), dtype=bool)  # np.unique hashes: 10x slower
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        if given < count:
+            ends = np.zeros(per, dtype=bool)  # the slots whose set has no next level
+            ends[slots] = True
+            ends[keys // width] = False
+            refill = ends.nonzero()[0][: count - given]
+            if len(refill):
+                rows[refill] = 0
+                held[refill] = np.arange(given, given + len(refill))
+                fresh_roots = refill * width + roots[given : given + len(refill)]
+                keys = np.sort(np.concatenate((keys, fresh_roots)))
+                given += len(refill)
+            if given - per - yielded >= per:  # a pool's worth of sets ended since the last block
+                block = _ended(members, held, given, n, stopped)
+                yielded += len(block[1])
+                yield block
+    yield _ended(members, held[:0], count, n, stopped)
+
+
+def _ended(members: list, held: np.ndarray, given: int, n: int, stopped: np.ndarray):
+    """The sets in `members`, a list of member keys ``set * n + node`` of
+    sets before `given`, that `held` does not name: they have ended. Leaves
+    the other sets' keys in `members` and returns the ended sets in root
+    order, as their members, sizes and stop flags."""
+    keys = np.concatenate([np.empty(0, dtype=np.int64), *members])  # a call may draw no set
+    members.clear()
+    if len(held):
+        sets = keys // n
+        lo = int(sets.min(initial=given))
+        growing = np.zeros(given - lo, dtype=bool)
+        growing[held - lo] = True
+        going = growing[sets - lo]
+        members.append(keys[going])
+        keys = keys[~going]
+    keys.sort()
+    sets = keys // n
+    new = np.ones(len(sets), dtype=bool)
+    np.not_equal(sets[1:], sets[:-1], out=new[1:])
+    firsts = new.nonzero()[0]
+    flags = stopped[sets[firsts]]
+    sets *= n
+    keys -= sets  # in place: a block can hold most of a call's members
+    return keys, np.diff(firsts, append=len(keys)), flags
 
 
 def sample_rr(graph: Graph, count: int, rng) -> RRCollection:
@@ -148,10 +252,12 @@ def sample_marginal_rr(graph: Graph, fixed_seeds: frozenset[int], count: int, rn
     unbiased estimator of the spread gained on top of the fixed seeds.
     """
     coll = RRCollection(graph.n)
-    for nodes, sizes, stopped in _grown(graph, count, fixed_seeds, rng):
-        kept = nodes[np.repeat(~stopped, sizes)]
-        sizes[stopped] = 0
-        coll._append(kept, sizes, np.ones(len(sizes)), int(stopped.sum()))
+    roots, gen = _roots(graph, count, rng)
+    for nodes, sizes, stopped in _grown(graph, roots, fixed_seeds, gen):
+        if stopped.any():
+            nodes = nodes[np.repeat(~stopped, sizes)]
+            sizes[stopped] = 0
+        coll._append(nodes, sizes, np.ones(len(sizes)), int(stopped.sum()))
     return coll
 
 
@@ -178,7 +284,8 @@ def sample_weighted_rr(
     for node, item in base_allocation.pairs:
         best[node] = max(best[node], item_utils[item])
     coll = RRCollection(graph.n)
-    for nodes, sizes, _ in _grown(graph, count, base_allocation.seed_nodes(), rng):
+    roots, gen = _roots(graph, count, rng)
+    for nodes, sizes, _ in _grown(graph, roots, base_allocation.seed_nodes(), gen):
         reached = np.maximum.reduceat(best[nodes], np.cumsum(sizes) - sizes)  # no set is empty
         coll._append(nodes, sizes, item_utils[superior] - np.maximum(reached, 0.0), 0)
     return coll

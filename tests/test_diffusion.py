@@ -23,7 +23,9 @@ from welfaremax.diffusion import (
 )
 from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle, WelfareOracle
+from welfaremax.ris import sample_rr, sample_weighted_rr
 from welfaremax.rng import _splitmix64, derive_rng, derive_seed
+from welfaremax.selectors import prima_plus
 from welfaremax.utility import ItemCatalog, NoiseSpec, utility
 
 from conftest import (
@@ -601,6 +603,12 @@ def test_worlds_keep_no_reference_to_their_graph():
     worlds = [PossibleWorld.sample(cat, random.Random(i)) for i in range(5)]
     simulate(g, cat, Allocation.of([(0, "a"), (1, "b")]), worlds)
     estimate_welfare(g, cat, Allocation.of([(0, "a")]), 5, seed=1)
+    # the RR samplers cache per-node skip arrays on the graph itself, not in a
+    # table keyed by graph that would keep every graph alive
+    sample_rr(g, 50, derive_rng(1))
+    base = Allocation.of([(1, "b")])
+    sample_weighted_rr(g, base, "a", cat, 50, derive_rng(2), {"a": 1.0, "b": 0.5})
+    prima_plus(g, 0.5, 1.0, frozenset(), [1], 1, derive_rng(3))
     del g, worlds
     gc.collect()
     assert ref() is None

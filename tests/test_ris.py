@@ -62,16 +62,11 @@ def in_edges(graph: Graph, v: int) -> list[tuple[int, float]]:
 
 
 def grow(graph: Graph, roots, stop_nodes=(), seed=0) -> list[frozenset]:
-    """The batch reverse BFS from the given roots, one set per root."""
-    roots = np.asarray(roots, dtype=np.int64)
-    stop = np.zeros(graph.n, dtype=bool)
-    stop[list(stop_nodes)] = True
-    mark = np.zeros((len(roots) * graph.n + 7) // 8, dtype=np.uint8)
+    """The pooled reverse BFS from the given roots, one set per root."""
     gen = np.random.default_rng(derive_rng(seed).getrandbits(64))  # as a sampler seeds it
-    keys, _ = ris._bfs(graph, roots, stop, gen, mark)
-    assert not mark.any()  # left zeroed for the next chunk
-    sets, nodes = np.divmod(keys, graph.n)
-    bounds = np.searchsorted(sets, np.arange(len(roots) + 1))
+    blocks = list(ris._grown(graph, np.asarray(roots, dtype=np.int64), stop_nodes, gen))
+    nodes = np.concatenate([b[0] for b in blocks])
+    bounds = np.concatenate(([0], np.cumsum(np.concatenate([b[1] for b in blocks]))))
     return [frozenset(nodes[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -82,12 +77,43 @@ def test_isolated_node_rr_set():
     assert list(coll.weights) == [1.0] * 5 and coll.empty == 0
 
 
-def test_chain_rr_set_is_full_prefix():
+def _assert_chain_sets_are_full_prefixes(count):
     g = graph_from("0 1 1\n1 2 1\n")
-    sets = sets_of(sample_rr(g, 50, random.Random(1)))
+    coll = sample_rr(g, count, random.Random(1))
+    sets = sets_of(coll)
+    assert len(sets) == count and len(coll.members) == sum(map(len, sets))  # no member twice
     for members in sets:  # the root is the largest member
         assert members == frozenset(range(max(members) + 1))
     assert any(max(members) == 2 for members in sets)
+
+
+def test_chain_rr_set_is_full_prefix():
+    _assert_chain_sets_are_full_prefixes(50)
+
+
+@pytest.mark.parametrize(
+    "mark_bytes, count",
+    [(ris.MARK_BYTES, 3 * ris.CHUNK_SETS + 7), (2, 50)],
+    ids=["refilled-pool", "two-slot-pool"],
+)
+def test_chain_rr_set_is_full_prefix_across_slot_reuse(mark_bytes, count, monkeypatch):
+    # n = 3 is no multiple of 8: a 2-byte mark holds 2 sets, and zeroing the
+    # row of a set that ended must leave its neighbour's bits alone
+    monkeypatch.setattr(ris, "MARK_BYTES", mark_bytes)
+    _assert_chain_sets_are_full_prefixes(count)
+
+
+def test_samplers_return_exactly_count_sets_across_pool_refills():
+    g = skip_graph()
+    per = min(ris.CHUNK_SETS, ris.MARK_BYTES // ((g.n + 7) // 8))
+    catalog, base = _skip_superior_instance()
+    utils = expected_item_utilities(catalog)
+    for count in (1, per - 1, per + 1, 3 * per + 7):
+        coll = sample_marginal_rr(g, frozenset({0, 3}), count, derive_rng(515, count))
+        sizes = np.diff(coll.offsets)
+        assert len(coll) == len(sizes) == count and coll.empty == np.count_nonzero(sizes == 0)
+        coll = sample_weighted_rr(g, base, "sup", catalog, count, derive_rng(516, count), utils)
+        assert len(coll) == len(coll.offsets) - 1 == count and np.all(np.diff(coll.offsets) > 0)
 
 
 def test_half_probability_edge_bernoulli():
@@ -671,11 +697,53 @@ def test_hub_live_in_edges_are_binomial():
     draws = 50_000
     # the hub's sources are leaves with no in-edges, so the BFS ends with them
     counts = [len(members) - 1 for members in grow(g, [0] * draws, seed=504)]
+    _assert_binomial(counts, d, HUB_P)
+
+
+def _assert_binomial(counts, d, p):
+    """`counts` have the mean and the zero rate of Binomial(d, p), each
+    within 3 sigma."""
     mean, sigma = _mean_and_sigma(counts)
-    assert abs(mean - d * HUB_P) <= 3 * sigma
-    p0 = (1.0 - HUB_P) ** d
-    zeros = sum(c == 0 for c in counts) / draws
-    assert abs(zeros - p0) <= 3 * math.sqrt(p0 * (1.0 - p0) / draws)
+    assert abs(mean - d * p) <= 3 * sigma
+    p0 = (1.0 - p) ** d
+    zeros = sum(c == 0 for c in counts) / len(counts)
+    assert abs(zeros - p0) <= 3 * math.sqrt(p0 * (1.0 - p0) / len(counts))
+
+
+def in_hub(probs) -> Graph:
+    """Node 0 with one in-edge from each of the leaves 1, 2, ..., at `probs`."""
+    return Graph(len(probs) + 1, [(src, 0, p) for src, p in enumerate(probs, start=1)])
+
+
+def test_certain_hub_puts_every_source_in_every_set():
+    # the skips stop after `SKIPS` candidates; plain coins decide the rest
+    assert set(grow(in_hub([1.0] * 2000), [0] * 20, seed=511)) == {frozenset(range(2001))}
+
+
+def test_half_hub_live_in_edges_are_binomial():
+    # a walk at q = 0.5 is still inside after `SKIPS` candidates: coins decide the rest
+    d, draws = 2000, 1000
+    counts = [len(members) - 1 for members in grow(in_hub([0.5] * d), [0] * draws, seed=512)]
+    _assert_binomial(counts, d, 0.5)
+
+
+def test_mixed_in_edges_keep_each_source_at_its_own_probability():
+    # q = 0.9: the p = 0.01 candidates are kept with p / q, and slots past
+    # the `SKIPS`-th candidate get plain coins
+    probs = [0.01] * 5 + [0.9] + [0.01] * 5
+    draws = 20_000
+    sets = grow(in_hub(probs), [0] * draws, seed=513)
+    for src, p in enumerate(probs, start=1):
+        rate = sum(src in members for members in sets) / draws
+        assert abs(rate - p) <= 3 * math.sqrt(p * (1.0 - p) / draws)
+
+
+def test_impossible_hub_adds_nothing_and_draws_nothing():
+    gen = np.random.default_rng(514)
+    state = gen.bit_generator.state
+    (nodes, sizes, _), = ris._grown(in_hub([0.0] * 500), np.zeros(50, dtype=np.int64), (), gen)
+    assert nodes.tolist() == [0] * 50 and sizes.tolist() == [1] * 50
+    assert gen.bit_generator.state == state
 
 
 def test_certain_and_impossible_edges_decide_every_set():
@@ -690,34 +758,63 @@ def test_certain_and_impossible_edges_decide_every_set():
     assert set(grow(cycle, [1] * 200, seed=5)) == {frozenset({0, 1, 2})}
 
 
+def skip_scale(q: float) -> float:
+    """The geometric gap at rate q is ``floor(scale * exponential) + 1``."""
+    return -1.0 / math.log1p(-q) if q < 1.0 else 0.0
+
+
 def per_set_loop(graph, count, stop_nodes, rng):
-    """The batch sampler as per-set Python loops over the same draws: the
-    chunks, their roots and each level's coins in (set, in-slot) order.
-    Returns each set's members and whether it stopped at `stop_nodes`."""
+    """The pooled sampler as per-set Python loops over the same draws: the
+    roots; then, level by level, `SKIPS` rounds of one exponential gap per
+    walk still inside its node's in-slots, in (slot, node) order, the p < q
+    acceptance draws and the tail coins; then the slots whose sets ended
+    take the next roots in slot order. Returns each set's members and
+    whether it stopped at `stop_nodes`, in collection order: whenever a
+    pool's worth of sets has ended, the ended sets in root order, and at
+    the end the rest in root order."""
     n = graph.n
     gen = np.random.default_rng(rng.getrandbits(64))
-    per = max(1, min(count, ris.CHUNK_SETS, ris.MARK_BYTES * 8 // n))
-    out = []
-    for done in range(0, count, per):
-        roots = gen.integers(n, size=min(per, count - done)).tolist()
-        members = [{root} for root in roots]
-        levels = [[root] for root in roots]
-        stopped = [False] * len(roots)
-        while any(levels):
-            for s, level in enumerate(levels):
-                if not stop_nodes.isdisjoint(level):
-                    stopped[s], levels[s] = True, []
-            edges = [(s, src, p) for s, level in enumerate(levels) for u in sorted(level)
-                     for src, p in in_edges(graph, u)]
-            coins = gen.random(len(edges)).tolist()
-            levels = [set() for _ in roots]
-            for (s, src, p), coin in zip(edges, coins):
-                if coin < p and src not in members[s]:
-                    levels[s].add(src)
-            for s, level in enumerate(levels):
-                members[s] |= level
-        out += zip(map(frozenset, members), stopped)
-    return out
+    roots = gen.integers(n, size=count).tolist()
+    per = max(1, min(count, ris.CHUNK_SETS, ris.MARK_BYTES // ((n + 7) // 8)))
+    members, stopped, order = [{root} for root in roots], [False] * count, []
+    held = list(range(per))  # the set each slot grows
+    level = {slot: {roots[slot]} for slot in range(min(per, count))}  # a set's newest members
+    given = per
+    while level:
+        walks = []
+        for slot in sorted(level):
+            if not stop_nodes.isdisjoint(level[slot]):
+                stopped[held[slot]] = True
+                continue
+            walks += [(slot, in_edges(graph, v)) for v in sorted(level[slot])]
+        walks = [(slot, ins) for slot, ins in walks if any(p > 0 for _, p in ins)]
+        candidates = []  # (slot, source, p, q), round after round
+        spots = [(slot, ins, -1, max(p for _, p in ins)) for slot, ins in walks]  # last candidate
+        for _ in range(ris.SKIPS):
+            gaps = gen.standard_exponential(len(spots)).tolist()
+            spots = [(slot, ins, pos + math.floor(gap * skip_scale(q)) + 1, q)
+                     for (slot, ins, pos, q), gap in zip(spots, gaps)]
+            spots = [spot for spot in spots if spot[2] < len(spot[1])]
+            candidates += [(slot, *ins[pos], q) for slot, ins, pos, q in spots]
+        thin = iter(gen.random(sum(p < q for *_, p, q in candidates)).tolist())
+        live = [(slot, src) for slot, src, p, q in candidates if p == q or next(thin) * q < p]
+        tails = [(slot, src, p) for slot, ins, pos, _ in spots for src, p in ins[pos + 1:]]
+        coins = gen.random(len(tails)).tolist()
+        live += [(slot, src) for (slot, src, p), coin in zip(tails, coins) if coin < p]
+        grown = {}
+        for slot, src in live:
+            if src not in members[held[slot]]:
+                grown.setdefault(slot, set()).add(src)
+        for slot, new in grown.items():
+            members[held[slot]] |= new
+        if given < count:
+            for slot in sorted(set(level) - set(grown))[: count - given]:
+                held[slot], grown[slot], given = given, {roots[given]}, given + 1
+            if given - per - len(order) >= per:
+                order += sorted(set(range(given)) - set(order) - set(held))
+        level = grown
+    order += sorted(set(range(count)) - set(order))
+    return [(frozenset(members[s]), stopped[s]) for s in order]
 
 
 @pytest.fixture(params=["skip", "cascade"])
@@ -826,3 +923,41 @@ def test_skip_weighted_rr_sizes_and_weights_match_the_per_edge_coin_sampler():
     new_w, new_s = _mean_and_sigma([rr.weight for rr in new])
     old_w, old_s = _mean_and_sigma([rr.weight for rr in old])
     assert abs(new_w - old_w) <= 3 * math.hypot(new_s, old_s)
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the values drawn by `random` and
+    `standard_exponential`, the samplers' coins, gaps and acceptances."""
+
+    make = staticmethod(np.random.default_rng)  # the real one, before any monkeypatch
+
+    def __init__(self, seed):
+        self.gen, self.drawn = self.make(seed), 0
+
+    def integers(self, *args, **kwargs):
+        return self.gen.integers(*args, **kwargs)
+
+    def random(self, size):
+        self.drawn += int(np.prod(size))
+        return self.gen.random(size)
+
+    def standard_exponential(self, size):
+        self.drawn += int(np.prod(size))
+        return self.gen.standard_exponential(size)
+
+
+def test_skips_draw_under_half_the_per_edge_coins(monkeypatch):
+    # a per-edge-coin sampler draws one coin per in-edge of every member of
+    # a plain RR set; the skips draw `SKIPS` gaps per member with in-edges
+    g = weighted_cascade_graph(random.Random(505))
+    gens = []
+
+    def counting_rng(seed):
+        gens.append(CountingGenerator(seed))
+        return gens[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    coll = sample_rr(g, 20_000, derive_rng(517))
+    members, _ = coll._arrays()
+    coins = int(np.diff(g.in_ptr)[members].sum())
+    assert len(gens) == 1 and gens[0].drawn < coins / 2
