@@ -2,7 +2,10 @@
 
 Two samplers live here, and both run one doubling search. It grows an RR
 collection until a greedy estimate certifies a lower bound on the optimum,
-budget by budget, then draws a fresh collection sized by that bound. The
+budget by budget, then draws a fresh collection sized for the budget whose
+bound asks for the most sets. A budget that follows a certified one is
+first tested once on the sets already drawn, at the largest earlier x whose
+size they meet, and draws only if that test fails. The
 prefix-preserving selector searches on the spread scale over marginal RR
 sets and returns one ordered seed list whose every budget-length prefix is
 near-optimal with high probability. The superior-item sampler searches on
@@ -149,45 +152,71 @@ def _doubling_search(
     """The stopping-rule search of IMM (Tang, Shi and Xiao, SIGMOD 2015),
     over every budget in turn; returns a fresh final collection.
 
-    At x = scale / 2^i the search collection grows to ceil(lambda'(k) / x)
+    At x_i = scale / 2^i the search collection grows to ceil(lambda'(k) / x_i)
     sets and budget k is tested: it certifies when `estimate(coll, k, i)`
-    reaches (1 + eps') x, with lower bound LB = estimate / (1 + eps'), and
+    reaches (1 + eps') x_i, with lower bound LB = estimate / (1 + eps'), and
     the next budget is tested at the same x on at least ceil(lambda*(k) / LB)
-    sets; otherwise x halves. Each growth draws its missing sets with one
-    `sample(count)` call. The fresh collection holds ceil(lambda*(k) / LB)
-    sets for the last budget tested, with LB = 1 if it never certified.
-    `rounds` is the number of x values the failure probability is split over.
-    Each planned size is checked against `MAX_RR_SETS` before any set of it
-    is drawn, and before it is rounded up: an inf or nan plan fails too.
+    sets (the floor); otherwise x halves. Each growth draws its missing sets
+    with one `sample(count)` call.
+
+    A budget that would have to grow the collection at the x_i where the one
+    before it certified is first tested once, draw-free, at the largest
+    j < i whose plan the held collection already meets: lambda'(k) / x_j and
+    the floor. The estimate is the same for every such j, and x_j is the
+    lowest threshold among them, so one test suffices. If est reaches
+    (1 + eps') x_j the budget certifies with LB = est / (1 + eps'); if not,
+    the search goes on at x_i as if the test had not run. This is sound
+    because IMM's bound at each x holds for every size-k set at once (the
+    ln C(n, k) in lambda'), so the tested set may come from any collection,
+    as it already does when a budget is tested at the x where an earlier
+    one certified, on a collection grown past lambda'(k) / x. Each budget
+    is tested at distinct x values only, at most `rounds` of them, which is
+    what the failure probability is split over.
+
+    The fresh collection holds the largest ceil(lambda*(k) / LB_k) over the
+    certified budgets, so every budget's prefix keeps its guarantee, or
+    ceil(lambda*(k)) for the first budget that did not certify (LB = 1),
+    if that is larger. Each planned size is checked against `MAX_RR_SETS`
+    before any set of it is drawn, and before it is rounded up: an inf or
+    nan plan fails too.
     """
     n, budgets, eps = params.n, params.budgets, params.eps
     epsp, ellp = params.eps_prime, params.ell_prime
     emit = trace or (lambda line: None)
     coll = RRCollection(n)
-    s_idx, i, lb, floor = 0, 1, 1.0, 0.0
+    s_idx, i, floor, follows_certify = 0, 1, 0.0, False
+    plans = []  # (fresh size, budget, LB) for each certified budget
     while i <= math.log2(scale) - 1.0 + 1e-12 and s_idx < len(budgets):
         k = budgets[s_idx]
-        x = scale / 2.0**i
-        theta = _planned(max(lambda_prime(n, k, epsp, ellp, rounds) / x, floor))
+        lam = lambda_prime(n, k, epsp, ellp, rounds)
+        theta = _planned(max(lam / (scale / 2.0**i), floor))
         _check_plan(theta)
-        if len(coll) < theta:
+        j = i  # the round tested: i, or an earlier one whose plan the held sets meet
+        if follows_certify and len(coll) < theta:
+            met = (h for h in range(1, i) if len(coll) >= max(lam / (scale / 2.0**h), floor))
+            j = max(met, default=i)
+        if j == i and len(coll) < theta:
             coll.extend(sample(theta - len(coll)))
         est = estimate(coll, k, i)
-        certified = est >= (1.0 + epsp) * x
+        certified = follows_certify = est >= (1.0 + epsp) * (scale / 2.0**j)
         lb = est / (1.0 + epsp) if certified else 1.0
+        phase = "held" if j < i else "certify" if certified else "search"
         emit(
-            f"phase={'certify' if certified else 'search'} i={i} s={s_idx} k={k} "
+            f"phase={phase} i={j} s={s_idx} k={k} "
             f"theta={len(coll)} est={est:.6g} lb={lb:.6g}"
         )
         if certified:
             floor = lambda_star(n, k, eps, ellp) / lb
+            plans.append((_planned(floor), k, lb))
             s_idx += 1
-        else:
+        elif j == i:
             i += 1
-    # the last certified budget, or the first that did not certify (LB = 1)
-    theta = _planned(lambda_star(n, budgets[min(s_idx, len(budgets) - 1)], eps, ellp) / lb)
+    if s_idx < len(budgets):  # stalled: the first budget that did not certify, at LB = 1
+        k = budgets[s_idx]
+        plans.append((_planned(lambda_star(n, k, eps, ellp)), k, 1.0))
+    theta, k, lb = max(plans, key=lambda plan: plan[0])  # the first of equal sizes
     # announced before the draw, which is long when the search stalled
-    emit(f"phase=final i={i} s={s_idx} theta={theta} lb={lb:.6g}")
+    emit(f"phase=final i={i} s={s_idx} k={k} theta={theta} lb={lb:.6g}")
     _check_plan(theta)
     # drawn while `coll` lives: benchmarks/tracing.py tells them apart by id()
     return sample(theta)

@@ -105,6 +105,20 @@ def _star(leaves=5):
     return graph_from("".join(f"0 {k} 1\n" for k in range(1, leaves + 1)))
 
 
+def _fields(line: str) -> dict[str, str]:
+    """The `key=value` fields of one trace line."""
+    return dict(kv.split("=") for kv in line.split())
+
+
+def _stars(leaf_counts):
+    """Disjoint stars at p = 1, each a hub followed by its leaves."""
+    edges, hub = [], 0
+    for leaves in leaf_counts:
+        edges += [(hub, hub + leaf, 1.0) for leaf in range(1, leaves + 1)]
+        hub += leaves + 1
+    return Graph(hub, edges)
+
+
 def test_prima_plus_star_picks_hub_first():
     g = _star()
     seeds = prima_plus(g, 0.3, 1.0, frozenset(), [1], 1, derive_rng(1))
@@ -162,7 +176,7 @@ def test_prima_plus_trace_shows_budget_advance_and_prefix_reuse():
     assert fields[0]["i"] == fields[1]["i"]  # same doubling step
     assert int(fields[0]["k"]) == 1 and int(fields[1]["k"]) == 2
     assert lines[-1].startswith("phase=final")
-    # the fresh collection is sized by the last certified lower bound
+    # here the last certified budget needs the most fresh sets
     final = dict(kv.split("=") for kv in lines[-1].split())
     ellp = SamplerParams(8, 0.3, 1.0, (1, 2)).ell_prime
     lb = float(fields[1]["lb"])
@@ -310,9 +324,14 @@ def test_supgrd_sampling_lower_bound_below_marginal_opt():
 # -- the shared doubling search against the two searches it replaced ----------
 
 
-def _two_search_prima_plus(graph, eps, ell, fixed_seeds, budgets, b_max, rng):
+def _two_search_prima_plus(graph, eps, ell, fixed_seeds, budgets, b_max, rng, held=True):
     """`prima_plus` with its own search loop, as before the selectors shared
-    one, less the top-up after the last certify (those sets went unread)."""
+    one, less the top-up after the last certify (those sets went unread).
+
+    With `held`, a budget that follows a certify at round i and would have
+    to grow the collection is first tested once on the sets already drawn,
+    at the largest round j < i whose size they meet. The fresh collection
+    is sized for the certified budget that needs the most sets."""
     fixed = frozenset(fixed_seeds)
     n = graph.n
     budgets = sorted(set(budgets) | {b_max})
@@ -320,13 +339,23 @@ def _two_search_prima_plus(graph, eps, ell, fixed_seeds, budgets, b_max, rng):
     epsp, ellp = params.eps_prime, params.ell_prime
     coll = RRCollection(n)
     s_idx, i, lb = 0, 1, 1.0
-    budget_switch, prev_order, theta_k, top_up = False, None, None, 0
+    budget_switch, prev_order, top_up, sizes = False, None, 0, []
     while i <= math.log2(n) - 1.0 + 1e-12 and s_idx < len(budgets):
         k = budgets[s_idx]
         lb = 1.0
         x = n / 2.0**i
-        theta_i = math.ceil(lambda_prime(n, k, epsp, ellp, math.log2(n)) / x)
-        theta_i = max(theta_i, top_up)
+        lam = lambda_prime(n, k, epsp, ellp, math.log2(n))
+        theta_i = max(math.ceil(lam / x), top_up)
+        if held and budget_switch and len(coll) < theta_i:
+            met = [j for j in range(1, i) if len(coll) >= max(math.ceil(lam / (n / 2.0**j)), top_up)]
+            if met:
+                estimate = n * coll.coverage_fraction(prev_order[:k])
+                if estimate >= (1.0 + epsp) * n / 2.0**met[-1]:
+                    lb = estimate / (1.0 + epsp)
+                    top_up = math.ceil(lambda_star(n, k, eps, ellp) / lb)
+                    sizes.append(top_up)
+                    s_idx += 1
+                    continue
         if len(coll) < theta_i:
             coll.extend(sample_marginal_rr(graph, fixed, theta_i - len(coll), rng))
         if budget_switch and prev_order is not None:
@@ -337,17 +366,17 @@ def _two_search_prima_plus(graph, eps, ell, fixed_seeds, budgets, b_max, rng):
         estimate = n * coll.coverage_fraction(order[:k])
         if estimate >= (1.0 + epsp) * x:
             lb = estimate / (1.0 + epsp)
-            theta_k = math.ceil(lambda_star(n, k, eps, ellp) / lb)
             s_idx += 1
-            # the top-up to theta_k joins the next growth step's one batch
-            top_up = theta_k
+            # the top-up to the fresh size joins the next growth step's one batch
+            top_up = math.ceil(lambda_star(n, k, eps, ellp) / lb)
+            sizes.append(top_up)
             budget_switch = True
         else:
             i += 1
             budget_switch = False
     if s_idx < len(budgets):
-        theta_k = math.ceil(lambda_star(n, budgets[s_idx], eps, ellp) / lb)
-    fresh = sample_marginal_rr(graph, fixed, theta_k, rng)
+        sizes.append(math.ceil(lambda_star(n, budgets[s_idx], eps, ellp) / lb))
+    fresh = sample_marginal_rr(graph, fixed, max(sizes), rng)
     return node_selection_count(fresh, b_max, excluded=fixed)[0]
 
 
@@ -387,6 +416,16 @@ def _prima_case(case: int):
         return Graph(8, [(k, k + 1, 0.05) for k in range(7)]), 0.2, frozenset(), [1, 2], 2, 24
     if case == 25:  # k = 1 certifies, then k = 2 fails at the same x on the reused order
         return Graph(10, [(0, v, 0.8) for v in range(1, 10)]), 0.5, frozenset(), [1, 2], 2, 110
+    if case >= 30:  # budget 6 is tested draw-free: case 30 fails there, then certifies on grown sets
+        rng = random.Random(100 + case)
+        n = 40
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
+        edges = [(u, v, rng.choice((0.3, 0.6, 1.0))) for u, v in sorted(pairs) if u != v]
+        return Graph(n, edges), 0.5, frozenset(), [1, 2, 6], 6, 100 + case
+    if case >= 26:  # stars: budget 7 certifies draw-free after 2 does, and budget 1 sizes the fresh draw
+        leaves = [range(10, 30), [20] * 15, range(5, 25), range(10, 30)][case - 26]
+        fixed = frozenset({0}) if case == 28 else frozenset()
+        return _stars(leaves), 0.3 if case == 29 else 0.5, fixed, [1, 2, 7], 7, case
     rng = random.Random(80 + case)
     if case % 4 == 3:  # n <= 3: the search never runs and stalls at LB = 1
         n = rng.randint(2, 3)
@@ -399,14 +438,21 @@ def _prima_case(case: int):
     return graph, rng.choice((0.2, 0.3, 0.5)), fixed, budgets, b_max, case
 
 
-@pytest.mark.parametrize("case", range(26))
+# the draw-free tests each case runs, True where one certifies
+DRAW_FREE = {26: [True], 27: [True], 28: [True], 29: [True], 30: [False], 31: [True]}
+
+
+@pytest.mark.parametrize("case", range(32))
 def test_prima_plus_shared_search_matches_its_own_search(case):
     graph, eps, fixed, budgets, b_max, seed = _prima_case(case)
     ours, theirs = derive_rng(81, seed), derive_rng(81, seed)
-    got = prima_plus(graph, eps, 1.0, fixed, budgets, b_max, ours)
+    lines = []
+    got = prima_plus(graph, eps, 1.0, fixed, budgets, b_max, ours, lines.append)
     want = _two_search_prima_plus(graph, eps, 1.0, fixed, budgets, b_max, theirs)
     assert got == want
     assert ours.getstate() == theirs.getstate()
+    held = [float(_fields(ln)["lb"]) > 1.0 for ln in lines if ln.startswith("phase=held")]
+    assert held == DRAW_FREE.get(case, [])
 
 
 @pytest.mark.parametrize("case", range(12))
@@ -498,3 +544,59 @@ def test_final_plan_over_the_rr_set_cap_raises_before_drawing_it(monkeypatch):
         prima_plus(path6, 0.5, 1.0, frozenset(), [1, 2, 3], 3, derive_rng(0), events.append)
     assert _drawn(events) == 159
     assert events[-1].startswith("phase=final") and "theta=163" in events[-1]
+
+
+def test_fresh_collection_is_sized_for_every_certified_budget(monkeypatch):
+    # 100 stars of 10 leaves: budget 10's lower bound asks for about 9,000
+    # fresh sets, but budget 1's, 7.449, asks for 30,652
+    events = []
+    _recording_samplers(monkeypatch, events)
+    graph = _stars([10] * 100)
+    prima_plus(graph, 0.5, 1.0, frozenset(), [1, 10], 10, derive_rng(3), events.append)
+    ellp = SamplerParams(graph.n, 0.5, 1.0, (1, 10)).ell_prime
+    certified = [_fields(ev) for ev in events if ev.startswith("phase=certify")]
+    sizes = {
+        int(f["k"]): math.ceil(lambda_star(graph.n, int(f["k"]), 0.5, ellp) / float(f["lb"]))
+        for f in certified
+    }
+    assert sizes[1] == 30_652 and sizes[10] < 10_000
+    final = _fields(next(ev for ev in events if ev.startswith("phase=final")))
+    assert (final["k"], final["theta"], final["lb"]) == ("1", "30652", certified[0]["lb"])
+    assert events[-1] == "sample 30652"
+
+
+def test_draw_free_test_draws_fewer_sets(monkeypatch):
+    graph, eps, fixed, budgets, b_max, seed = _prima_case(26)
+    events = []
+    _recording_samplers(monkeypatch, events)
+    prima_plus(graph, eps, 1.0, fixed, budgets, b_max, derive_rng(81, seed), events.append)
+    without, real = [], sample_marginal_rr
+
+    def counting(graph, fixed, count, rng):
+        without.append(count)
+        return real(graph, fixed, count, rng)
+
+    monkeypatch.setitem(globals(), "sample_marginal_rr", counting)
+    _two_search_prima_plus(graph, eps, 1.0, fixed, budgets, b_max, derive_rng(81, seed), held=False)
+    # 3,962 search sets and as many fresh ones; without the test, budget 7
+    # grows the search to 6,882 sets at the round where budget 2 certified
+    assert (_drawn(events), sum(without)) == (7_924, 10_844)
+
+
+def test_draw_free_certified_bounds_stay_below_opt_statistically():
+    # on disjoint certain stars OPT_k is the sum of the k largest stars; every
+    # run certifies budget 7 draw-free, and every certified lower bound must
+    # undershoot OPT_k in at least 90 of 100 seeded runs
+    leaves = range(10, 30)
+    graph = _stars(leaves)
+    sizes = sorted((count + 1 for count in leaves), reverse=True)
+    opts = {k: sum(sizes[:k]) for k in (1, 2, 7)}
+    good_runs = 0
+    for trial in range(100):
+        lines = []
+        prima_plus(graph, 0.5, 1.0, frozenset(), [1, 2, 7], 7, derive_rng(800, trial), lines.append)
+        tests = [_fields(ln) for ln in lines if ln.startswith(("phase=certify", "phase=held"))]
+        certified = [f for f in tests if float(f["lb"]) > 1.0]
+        assert any(f["phase"] == "held" for f in certified)
+        good_runs += all(float(f["lb"]) <= opts[int(f["k"])] + 1e-9 for f in certified)
+    assert good_runs >= 90
