@@ -9,13 +9,18 @@ supersets of their current adoption with non-negative utility.
 
 A sampled possible world is its noise vector and one 64-bit key; an
 edge's coin is a hash of the key and the edge id, flipped only when the
-diffusion tests the edge. `simulate` runs one allocation in a batch of
-possible worlds at once, on numpy arrays over (world, node) keys and the
-graph's out-CSR, and reads every bundle's utility from one table with a
-row per distinct noise vector and a column per item mask. One loop,
-`world_runs`, makes worlds a chunk at a time (`chunk_worlds`) and runs
-every allocation of an estimate, or of an exact oracle query, on a chunk
-before making the next.
+diffusion tests the edge, and tested as an integer: the hash's 53 coin
+bits against the edge's ``ceil(p * 2**53)``, which is exactly coin < p.
+`simulate` runs one allocation in a batch of possible worlds at once, on
+numpy arrays over (world, node) keys and the graph's out-CSR, and reads
+every bundle's utility from one table with a row per distinct noise
+vector and a column per item mask. Its work follows the cascade: each
+round reads the frontier's out-slots through one index into the
+frontier, and the adopters are the keys the frontiers reached, so past
+zero-filling its two state arrays no step touches every (world, node)
+cell. One loop, `world_runs`, makes worlds a chunk at a time
+(`chunk_worlds`) and runs every allocation of an estimate, or of an
+exact oracle query, on a chunk before making the next.
 """
 
 from __future__ import annotations
@@ -118,16 +123,26 @@ class PossibleWorld:
         return cls(tuple(noise), bytes(bool(b) for b in live_edges))
 
 
+def _coin_bits(keys: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The 53 bits of ``coin(keys[k], z[k])`` of `PossibleWorld` as integers
+    (the coin is ``bits * 2**-53``), for uint64 edge ids `z`, which it
+    overwrites and returns; the arithmetic wraps mod 2**64 as
+    `rng._splitmix64` masks."""
+    z += np.uint64(1)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += keys
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    z >>= np.uint64(11)
+    return z
+
+
 def _coins(keys: np.ndarray, eids: np.ndarray) -> np.ndarray:
-    """``coin(keys[k], eids[k])`` of `PossibleWorld` for each k, on uint64
-    arrays, whose arithmetic wraps mod 2**64 as `rng._splitmix64` masks."""
-    z = keys + (eids.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """``coin(keys[k], eids[k])`` of `PossibleWorld` for each k."""
+    return _coin_bits(keys, eids.astype(np.uint64)).astype(np.float64) * 2.0**-53
 
 
 class Adoption(Mapping):
@@ -220,13 +235,17 @@ def chunk_worlds(graph: Graph, catalog: ItemCatalog) -> int:
 
 
 def _edge_test(graph: Graph, worlds: Sequence[PossibleWorld]):
-    """``is_live(owner, eids)``: whether edge ``eids[k]`` is live in world
-    ``owner[k]`` of `worlds`, all sampled (their coins) or all fixed
-    (their flags, stacked as ``w * m + eid``)."""
+    """``is_live(owner, row, slots)``: whether out-slot ``slots[k]`` is live
+    in world ``owner[row[k]]`` of `worlds`, all sampled (their coins' bits
+    against `Graph.out_limits`) or all fixed (their flags, stacked as
+    ``w * m + eid``)."""
+    out_eid = graph.out_eid
     keyed = [world.key is not None for world in worlds]
     if all(keyed):
-        keys, probs = np.array([world.key for world in worlds], dtype=np.uint64), graph.probs
-        return lambda owner, eids: _coins(keys[owner], eids) < probs[eids]
+        keys, limits = np.array([world.key for world in worlds], dtype=np.uint64), graph.out_limits
+        return lambda owner, row, slots: (
+            _coin_bits(keys[owner][row], out_eid[slots].view(np.uint64)) < limits[slots]
+        )
     if any(keyed):
         raise DiffusionError("a batch mixes sampled and fixed worlds")
     m = graph.m
@@ -234,14 +253,24 @@ def _edge_test(graph: Graph, worlds: Sequence[PossibleWorld]):
     if wrong:
         raise DiffusionError(f"a fixed world has {min(wrong)} edge flags; the graph has {m} edges")
     live = np.frombuffer(b"".join(world.live for world in worlds), dtype=bool)
-    return lambda owner, eids: live[owner * m + eids]
+    return lambda owner, row, slots: live[(owner * m)[row] + out_eid[slots]]
+
+
+def _differs(keys: np.ndarray) -> np.ndarray:
+    """Whether each ``keys[k]`` differs from ``keys[k - 1]``, True at k = 0:
+    in sorted keys, the first of each run of equal keys."""
+    differs = np.empty(len(keys), dtype=bool)
+    differs[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=differs[1:])
+    return differs
 
 
 def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
-    """The rounds of `simulate` in `count` worlds: the final adoption mask
-    at each ``w * n + node`` key, and each world's round count. `is_live`
-    is `_edge_test`'s, `seeds` maps each seed node to its items' mask, and
-    ``choose(keys, desired, current)`` gives the new adoption at each key."""
+    """The rounds of `simulate` in `count` worlds: the adopters' ascending
+    ``w * n + node`` keys, their final adoption masks, and each world's
+    round count. `is_live` is `_edge_test`'s, `seeds` maps each seed node
+    to its items' mask, and ``choose(keys, desired, current)`` gives the
+    new adoption at each key."""
     n = graph.n
     desire = np.zeros(count * n, dtype=np.uint16)
     adopt = np.zeros(count * n, dtype=np.uint16)
@@ -250,33 +279,46 @@ def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
     desire[frontier] = np.tile(np.array([seeds[v] for v in sorted(seeds)], np.uint16), count)
     adopt[frontier] = choose(frontier, desire[frontier], adopt[frontier])
     frontier = frontier[adopt[frontier] != 0]
+    # a key whose adoption changes holds a non-empty one from then on, so
+    # the keys of every frontier are the adopters, some more than once
+    reached = [frontier]
     rounds = np.zeros(count, dtype=np.int64)
-    out_ptr, out_dst, out_eid = graph.out_ptr, graph.out_dst, graph.out_eid
+    out_ptr, out_dst = graph.out_ptr, graph.out_dst
     round_no = 0
     while len(frontier):
         round_no += 1
-        owner, nodes = np.divmod(frontier, n)
+        owner = frontier // n
         rounds[owner] = round_no  # a world is done once its frontier is empty
-        slots, degrees = csr_slots(out_ptr, nodes)  # the frontier's out-slots, node after node
-        owner = np.repeat(owner, degrees)
-        live_slots = is_live(owner, out_eid[slots])
-        targets = owner[live_slots] * n + out_dst[slots[live_slots]]
-        gains = np.repeat(adopt[frontier], degrees)[live_slots] & ~desire[targets]
+        base = owner * n
+        nodes = frontier - base
+        # the frontier's out-slots, node after node, and each one's row in the frontier
+        slots, row = csr_slots(out_ptr, nodes)
+        live = np.flatnonzero(is_live(owner, row, slots))
+        row = row[live]
+        targets = out_dst[slots[live]]
+        targets += base[row]
+        gains = adopt[frontier][row]
+        gains &= ~desire[targets]
         # sort the (target, gain) pairs packed in one key, then OR each target's gains
-        heard = gains != 0
-        packed = np.sort(targets[heard] << MAX_SIM_ITEMS | gains[heard])
+        targets <<= MAX_SIM_ITEMS
+        targets |= gains
+        packed = targets[np.flatnonzero(gains)]
+        packed.sort()
         targets = packed >> MAX_SIM_ITEMS
-        firsts = np.flatnonzero(np.diff(targets, prepend=-1))
+        firsts = np.flatnonzero(_differs(targets))
         targets = targets[firsts]
         gained = np.bitwise_or.reduceat(packed & _MASKS, firsts).astype(np.uint16)
         desired = desire[targets] | gained
         desire[targets] = desired
         current = adopt[targets]
         chosen = choose(targets, desired, current)
-        changed = chosen != current
+        changed = np.flatnonzero(chosen != current)
         frontier = targets[changed]
         adopt[frontier] = chosen[changed]
-    return adopt, rounds
+        reached.append(frontier)
+    adopters = np.sort(np.concatenate(reached))
+    adopters = adopters[_differs(adopters)]
+    return adopters, adopt[adopters], rounds
 
 
 def simulate(
@@ -289,12 +331,17 @@ def simulate(
 
     The worlds, all sampled or all fixed, run together, their desire and
     adoption masks flat over keys ``w * n + node``. Each round expands the
-    frontier's out-slots, keeps the live ones (flipping each sampled
-    world's coins for those slots only, or reading a fixed world's flags),
-    ORs together the items each target newly hears of, and lets those
-    targets re-decide. A decision depends only on the world's
-    noise vector, the desire and the current adoption, and is made once
-    per distinct triple. Every utility, in a decision and in the welfare
+    frontier's out-slots, with each slot's index into the frontier (its
+    row), and keeps the live ones: a sampled world's coins are flipped for
+    those slots only, each coin's 53 bits compared, as an integer, with
+    the slot's ``ceil(p * 2**53)`` (`Graph.out_limits`), and a fixed
+    world's flags are read. Through the live slots' rows it gathers each
+    source's world and adoption, ORs together the items each target newly
+    hears of, and lets those targets re-decide. A decision depends only on
+    the world's noise vector, the desire and the current adoption, and is
+    made once per distinct triple. A key whose adoption changed holds a
+    non-empty one from then on, so the adopters are the distinct keys of
+    all the frontiers. Every utility, in a decision and in the welfare
     of the final adoption, comes from one table (`_utility_table`) with a
     row per distinct noise vector, bit for bit, and a column per item
     mask. Callers keep ``len(worlds) * max(n, m, 2^items)`` within
@@ -322,31 +369,30 @@ def simulate(
     choices: dict[int, int] = {}  # (noise id, desire, current) triple -> new adoption
 
     def choose(keys: np.ndarray, desired: np.ndarray, current: np.ndarray) -> np.ndarray:
-        triples = (
-            noise_of[keys // n] << 2 * MAX_SIM_ITEMS
-            | desired.astype(np.int64) << MAX_SIM_ITEMS
-            | current
-        )
-        distinct, inverse = np.unique(triples, return_inverse=True)
-        distinct = distinct.tolist()
-        for triple in distinct:
+        triples = desired.astype(np.int64) << MAX_SIM_ITEMS
+        triples |= current
+        if len(vectors) > 1:
+            triples |= noise_of[keys // n] << 2 * MAX_SIM_ITEMS
+        distinct = np.sort(triples)
+        distinct = distinct[_differs(distinct)]
+        picks = []
+        for triple in distinct.tolist():
             if triple not in choices:
                 # its noise id's row, as a memoryview, which reads out Python floats
                 util = memoryview(table[triple >> 2 * MAX_SIM_ITEMS])
                 choices[triple] = _best_feasible(
                     triple >> MAX_SIM_ITEMS & _MASKS, triple & _MASKS, util
                 )
-        return np.array([choices[triple] for triple in distinct], dtype=np.uint16)[inverse]
+            picks.append(choices[triple])
+        return np.array(picks, dtype=np.uint16)[np.searchsorted(distinct, triples)]
 
-    adopt, rounds = _spread(graph, count, is_live, seeds, choose)
-    adopters = np.flatnonzero(adopt)
-    masks = adopt[adopters]
+    adopters, masks, rounds = _spread(graph, count, is_live, seeds, choose)
     owner = adopters // n
     values = table[noise_of[owner], masks]
     bounds = np.searchsorted(adopters, np.arange(count + 1) * n).tolist()
     welfare = [math.fsum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
     counts = {
-        item: np.bincount(owner[masks >> i & 1 != 0], minlength=count).tolist()
+        item: np.bincount(owner, masks >> i & 1, count).astype(np.int64).tolist()
         for i, item in enumerate(catalog.items)
     }
     return DiffusionResult(Adoption(catalog, n, adopters, masks), welfare, counts, rounds.tolist())

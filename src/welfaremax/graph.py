@@ -9,10 +9,11 @@ are ``in_ptr[v]:in_ptr[v + 1]``, holding sources ``in_src`` and
 probabilities ``in_prob``, and `Graph.in_skips` adds, on first use, the
 per-node arrays their geometric skips need. The batched diffusion walks
 the out-edges: u's out-slots are ``out_ptr[u]:out_ptr[u + 1]``, holding
-targets ``out_dst`` and edge ids ``out_eid``. Each CSR orders its slots
-with one plain sort of the unique keys ``key * m + slot``, which is the
-stable order. No per-node or per-edge Python object is built on the load
-path.
+targets ``out_dst`` and edge ids ``out_eid``, and `Graph.out_limits`
+adds, on first use, each out-slot's coin threshold. Each CSR orders its
+slots with one plain sort of the unique keys ``key * m + slot``, which is
+the stable order. No per-node or per-edge Python object is built on the
+load path.
 
 Edge-list text format: one "src dst prob" per line, '#'-prefixed comment
 lines skipped. `load_edge_list` takes a file `Path` or the lines
@@ -74,10 +75,13 @@ def stable_order(n: int, keys: np.ndarray) -> np.ndarray:
 
 def csr_slots(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The slots of CSR `rows`, row after row, each row's ``ptr[r]:ptr[r + 1]``
-    in ascending order, and each row's length."""
+    in ascending order, and each slot's index into `rows`."""
     starts = ptr[rows]
     sizes = ptr[rows + 1] - starts
-    return spans(starts, sizes), sizes
+    index = np.repeat(np.arange(len(rows)), sizes)
+    slots = np.arange(len(index))
+    slots += (starts - np.cumsum(sizes) + sizes)[index]
+    return slots, index
 
 
 def spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -94,7 +98,7 @@ class Graph:
 
     __slots__ = (
         "n", "src", "dst", "probs", "in_ptr", "in_src", "in_prob", "out_ptr", "out_dst",
-        "out_eid", "_in_skips", "__weakref__",
+        "out_eid", "_in_skips", "_out_limits", "__weakref__",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
@@ -118,7 +122,7 @@ class Graph:
         self.n, self.src, self.dst, self.probs = n, src, dst, probs
         self.in_ptr, self.in_src, self.in_prob = in_ptr, src[in_eids], probs[in_eids]
         self.out_ptr, self.out_dst, self.out_eid = out_ptr, dst[out_eids], out_eids
-        self._in_skips = None
+        self._in_skips = self._out_limits = None
         for arr in (src, dst, probs, in_ptr, self.in_src, self.in_prob, out_ptr, self.out_dst,
                     out_eids):
             arr.flags.writeable = False
@@ -145,6 +149,18 @@ class Graph:
                 arr.flags.writeable = False
             self._in_skips = (q, reach, scale, below)
         return self._in_skips
+
+    @property
+    def out_limits(self) -> np.ndarray:
+        """Per out-slot, ``ceil(p * 2**53)`` of its edge as uint64, built on
+        first use and kept: an integer u in [0, 2**53) has ``u * 2**-53 < p``
+        exactly when ``u < ceil(p * 2**53)``, since both products are exact.
+        It is 0 where p is 0.0 or -0.0 and 2**53 where p is 1."""
+        if self._out_limits is None:
+            limits = np.ceil(self.probs[self.out_eid] * 2.0**53).astype(np.uint64)
+            limits.flags.writeable = False
+            self._out_limits = limits
+        return self._out_limits
 
     @property
     def m(self) -> int:

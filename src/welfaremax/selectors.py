@@ -174,11 +174,12 @@ def _doubling_search(
     what the failure probability is split over.
 
     The fresh collection holds the largest ceil(lambda*(k) / LB_k) over the
-    certified budgets, so every budget's prefix keeps its guarantee, or
-    ceil(lambda*(k)) for the first budget that did not certify (LB = 1),
-    if that is larger. Each planned size is checked against `MAX_RR_SETS`
-    before any set of it is drawn, and before it is rounded up: an inf or
-    nan plan fails too.
+    budgets, with LB = 1 for each budget that did not certify, so every
+    budget's prefix keeps its guarantee. Of the budgets a stalled search
+    leaves, b_max asks for the most whenever b_max <= n / 2, as lambda*
+    grows with k up to n / 2. Each planned size is checked against
+    `MAX_RR_SETS` before any set of it is drawn, and before it is rounded
+    up: an inf or nan plan fails too.
     """
     n, budgets, eps = params.n, params.budgets, params.eps
     epsp, ellp = params.eps_prime, params.ell_prime
@@ -211,9 +212,8 @@ def _doubling_search(
             s_idx += 1
         elif j == i:
             i += 1
-    if s_idx < len(budgets):  # stalled: the first budget that did not certify, at LB = 1
-        k = budgets[s_idx]
-        plans.append((_planned(lambda_star(n, k, eps, ellp)), k, 1.0))
+    # stalled: every budget that did not certify, at LB = 1
+    plans += [(_planned(lambda_star(n, k, eps, ellp)), k, 1.0) for k in budgets[s_idx:]]
     theta, k, lb = max(plans, key=lambda plan: plan[0])  # the first of equal sizes
     # announced before the draw, which is long when the search stalled
     emit(f"phase=final i={i} s={s_idx} k={k} theta={theta} lb={lb:.6g}")

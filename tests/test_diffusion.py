@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import re
+import time
 import weakref
 
 import numpy as np
@@ -323,6 +324,32 @@ def test_sampled_world_flags_equal_per_edge_random_calls(catalog, probs):
         coins = diffusion._coins(keys, np.arange(g.m))
         assert coins.tolist() == [coin(world.key, eid) for eid in range(g.m)], trial
         assert (coins < g.probs).tolist() == live_flags(world, g), trial
+
+
+@pytest.mark.parametrize("key", [0, 2**63, 2**64 - 1, 0x5DEECE66D, 2**64 - 2**53])
+def test_integer_coin_threshold_is_the_float_test(key):
+    """`simulate` keeps edge eid live when the coin's 53 bits, as an
+    integer, are below ``ceil(p * 2**53)`` (`Graph.out_limits`): exactly
+    ``coin < p``, at the edge probabilities where rounding could differ and
+    at p equal to the edge's own coin and one ulp either side of it."""
+    fixed = [0.0, -0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]
+    drawn = [coin(key, eid) for eid in range(len(fixed), len(fixed) + 60)]
+    probs = fixed + [
+        [c, math.nextafter(c, 2.0), math.nextafter(c, -1.0)][eid % 3] for eid, c in enumerate(drawn)
+    ]
+    probs = [0.0 if p < 0.0 else p for p in probs]  # one ulp below a coin of 0; -0.0 stays
+    g = Graph(len(probs) + 1, [(0, leaf + 1, p) for leaf, p in enumerate(probs)])
+    assert g.out_limits.tolist() == [math.ceil(p * 2.0**53) for p in probs]
+    want = [coin(key, eid) < p for eid, p in enumerate(probs)]
+    keys = np.full(g.m, key, dtype=np.uint64)
+    eids = np.arange(g.m)
+    bits = diffusion._coin_bits(keys, eids.astype(np.uint64))
+    assert (bits < g.out_limits).tolist() == want
+    assert (diffusion._coins(keys, eids) < g.probs).tolist() == want
+    # and through `simulate`: a leaf adopts exactly when its edge is live
+    cat = NOISE_CATALOGS[0]
+    result = simulate(g, cat, Allocation.of([(0, "a")]), [PossibleWorld((0.0,), key=key)])
+    assert [(0, leaf + 1) in result.adoption for leaf in range(g.m)] == want
 
 
 def reference_simulate(graph, catalog, allocation, noise, edge_live):
@@ -741,6 +768,41 @@ def test_estimates_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
     assert max(batches) == per_chunk and sum(batches) == samples * (1 + 2 + 3)
 
 
+@pytest.mark.parametrize("per_chunk", [1, 3, 8])
+@pytest.mark.parametrize("kind", ["sampled", "fixed"])
+def test_world_runs_over_many_chunks_match_the_reference_world_by_world(
+    monkeypatch, kind, per_chunk
+):
+    """Worlds with distinct noise vectors, a chunk of `per_chunk` at a time
+    (one vector per `simulate` call at 1, several above): every world's
+    welfare, bit for bit, and each item's adopter total are the reference
+    simulator's, for each allocation."""
+    rng = random.Random(f"chunks/{kind}/{per_chunk}")
+    count = 17
+    for trial in range(6):
+        g = fractional_graph(rng, n_hi=25, m_hi=100)
+        cat = continuous_noise_catalog(rng, rng.randint(2, 4))
+        monkeypatch.setattr(diffusion, "CHUNK_CELLS", per_chunk * max(g.n, g.m, 1 << cat.m))
+        assert diffusion.chunk_worlds(g, cat) == per_chunk
+        worlds = [PossibleWorld.sample(cat, derive_rng(trial, idx)) for idx in range(count)]
+        if kind == "fixed":
+            worlds = [PossibleWorld.fixed([rng.random() < 0.5 for _ in range(g.m)], w.noise)
+                      for w in worlds]
+        assert len({w.noise for w in worlds}) == count
+        allocations = [random_allocation(rng, g, cat, pairs=rng.randint(0, 6)) if g.n else
+                       Allocation.empty() for _ in range(3)]
+        runs = world_runs(g, cat, allocations, count, worlds.__getitem__)
+        for alloc, (welfare, adopters) in zip(allocations, runs):
+            wants = []
+            for world in worlds:
+                live = live_flags(world, g) if world.live is None else world.live
+                wants.append(reference_simulate(g, cat, alloc, world.noise, lambda e, p: live[e]))
+            assert [x.hex() for x in welfare] == [want.welfare[0].hex() for want in wants]
+            assert adopters == {
+                item: sum(want.item_counts[item][0] for want in wants) for item in cat.items
+            }
+
+
 def test_no_simulate_call_holds_more_than_the_cap_at_the_cli_default(monkeypatch):
     n = 3000  # a sparse graph, so (world, node) cells set the cap
     g = Graph(n, [(v, v + 1, 0.5) for v in range(0, n - 1, 3)])
@@ -755,3 +817,24 @@ def test_no_simulate_call_holds_more_than_the_cap_at_the_cli_default(monkeypatch
     assert sum(batches) == samples and len(batches) == math.ceil(samples / per)
     assert max(batches) * max(g.n, g.m) <= diffusion.CHUNK_CELLS
     assert 2.0 < est.mean < 4.0
+
+
+def test_a_small_cascade_costs_little_on_a_large_graph():
+    """200 worlds of a cascade along a 10-edge path: on 1,000,000 nodes the
+    simulator reads the keys the cascade reached, not every (world, node)
+    cell of a chunk, so the estimate stays far below the 0.43 s or more it
+    took when it scanned them all, and it equals the estimate on 1,000 nodes."""
+    cat = NOISE_CATALOGS[0]
+    path = np.arange(10)
+
+    def estimate(n):
+        g = Graph.from_arrays(n, path, path + 1, np.full(10, 0.9))
+        start = time.perf_counter()
+        est = estimate_welfare(g, cat, Allocation.of([(0, "a")]), 200, seed=7)
+        return est, time.perf_counter() - start
+
+    small, _ = estimate(1_000)
+    runs = [estimate(1_000_000) for _ in range(3)]
+    assert all(repr(est) == repr(small) for est, _ in runs)
+    assert 0.0 < small.mean < 11.0
+    assert min(seconds for _, seconds in runs) < 0.3

@@ -331,7 +331,8 @@ def _two_search_prima_plus(graph, eps, ell, fixed_seeds, budgets, b_max, rng, he
     With `held`, a budget that follows a certify at round i and would have
     to grow the collection is first tested once on the sets already drawn,
     at the largest round j < i whose size they meet. The fresh collection
-    is sized for the certified budget that needs the most sets."""
+    is sized for the budget that needs the most sets, at LB = 1 for each
+    budget the search did not certify."""
     fixed = frozenset(fixed_seeds)
     n = graph.n
     budgets = sorted(set(budgets) | {b_max})
@@ -374,8 +375,7 @@ def _two_search_prima_plus(graph, eps, ell, fixed_seeds, budgets, b_max, rng, he
         else:
             i += 1
             budget_switch = False
-    if s_idx < len(budgets):
-        sizes.append(math.ceil(lambda_star(n, budgets[s_idx], eps, ellp) / lb))
+    sizes += [math.ceil(lambda_star(n, k, eps, ellp) / lb) for k in budgets[s_idx:]]
     fresh = sample_marginal_rr(graph, fixed, max(sizes), rng)
     return node_selection_count(fresh, b_max, excluded=fixed)[0]
 
@@ -412,7 +412,8 @@ def _two_search_supgrd_sampling(graph, catalog, base, superior, b_prime, eps, el
 
 def _prima_case(case: int):
     """Graph, eps, fixed seeds, budgets, b_max and rng seed of one comparison case."""
-    if case == 24:  # weak edges: coverage never reaches (1 + eps') x, so the search stalls
+    if case == 24:  # weak edges: coverage never reaches (1 + eps') x, so the search stalls,
+        # and the fresh draw holds ceil(lambda*(2)) = 4,803 sets, not lambda*(1)'s 4,290
         return Graph(8, [(k, k + 1, 0.05) for k in range(7)]), 0.2, frozenset(), [1, 2], 2, 24
     if case == 25:  # k = 1 certifies, then k = 2 fails at the same x on the reused order
         return Graph(10, [(0, v, 0.8) for v in range(1, 10)]), 0.5, frozenset(), [1, 2], 2, 110
@@ -453,6 +454,9 @@ def test_prima_plus_shared_search_matches_its_own_search(case):
     assert ours.getstate() == theirs.getstate()
     held = [float(_fields(ln)["lb"]) > 1.0 for ln in lines if ln.startswith("phase=held")]
     assert held == DRAW_FREE.get(case, [])
+    if case == 24:
+        final = _fields(lines[-1])
+        assert (final["k"], final["theta"], final["lb"]) == ("2", "4803", "1")
 
 
 @pytest.mark.parametrize("case", range(12))
