@@ -25,7 +25,7 @@ from welfaremax import allocators
 from welfaremax.diffusion import MAX_SIM_ITEMS, Allocation, estimate_welfare
 from welfaremax.graph import EdgeListError, Graph, load_edge_list
 from welfaremax.oracle import MAX_EDGES, OracleLimitError, WelfareOracle
-from welfaremax.ris import CHUNK_SETS, RISError, sample_marginal_rr
+from welfaremax.ris import RISError, sample_marginal_rr
 from welfaremax.rng import derive_rng, derive_seed
 from welfaremax.selectors import RRLimitError
 from welfaremax.utility import (
@@ -346,9 +346,10 @@ def _cmd_rr_stats(args, out: TextIO) -> int:
         if outside:
             raise CliError(2, f"--fixed node {outside[0]} outside [0, {graph.n})")
     sizes: Counter[int] = Counter()
-    for done in range(0, args.count, CHUNK_SETS):  # a chunk at a time: bounded memory
+    chunk = 1024  # sets per sampler call, each call with its own key: fixed, not the pool's width
+    for done in range(0, args.count, chunk):  # a chunk at a time: bounded memory
         try:
-            coll = sample_marginal_rr(graph, fixed, min(CHUNK_SETS, args.count - done), rng)
+            coll = sample_marginal_rr(graph, fixed, min(chunk, args.count - done), rng)
         except RISError as exc:
             raise CliError(2, f"rr-stats: {exc}") from exc
         sizes.update(b - a for a, b in pairwise(coll.offsets))

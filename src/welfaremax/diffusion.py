@@ -11,6 +11,8 @@ A sampled possible world is its noise vector and one 64-bit key; an
 edge's coin is a hash of the key and the edge id, flipped only when the
 diffusion tests the edge, and tested as an integer: the hash's 53 coin
 bits against the edge's ``ceil(p * 2**53)``, which is exactly coin < p.
+The same SplitMix64 hash draws every value of the reverse direction's RR
+sets, keyed by set instead of by world (`ris`).
 `simulate` runs one allocation in a batch of possible worlds at once, on
 numpy arrays over (world, node) keys and the graph's out-CSR, and reads
 every bundle's utility from one table with a row per distinct noise
@@ -34,13 +36,14 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from welfaremax.graph import Graph, csr_slots
+from welfaremax.graph import Graph, differs, spans
 from welfaremax.rng import derive_rng
 from welfaremax.utility import ItemCatalog
 
 MAX_SIM_ITEMS = 10  # the adoption argmax enumerates 2^|desire| subsets
 _MASKS = (1 << MAX_SIM_ITEMS) - 1  # the bits of one item mask
 CHUNK_CELLS = 1 << 23  # most world x max(node, edge, itemset) cells in one chunk of worlds
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's step between the states of a stream
 
 
 class DiffusionError(ValueError):
@@ -123,26 +126,27 @@ class PossibleWorld:
         return cls(tuple(noise), bytes(bool(b) for b in live_edges))
 
 
-def _coin_bits(keys: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The 53 bits of ``coin(keys[k], z[k])`` of `PossibleWorld` as integers
-    (the coin is ``bits * 2**-53``), for uint64 edge ids `z`, which it
-    overwrites and returns; the arithmetic wraps mod 2**64 as
-    `rng._splitmix64` masks."""
+def _coin_bits(keys, z: np.ndarray, shift: int = 11) -> np.ndarray:
+    """Output ``z[k]`` of the SplitMix64 stream seeded at ``keys[k]`` (or one
+    key), ``rng._splitmix64((key + z * 0x9E3779B97F4A7C15) mod 2**64) >>
+    shift``, in place on uint64 `z`: for edge ids, the 53 bits of `PossibleWorld`'s
+    ``coin(keys[k], z[k])``, as the RR samplers' values are too."""
     z += np.uint64(1)
-    z *= np.uint64(0x9E3779B97F4A7C15)
+    z *= _GAMMA
     z += keys
+    return _mixed(z, shift)
+
+
+def _mixed(z: np.ndarray, shift: int = 11) -> np.ndarray:
+    """SplitMix64's output function of the states `z`, shifted right by
+    `shift`, in place; uint64 arithmetic wraps as `rng._splitmix64` masks."""
     tmp = np.empty_like(z)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+    for right, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(right), out=tmp)
         z *= np.uint64(mult)
     z ^= np.right_shift(z, np.uint64(31), out=tmp)
-    z >>= np.uint64(11)
+    z >>= np.uint64(shift)
     return z
-
-
-def _coins(keys: np.ndarray, eids: np.ndarray) -> np.ndarray:
-    """``coin(keys[k], eids[k])`` of `PossibleWorld` for each k."""
-    return _coin_bits(keys, eids.astype(np.uint64)).astype(np.float64) * 2.0**-53
 
 
 class Adoption(Mapping):
@@ -256,15 +260,6 @@ def _edge_test(graph: Graph, worlds: Sequence[PossibleWorld]):
     return lambda owner, row, slots: live[(owner * m)[row] + out_eid[slots]]
 
 
-def _differs(keys: np.ndarray) -> np.ndarray:
-    """Whether each ``keys[k]`` differs from ``keys[k - 1]``, True at k = 0:
-    in sorted keys, the first of each run of equal keys."""
-    differs = np.empty(len(keys), dtype=bool)
-    differs[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=differs[1:])
-    return differs
-
-
 def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
     """The rounds of `simulate` in `count` worlds: the adopters' ascending
     ``w * n + node`` keys, their final adoption masks, and each world's
@@ -292,7 +287,7 @@ def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
         base = owner * n
         nodes = frontier - base
         # the frontier's out-slots, node after node, and each one's row in the frontier
-        slots, row = csr_slots(out_ptr, nodes)
+        slots, row = spans(out_ptr[nodes], out_ptr[nodes + 1])
         live = np.flatnonzero(is_live(owner, row, slots))
         row = row[live]
         targets = out_dst[slots[live]]
@@ -305,7 +300,7 @@ def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
         packed = targets[np.flatnonzero(gains)]
         packed.sort()
         targets = packed >> MAX_SIM_ITEMS
-        firsts = np.flatnonzero(_differs(targets))
+        firsts = np.flatnonzero(differs(targets))
         targets = targets[firsts]
         gained = np.bitwise_or.reduceat(packed & _MASKS, firsts).astype(np.uint16)
         desired = desire[targets] | gained
@@ -317,7 +312,7 @@ def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
         adopt[frontier] = chosen[changed]
         reached.append(frontier)
     adopters = np.sort(np.concatenate(reached))
-    adopters = adopters[_differs(adopters)]
+    adopters = adopters[differs(adopters)]
     return adopters, adopt[adopters], rounds
 
 
@@ -374,7 +369,7 @@ def simulate(
         if len(vectors) > 1:
             triples |= noise_of[keys // n] << 2 * MAX_SIM_ITEMS
         distinct = np.sort(triples)
-        distinct = distinct[_differs(distinct)]
+        distinct = distinct[differs(distinct)]
         picks = []
         for triple in distinct.tolist():
             if triple not in choices:

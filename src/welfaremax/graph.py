@@ -73,20 +73,23 @@ def stable_order(n: int, keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def csr_slots(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The slots of CSR `rows`, row after row, each row's ``ptr[r]:ptr[r + 1]``
-    in ascending order, and each slot's index into `rows`."""
-    starts = ptr[rows]
-    sizes = ptr[rows + 1] - starts
-    index = np.repeat(np.arange(len(rows)), sizes)
+def spans(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots ``starts[i]:ends[i]`` for each i in turn, each span in
+    ascending order, and each slot's i."""
+    sizes = ends - starts
+    index = np.repeat(np.arange(len(starts)), sizes)
     slots = np.arange(len(index))
     slots += (starts - np.cumsum(sizes) + sizes)[index]
     return slots, index
 
 
-def spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``starts[i], ..., starts[i] + sizes[i] - 1`` for each i in turn."""
-    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+def differs(keys: np.ndarray) -> np.ndarray:
+    """Whether each ``keys[k]`` differs from ``keys[k - 1]``, True at k = 0:
+    in sorted keys, the first of each run of equal keys."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
 
 class Graph:

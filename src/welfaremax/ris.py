@@ -8,16 +8,14 @@ seeds and empties (but still counts) a set that reached one; with no
 fixed seeds it is the plain RR sampler. The weighted sampler stops at
 the base seeds and carries a welfare-gain weight.
 
-Draws: a call seeds one ``numpy.random.Generator`` with
-``rng.getrandbits(64)`` and draws all its roots with ``integers``. Each
-level walks the in-slots of its nodes, in (slot, node) order, by
-geometric skips: `SKIPS` rounds of one exponential gap per walk still
-inside its in-slots, one uniform per candidate whose probability is
-below the skip rate, then one plain coin per slot past a walk's
-`SKIPS`-th candidate. Slots take roots in order, the slots that ended
-together in slot order. Sets reach the collection in blocks: whenever a
-pool's worth of sets has ended, those sets in root order, and the rest
-at the end.
+Draws: a call takes one key with ``rng.getrandbits(64)``. Set s takes
+key ``_coin_bits(call key, s, 0)`` and its root from it, and draws every
+value as ``_coin_bits(set key, i)``, the hash of `diffusion`'s edge coins,
+at an index i of its own per (node, draw) (`_live_in_edges`). So a call's
+sets and stop flags are a function of (key, count, graph, stop set): the
+pool's width and schedule move no draw, only the order in which sets reach
+the collection, in blocks: whenever a pool's worth of sets has ended,
+those sets in root order, and the rest at the end.
 
 A collection is flat: the members of all sets end to end, each set's in
 ascending node order, with per-set offsets and weights. Greedy
@@ -33,12 +31,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from welfaremax.diffusion import Allocation
-from welfaremax.graph import Graph, csr, csr_slots, spans
+from welfaremax.diffusion import _GAMMA, Allocation, _coin_bits, _mixed
+from welfaremax.graph import Graph, csr, differs, spans
 from welfaremax.utility import ItemCatalog
 
-MARK_BYTES = 1 << 22  # most bytes of the pool's (slot, node) mark
-CHUNK_SETS = 1024  # most RR sets grown together: the pool's slots
+MARK_BYTES = 1 << 23  # most bytes of the pool's (slot, node) mark
+CHUNK_SETS = 4096  # most RR sets grown together: the pool's slots
 SKIPS = 3  # geometric-skip candidates per in-edge walk before its plain coins
 _BITS = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
@@ -94,77 +92,85 @@ class RRCollection:
         return len(np.unique(hit)) / len(self)
 
 
-def _live_in_edges(graph: Graph, nodes: np.ndarray, gen) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the live in-edges of each of `nodes`; returns the index in
-    `nodes` and the source of every live in-edge.
+def _live_in_edges(graph: Graph, nodes: np.ndarray, keys: np.ndarray, gap0: np.ndarray):
+    """Draw the live in-edges of each of `nodes` in the set keyed by the
+    same entry of `keys`: the index in `nodes` and the source of each.
 
     A node's walk over its in-slots takes geometric skips at its largest
     in-probability q and keeps each candidate it lands on with probability
-    p / q. A walk still inside its in-slots after `SKIPS` candidates draws
-    one plain coin per later slot instead, which is exact because the
-    Bernoulli process has no memory, and which keeps a hub at p = 1 from
-    taking one round per in-edge. Draws: `SKIPS` rounds of one exponential
-    per walk still inside, in `nodes` order; one uniform per candidate with
-    p < q, round after round; then the tail coins, walk after walk."""
+    p / q. After `SKIPS` candidates a walk still inside draws one plain coin
+    per later slot, which is exact because the Bernoulli process has no
+    memory, and keeps a hub at p = 1 from taking one round per in-edge.
+    Node v's gap r is value m + SKIPS v + r of the set's stream (``gap0[v]``
+    is its hash state less the key), its r-th candidate's acceptance value
+    m + SKIPS (n + v) + r, and in-slot j's tail coin value j; a node joins a
+    set once, so no value is drawn twice."""
     q, reach, scale, below = graph.in_skips
-    in_prob = graph.in_prob
-    # per walk still inside its node's in-slots: its last candidate's slot,
-    # its skip scale, the end of its in-slots and its index in `nodes`
-    walks = np.empty((4, len(nodes)))
+    in_prob, m = graph.in_prob, graph.m
+    walks = np.empty((4, len(nodes)))  # per walk inside: last candidate's slot, scale, end, index
     start = graph.in_ptr[nodes]
     np.subtract(start, 1, out=walks[0])
     np.take(scale, nodes, out=walks[1])
     np.add(start, reach[nodes], out=walks[2])
     walks[3] = np.arange(len(nodes))
+    state = gap0[nodes] + keys  # per walk, the hash state of its gap 0
+    steps = np.arange(SKIPS, dtype=np.uint64) * _GAMMA
     found = []
-    for _ in range(SKIPS):
-        gaps = gen.standard_exponential(walks.shape[1])
+    for r in range(SKIPS):
+        gaps = np.log1p(_mixed(state + steps[r]) * -(2.0**-53))  # minus an exponential
         gaps *= walks[1]
-        np.floor(gaps, out=gaps)
-        walks[0] += gaps + 1.0
-        walks = walks[:, walks[0] < walks[2]]
-        found.append(walks[[0, 3]])
+        np.ceil(gaps, out=gaps)  # minus the gap
+        walks[0] += 1.0 - gaps
+        inside = (walks[0] < walks[2]).nonzero()[0]  # an index: a bool mask is 3x slower
+        walks, state = walks.take(inside, axis=1), state[inside]
+        found.append(walks[::3].copy())  # the slots and indices, rows 0 and 3
         if not walks.shape[1]:
             break
     slots, entry = np.concatenate(found, axis=1).astype(np.int64)
     thin = below[slots].nonzero()[0]
     if len(thin):
+        at = entry[thin]
+        rounds = np.repeat(np.arange(len(found)), [f.shape[1] for f in found])[thin]
+        bits = _coin_bits(keys[at], ((nodes[at] + graph.n) * SKIPS + m + rounds).view(np.uint64))
         keep = np.ones(len(slots), dtype=bool)
-        keep[thin] = gen.random(len(thin)) * q[nodes[entry[thin]]] < in_prob[slots[thin]]
+        keep[thin] = bits * q[nodes[at]] < in_prob[slots[thin]] * 2.0**53
         entry, slots = entry[keep], slots[keep]
     if walks.shape[1]:
-        last, end, tail = walks[[0, 2, 3]].astype(np.int64)
-        rest = spans(last + 1, end - last - 1)
-        coins = gen.random(len(rest)) < in_prob[rest]
-        entry = np.concatenate((entry, np.repeat(tail, end - last - 1)[coins]))
+        last, _, end, tail = walks.astype(np.int64)
+        rest, row = spans(last + 1, end)
+        tail = tail[row]
+        coins = (_coin_bits(keys[tail], rest.astype(np.uint64)) < in_prob[rest] * 2.0**53).nonzero()[0]
+        entry = np.concatenate((entry, tail[coins]))
         slots = np.concatenate((slots, rest[coins]))
     return entry, graph.in_src[slots]
 
 
-def _roots(graph: Graph, count: int, rng) -> tuple[np.ndarray, np.random.Generator]:
-    """`count` uniformly random roots, and the generator that drew them,
-    seeded with ``rng.getrandbits(64)``, to grow their sets with."""
+def _roots(graph: Graph, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The roots and keys of a call's `count` sets: set s's key is output s
+    of the SplitMix64 stream seeded at ``rng.getrandbits(64)``, and its root
+    that key mod n, so a root's chance is off by at most n / 2**64 of 1 / n."""
     if graph.n < 1:
         raise RISError("graph has no nodes")
-    gen = np.random.default_rng(rng.getrandbits(64))
-    return gen.integers(graph.n, size=count), gen
+    keys = _coin_bits(np.uint64(rng.getrandbits(64)), np.arange(count, dtype=np.uint64), 0)
+    return (keys % np.uint64(graph.n)).astype(np.int64), keys
 
 
-def _grown(graph: Graph, roots: np.ndarray, stop_nodes: Iterable[int], gen) -> Iterator:
-    """One RR set from each of `roots`, grown by one pooled reverse BFS;
-    yields blocks of sets, each as its members grouped by set, its set
-    sizes and which of its sets stopped at `stop_nodes`.
+def _grown(graph: Graph, roots: np.ndarray, keys: np.ndarray, stop_nodes: Iterable[int]) -> Iterator:
+    """One RR set from each of `roots`, drawn from the same entry of `keys`
+    and grown by one pooled reverse BFS; yields blocks of sets, each as its
+    members grouped by set, its set sizes and which of its sets stopped at
+    `stop_nodes`.
 
     A pool of at most `CHUNK_SETS` slots grows one set each, a level at a
     time. A set stops after the first level that holds a stop node (at
     once, with no draw, if its root is one) and ends at its first level
-    with no new member. Its slot's mark row is then zeroed and the slot
-    takes the next root at the next level, the slots that ended together
-    in slot order, so levels stay full until the roots run out. Whenever a
-    pool's worth of sets has ended, they are yielded in root order, and
-    the rest at the end, so memory stays near a pool's members."""
+    with no new member; its slot's mark row is then zeroed and the slot
+    takes the next root. Whenever a pool's worth of sets has ended, they
+    are yielded in root order, and the rest at the end, so memory stays
+    near a pool's members."""
     n, count = graph.n, len(roots)
     reach = graph.in_skips[1]
+    gap0 = (np.arange(n, dtype=np.uint64) * np.uint64(SKIPS) + np.uint64(graph.m + 1)) * _GAMMA
     stop = np.zeros(n, dtype=bool)
     stop[list(stop_nodes)] = True
     stops = bool(stop.any())
@@ -174,12 +180,12 @@ def _grown(graph: Graph, roots: np.ndarray, stop_nodes: Iterable[int], gen) -> I
     rows = np.zeros((per, row), dtype=np.uint8)
     mark = rows.ravel()
     held = np.arange(per)  # the set each slot grows
-    keys = held * width + roots[:per]  # a level: slot * width + node, ascending
+    level = held * width + roots[:per]  # slot * width + node
     given, yielded = per, 0
     members, stopped = [], np.zeros(count, dtype=bool)  # members: set * n + node
-    while len(keys):
-        np.bitwise_or.at(mark, keys >> 3, _BITS[keys & 7])
-        slots, nodes = np.divmod(keys, width)
+    while len(level):
+        np.bitwise_or.at(mark, level >> 3, _BITS[level & 7])
+        slots, nodes = np.divmod(level, width)
         sets = held[slots]
         members.append(sets * n + nodes)
         go = reach[nodes] > 0  # nodes with an in-edge that can be live
@@ -188,23 +194,21 @@ def _grown(graph: Graph, roots: np.ndarray, stop_nodes: Iterable[int], gen) -> I
             if hit.any():
                 stopped[sets[hit]] = True
                 go &= ~stopped[sets]
-        entry, src = _live_in_edges(graph, nodes[go], gen)
-        keys = slots[go][entry] * width + src
-        keys = keys[(mark[keys >> 3] >> (keys & 7) & 1) == 0]
-        keys.sort()
-        fresh = np.ones(len(keys), dtype=bool)  # np.unique hashes: 10x slower
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        keys = keys[fresh]
+        go = go.nonzero()[0]
+        entry, src = _live_in_edges(graph, nodes[go], keys[sets[go]], gap0)
+        level = slots[go[entry]] * width + src
+        level = level[((mark[level >> 3] >> (level & 7) & 1) == 0).nonzero()[0]]
+        level.sort()  # np.unique hashes: 10x slower
+        level = level[differs(level).nonzero()[0]]
         if given < count:
             ends = np.zeros(per, dtype=bool)  # the slots whose set has no next level
             ends[slots] = True
-            ends[keys // width] = False
+            ends[level // width] = False
             refill = ends.nonzero()[0][: count - given]
             if len(refill):
                 rows[refill] = 0
                 held[refill] = np.arange(given, given + len(refill))
-                fresh_roots = refill * width + roots[given : given + len(refill)]
-                keys = np.sort(np.concatenate((keys, fresh_roots)))
+                level = np.concatenate((level, refill * width + roots[given : given + len(refill)]))
                 given += len(refill)
             if given - per - yielded >= per:  # a pool's worth of sets ended since the last block
                 block = _ended(members, held, given, n, stopped)
@@ -230,9 +234,7 @@ def _ended(members: list, held: np.ndarray, given: int, n: int, stopped: np.ndar
         keys = keys[~going]
     keys.sort()
     sets = keys // n
-    new = np.ones(len(sets), dtype=bool)
-    np.not_equal(sets[1:], sets[:-1], out=new[1:])
-    firsts = new.nonzero()[0]
+    firsts = differs(sets).nonzero()[0]
     flags = stopped[sets[firsts]]
     sets *= n
     keys -= sets  # in place: a block can hold most of a call's members
@@ -252,8 +254,7 @@ def sample_marginal_rr(graph: Graph, fixed_seeds: frozenset[int], count: int, rn
     unbiased estimator of the spread gained on top of the fixed seeds.
     """
     coll = RRCollection(graph.n)
-    roots, gen = _roots(graph, count, rng)
-    for nodes, sizes, stopped in _grown(graph, roots, fixed_seeds, gen):
+    for nodes, sizes, stopped in _grown(graph, *_roots(graph, count, rng), fixed_seeds):
         if stopped.any():
             nodes = nodes[np.repeat(~stopped, sizes)]
             sizes[stopped] = 0
@@ -284,8 +285,7 @@ def sample_weighted_rr(
     for node, item in base_allocation.pairs:
         best[node] = max(best[node], item_utils[item])
     coll = RRCollection(graph.n)
-    roots, gen = _roots(graph, count, rng)
-    for nodes, sizes, _ in _grown(graph, roots, base_allocation.seed_nodes(), gen):
+    for nodes, sizes, _ in _grown(graph, *_roots(graph, count, rng), base_allocation.seed_nodes()):
         reached = np.maximum.reduceat(best[nodes], np.cumsum(sizes) - sizes)  # no set is empty
         coll._append(nodes, sizes, item_utils[superior] - np.maximum(reached, 0.0), 0)
     return coll
@@ -323,7 +323,8 @@ def _greedy_selection(
         covered[sids] = True
         for w in weights[sids].tolist():
             total += w
-        slots, _ = csr_slots(offsets, sids)  # the newly covered sets' member slots, in set order
+        # the newly covered sets' member slots, in set order
+        slots, _ = spans(offsets[sids], offsets[sids + 1])
         np.subtract.at(gain, members[slots], slot_weights[slots])
         prefix.append(total)
     return picks, prefix

@@ -321,7 +321,7 @@ def test_sampled_world_flags_equal_per_edge_random_calls(catalog, probs):
         assert world.key == slow_rng.getrandbits(64) and world.live is None, trial
         assert fast_rng.getstate() == slow_rng.getstate(), trial
         keys = np.full(g.m, world.key, dtype=np.uint64)
-        coins = diffusion._coins(keys, np.arange(g.m))
+        coins = diffusion._coin_bits(keys, np.arange(g.m, dtype=np.uint64)) * 2.0**-53
         assert coins.tolist() == [coin(world.key, eid) for eid in range(g.m)], trial
         assert (coins < g.probs).tolist() == live_flags(world, g), trial
 
@@ -345,7 +345,7 @@ def test_integer_coin_threshold_is_the_float_test(key):
     eids = np.arange(g.m)
     bits = diffusion._coin_bits(keys, eids.astype(np.uint64))
     assert (bits < g.out_limits).tolist() == want
-    assert (diffusion._coins(keys, eids) < g.probs).tolist() == want
+    assert (bits * 2.0**-53 < g.probs).tolist() == want
     # and through `simulate`: a leaf adopts exactly when its edge is live
     cat = NOISE_CATALOGS[0]
     result = simulate(g, cat, Allocation.of([(0, "a")]), [PossibleWorld((0.0,), key=key)])

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from welfaremax import ris
+from welfaremax import ris, rng
 from welfaremax.diffusion import Allocation
 from welfaremax.graph import Graph
 from welfaremax.oracle import SpreadOracle, WelfareOracle
@@ -20,6 +21,7 @@ from welfaremax.ris import (
     sample_weighted_rr,
 )
 from welfaremax.rng import derive_rng
+from welfaremax.selectors import prima_plus
 from welfaremax.utility import ItemCatalog, expected_item_utilities
 
 from conftest import graph_from, superior_instance
@@ -62,12 +64,26 @@ def in_edges(graph: Graph, v: int) -> list[tuple[int, float]]:
 
 
 def grow(graph: Graph, roots, stop_nodes=(), seed=0) -> list[frozenset]:
-    """The pooled reverse BFS from the given roots, one set per root."""
-    gen = np.random.default_rng(derive_rng(seed).getrandbits(64))  # as a sampler seeds it
-    blocks = list(ris._grown(graph, np.asarray(roots, dtype=np.int64), stop_nodes, gen))
+    """The pooled reverse BFS from the given roots, one set per root, each
+    keyed as a sampler keys its sets."""
+    _, keys = ris._roots(graph, len(roots), derive_rng(seed))
+    blocks = list(ris._grown(graph, np.asarray(roots, dtype=np.int64), keys, stop_nodes))
     nodes = np.concatenate([b[0] for b in blocks])
     bounds = np.concatenate(([0], np.cumsum(np.concatenate([b[1] for b in blocks]))))
     return [frozenset(nodes[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+
+def count_hashed(monkeypatch) -> list[int]:
+    """A one-entry list that counts the values `ris` hashes from here on:
+    set keys and draws alike."""
+    hashed = [0]
+    for name, values in (("_coin_bits", 1), ("_mixed", 0)):  # the argument that holds them
+        def counted(*args, real=getattr(ris, name), values=values):
+            hashed[0] += len(args[values])
+            return real(*args)
+
+        monkeypatch.setattr(ris, name, counted)
+    return hashed
 
 
 def test_isolated_node_rr_set():
@@ -738,12 +754,12 @@ def test_mixed_in_edges_keep_each_source_at_its_own_probability():
         assert abs(rate - p) <= 3 * math.sqrt(p * (1.0 - p) / draws)
 
 
-def test_impossible_hub_adds_nothing_and_draws_nothing():
-    gen = np.random.default_rng(514)
-    state = gen.bit_generator.state
-    (nodes, sizes, _), = ris._grown(in_hub([0.0] * 500), np.zeros(50, dtype=np.int64), (), gen)
+def test_impossible_hub_adds_nothing_and_draws_nothing(monkeypatch):
+    hashed = count_hashed(monkeypatch)
+    keys = np.arange(50, dtype=np.uint64)
+    (nodes, sizes, _), = ris._grown(in_hub([0.0] * 500), np.zeros(50, dtype=np.int64), keys, ())
     assert nodes.tolist() == [0] * 50 and sizes.tolist() == [1] * 50
-    assert gen.bit_generator.state == state
+    assert hashed == [0]
 
 
 def test_certain_and_impossible_edges_decide_every_set():
@@ -763,58 +779,56 @@ def skip_scale(q: float) -> float:
     return -1.0 / math.log1p(-q) if q < 1.0 else 0.0
 
 
-def per_set_loop(graph, count, stop_nodes, rng):
-    """The pooled sampler as per-set Python loops over the same draws: the
-    roots; then, level by level, `SKIPS` rounds of one exponential gap per
-    walk still inside its node's in-slots, in (slot, node) order, the p < q
-    acceptance draws and the tail coins; then the slots whose sets ended
-    take the next roots in slot order. Returns each set's members and
-    whether it stopped at `stop_nodes`, in collection order: whenever a
-    pool's worth of sets has ended, the ended sets in root order, and at
-    the end the rest in root order."""
-    n = graph.n
-    gen = np.random.default_rng(rng.getrandbits(64))
-    roots = gen.integers(n, size=count).tolist()
-    per = max(1, min(count, ris.CHUNK_SETS, ris.MARK_BYTES // ((n + 7) // 8)))
-    members, stopped, order = [{root} for root in roots], [False] * count, []
-    held = list(range(per))  # the set each slot grows
-    level = {slot: {roots[slot]} for slot in range(min(per, count))}  # a set's newest members
-    given = per
+def stream(key: int, index: int) -> int:
+    """Output `index` of the SplitMix64 stream seeded at `key`."""
+    return rng._splitmix64((key + index * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
+
+
+def value(key: int, index: int) -> int:
+    """The 53 coin bits of value `index` of the set keyed `key`."""
+    return stream(key, index) >> 11
+
+
+def keyed_live_in(graph: Graph, key: int, v: int) -> list[int]:
+    """The sources of v's live in-edges in the set keyed `key`: one walk of
+    geometric skips over v's in-slots in plain Python, from the values
+    `ris._live_in_edges` documents."""
+    n, m, lo = graph.n, graph.m, int(graph.in_ptr[v])
+    ins = in_edges(graph, v)
+    q = max((p for _, p in ins), default=0.0)
+    live, pos = [], lo - 1  # the in-slot of the last candidate
+    if q == 0.0:
+        return live
+    for r in range(ris.SKIPS):
+        exponential = -float(np.log1p(-value(key, m + ris.SKIPS * v + r) * 2.0**-53))
+        pos += math.floor(exponential * skip_scale(q)) + 1
+        if pos >= lo + len(ins):
+            return live
+        src, p = ins[pos - lo]
+        if p == q or value(key, m + ris.SKIPS * (n + v) + r) * q < p * 2.0**53:
+            live.append(src)
+    tail = enumerate(ins[pos + 1 - lo :], start=pos + 1)
+    return live + [src for slot, (src, p) in tail if value(key, slot) < p * 2.0**53]
+
+
+def per_set_bfs(graph: Graph, key: int, stop_nodes) -> tuple[frozenset, bool]:
+    """One RR set by a plain per-set level loop over the keyed values: its
+    members, and whether it stopped after a level that touched
+    `stop_nodes`."""
+    members = level = {key % graph.n}
     while level:
-        walks = []
-        for slot in sorted(level):
-            if not stop_nodes.isdisjoint(level[slot]):
-                stopped[held[slot]] = True
-                continue
-            walks += [(slot, in_edges(graph, v)) for v in sorted(level[slot])]
-        walks = [(slot, ins) for slot, ins in walks if any(p > 0 for _, p in ins)]
-        candidates = []  # (slot, source, p, q), round after round
-        spots = [(slot, ins, -1, max(p for _, p in ins)) for slot, ins in walks]  # last candidate
-        for _ in range(ris.SKIPS):
-            gaps = gen.standard_exponential(len(spots)).tolist()
-            spots = [(slot, ins, pos + math.floor(gap * skip_scale(q)) + 1, q)
-                     for (slot, ins, pos, q), gap in zip(spots, gaps)]
-            spots = [spot for spot in spots if spot[2] < len(spot[1])]
-            candidates += [(slot, *ins[pos], q) for slot, ins, pos, q in spots]
-        thin = iter(gen.random(sum(p < q for *_, p, q in candidates)).tolist())
-        live = [(slot, src) for slot, src, p, q in candidates if p == q or next(thin) * q < p]
-        tails = [(slot, src, p) for slot, ins, pos, _ in spots for src, p in ins[pos + 1:]]
-        coins = gen.random(len(tails)).tolist()
-        live += [(slot, src) for (slot, src, p), coin in zip(tails, coins) if coin < p]
-        grown = {}
-        for slot, src in live:
-            if src not in members[held[slot]]:
-                grown.setdefault(slot, set()).add(src)
-        for slot, new in grown.items():
-            members[held[slot]] |= new
-        if given < count:
-            for slot in sorted(set(level) - set(grown))[: count - given]:
-                held[slot], grown[slot], given = given, {roots[given]}, given + 1
-            if given - per - len(order) >= per:
-                order += sorted(set(range(given)) - set(order) - set(held))
-        level = grown
-    order += sorted(set(range(count)) - set(order))
-    return [(frozenset(members[s]), stopped[s]) for s in order]
+        if not stop_nodes.isdisjoint(level):
+            return frozenset(members), True
+        level = {src for v in level for src in keyed_live_in(graph, key, v)} - members
+        members = members | level
+    return frozenset(members), False
+
+
+def per_set_loop(graph, count, stop_nodes, rng):
+    """A call's sets by `per_set_bfs`, in root order, set s keyed by output
+    s of the stream seeded at the call's ``rng.getrandbits(64)``."""
+    call = rng.getrandbits(64)
+    return [per_set_bfs(graph, stream(call, s), stop_nodes) for s in range(count)]
 
 
 @pytest.fixture(params=["skip", "cascade"])
@@ -828,14 +842,20 @@ def sampled_graph(request):
 def test_marginal_rr_matches_the_per_set_loop_bit_for_bit(
     sampled_graph, fixed, mark_bytes, monkeypatch
 ):
-    # a 40-byte mark holds 2 sets of the 127-node graph and 1 of the 400-node one
+    # a 40-byte mark holds 2 sets of the 127-node graph and 1 of the 400-node
+    # one, so the pool refills and yields blocks; a pool that holds the whole
+    # call gives its sets in root order
+    one_pool = mark_bytes == ris.MARK_BYTES
     monkeypatch.setattr(ris, "MARK_BYTES", mark_bytes)
-    count = 3_000 if mark_bytes == ris.MARK_BYTES else 300
+    count = ris.CHUNK_SETS if one_pool else 300
     new_rng, old_rng = derive_rng(510), derive_rng(510)
     coll = sample_marginal_rr(sampled_graph, fixed, count, new_rng)
-    want = per_set_loop(sampled_graph, count, fixed, old_rng)
-    assert sets_of(coll) == [frozenset() if hit else members for members, hit in want]
-    assert coll.empty == sum(hit for _, hit in want) and list(coll.weights) == [1.0] * count
+    want = [frozenset() if hit else members for members, hit in per_set_loop(
+        sampled_graph, count, fixed, old_rng)]
+    if one_pool:
+        assert sets_of(coll) == want
+    assert Counter(sets_of(coll)) == Counter(want)
+    assert coll.empty == want.count(frozenset()) and list(coll.weights) == [1.0] * count
     assert new_rng.getstate() == old_rng.getstate()
 
 
@@ -851,11 +871,50 @@ def test_weighted_rr_matches_the_helper_sampler_bit_for_bit(graph_kind):
     catalog, _ = _skip_superior_instance()
     utils = expected_item_utilities(catalog)
     new_rng, old_rng = derive_rng(509), derive_rng(509)
-    coll = sample_weighted_rr(g, base, "sup", catalog, 5_000, new_rng, utils)
-    want = per_set_loop(g, 5_000, base.seed_nodes(), old_rng)
+    coll = sample_weighted_rr(g, base, "sup", catalog, ris.CHUNK_SETS, new_rng, utils)
+    want = per_set_loop(g, ris.CHUNK_SETS, base.seed_nodes(), old_rng)
     assert sets_of(coll) == [members for members, _ in want]
     assert list(coll.weights) == [_weight(members, base, "sup", utils) for members, _ in want]
     assert new_rng.getstate() == old_rng.getstate() and coll.empty == 0
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["marginal", "weighted"])
+def test_a_call_draws_the_same_sets_at_every_pool_width(sampled_graph, weighted, monkeypatch):
+    # one pool for the whole call, one of 2 or 1 slots refilled as sets end,
+    # and one set at a time
+    catalog, _ = _skip_superior_instance()
+    utils = expected_item_utilities(catalog)
+    base = Allocation.of([(0, "inf"), (3, "inf")])
+    count = 1_000
+
+    def draw():
+        rng = derive_rng(518)
+        if weighted:
+            coll = sample_weighted_rr(sampled_graph, base, "sup", catalog, count, rng, utils)
+        else:
+            coll = sample_marginal_rr(sampled_graph, base.seed_nodes(), count, rng)
+        return Counter(zip(sets_of(coll), coll.weights)), coll.empty
+
+    want = draw()
+    assert want[1] > 0 or weighted
+    with monkeypatch.context() as patch:
+        patch.setattr(ris, "MARK_BYTES", 40)
+        assert draw() == want
+    monkeypatch.setattr(ris, "CHUNK_SETS", 1)
+    assert draw() == want
+
+
+def test_prima_plus_picks_the_same_seeds_at_every_pool_width(monkeypatch):
+    g = weighted_cascade_graph(random.Random(505))
+
+    def picks():
+        return prima_plus(g, 0.5, 1.0, frozenset({0, 9}), [2, 5], 5, derive_rng(519))
+
+    want = picks()
+    monkeypatch.setattr(ris, "CHUNK_SETS", 7)
+    assert picks() == want
+    monkeypatch.setattr(ris, "MARK_BYTES", 150)  # 3 slots of the 400-node graph
+    assert picks() == want
 
 
 def _ks_distance(a, b):
@@ -925,39 +984,36 @@ def test_skip_weighted_rr_sizes_and_weights_match_the_per_edge_coin_sampler():
     assert abs(new_w - old_w) <= 3 * math.hypot(new_s, old_s)
 
 
-class CountingGenerator:
-    """A numpy Generator that counts the values drawn by `random` and
-    `standard_exponential`, the samplers' coins, gaps and acceptances."""
-
-    make = staticmethod(np.random.default_rng)  # the real one, before any monkeypatch
-
-    def __init__(self, seed):
-        self.gen, self.drawn = self.make(seed), 0
-
-    def integers(self, *args, **kwargs):
-        return self.gen.integers(*args, **kwargs)
-
-    def random(self, size):
-        self.drawn += int(np.prod(size))
-        return self.gen.random(size)
-
-    def standard_exponential(self, size):
-        self.drawn += int(np.prod(size))
-        return self.gen.standard_exponential(size)
-
-
 def test_skips_draw_under_half_the_per_edge_coins(monkeypatch):
     # a per-edge-coin sampler draws one coin per in-edge of every member of
-    # a plain RR set; the skips draw `SKIPS` gaps per member with in-edges
+    # a plain RR set; the skips hash a key per set and at most `SKIPS` gaps
+    # per member with in-edges, some acceptances and tail coins
     g = weighted_cascade_graph(random.Random(505))
-    gens = []
-
-    def counting_rng(seed):
-        gens.append(CountingGenerator(seed))
-        return gens[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    hashed = count_hashed(monkeypatch)
     coll = sample_rr(g, 20_000, derive_rng(517))
     members, _ = coll._arrays()
     coins = int(np.diff(g.in_ptr)[members].sum())
-    assert len(gens) == 1 and gens[0].drawn < coins / 2
+    assert 20_000 < hashed[0] < coins / 2
+
+
+def test_keyed_in_edge_liveness_is_unbiased_and_independent():
+    """20,000 sets rooted at a hub whose sources are leaves, so each set is
+    the hub and the sources of its live in-edges: each in-edge's live
+    fraction, and the joint fraction of neighbouring in-edges and of one
+    in-edge in consecutive sets, lie within 4 standard errors of p and of
+    the product of the probabilities. The hub's first in-slots are skip
+    candidates, thinned at p / q, and the rest take tail coins."""
+    probs = [0.001, 0.1, 0.5, 0.999, 0.5, 0.001, 0.999, 0.1]
+    count = 20_000
+    live = np.zeros((count, len(probs)), dtype=bool)
+    for s, members in enumerate(grow(in_hub(probs), [0] * count, seed=17)):
+        live[s, [src - 1 for src in members if src]] = True
+
+    def within_4_stderr(hits: np.ndarray, p: float) -> bool:
+        return abs(hits.mean() - p) <= 4 * math.sqrt(p * (1 - p) / len(hits))
+
+    for slot, p in enumerate(probs):
+        assert within_4_stderr(live[:, slot], p), slot
+        assert within_4_stderr(live[1:, slot] & live[:-1, slot], p * p), slot
+    for slot, (p, q) in enumerate(zip(probs, probs[1:])):
+        assert within_4_stderr(live[:, slot] & live[:, slot + 1], p * q), slot

@@ -418,11 +418,12 @@ def _prima_case(case: int):
     if case == 25:  # k = 1 certifies, then k = 2 fails at the same x on the reused order
         return Graph(10, [(0, v, 0.8) for v in range(1, 10)]), 0.5, frozenset(), [1, 2], 2, 110
     if case >= 30:  # budget 6 is tested draw-free: case 30 fails there, then certifies on grown sets
-        rng = random.Random(100 + case)
+        seed = (100, 106)[case - 30]
+        rng = random.Random(seed)
         n = 40
         pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
         edges = [(u, v, rng.choice((0.3, 0.6, 1.0))) for u, v in sorted(pairs) if u != v]
-        return Graph(n, edges), 0.5, frozenset(), [1, 2, 6], 6, 100 + case
+        return Graph(n, edges), 0.5, frozenset(), [1, 2, 6], 6, seed
     if case >= 26:  # stars: budget 7 certifies draw-free after 2 does, and budget 1 sizes the fresh draw
         leaves = [range(10, 30), [20] * 15, range(5, 25), range(10, 30)][case - 26]
         fixed = frozenset({0}) if case == 28 else frozenset()
@@ -552,7 +553,7 @@ def test_final_plan_over_the_rr_set_cap_raises_before_drawing_it(monkeypatch):
 
 def test_fresh_collection_is_sized_for_every_certified_budget(monkeypatch):
     # 100 stars of 10 leaves: budget 10's lower bound asks for about 9,000
-    # fresh sets, but budget 1's, 7.449, asks for 30,652
+    # fresh sets, but budget 1's, 7.478, asks for 30,534
     events = []
     _recording_samplers(monkeypatch, events)
     graph = _stars([10] * 100)
@@ -563,10 +564,10 @@ def test_fresh_collection_is_sized_for_every_certified_budget(monkeypatch):
         int(f["k"]): math.ceil(lambda_star(graph.n, int(f["k"]), 0.5, ellp) / float(f["lb"]))
         for f in certified
     }
-    assert sizes[1] == 30_652 and sizes[10] < 10_000
+    assert sizes[1] == 30_534 and sizes[10] < 10_000
     final = _fields(next(ev for ev in events if ev.startswith("phase=final")))
-    assert (final["k"], final["theta"], final["lb"]) == ("1", "30652", certified[0]["lb"])
-    assert events[-1] == "sample 30652"
+    assert (final["k"], final["theta"], final["lb"]) == ("1", "30534", certified[0]["lb"])
+    assert events[-1] == "sample 30534"
 
 
 def test_draw_free_test_draws_fewer_sets(monkeypatch):
@@ -582,9 +583,9 @@ def test_draw_free_test_draws_fewer_sets(monkeypatch):
 
     monkeypatch.setitem(globals(), "sample_marginal_rr", counting)
     _two_search_prima_plus(graph, eps, 1.0, fixed, budgets, b_max, derive_rng(81, seed), held=False)
-    # 3,962 search sets and as many fresh ones; without the test, budget 7
+    # 4,633 search sets and as many fresh ones; without the test, budget 7
     # grows the search to 6,882 sets at the round where budget 2 certified
-    assert (_drawn(events), sum(without)) == (7_924, 10_844)
+    assert (_drawn(events), sum(without)) == (9_266, 11_515)
 
 
 def test_draw_free_certified_bounds_stay_below_opt_statistically():
