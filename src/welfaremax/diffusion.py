@@ -20,9 +20,12 @@ vector and a column per item mask. Its work follows the cascade: each
 round reads the frontier's out-slots through one index into the
 frontier, and the adopters are the keys the frontiers reached, so past
 zero-filling its two state arrays no step touches every (world, node)
-cell. One loop, `world_runs`, makes worlds a chunk at a time
-(`chunk_worlds`) and runs every allocation of an estimate, or of an
-exact oracle query, on a chunk before making the next.
+cell. The adopters are counted per (world, bundle) cell, and a world's
+welfare is one exactly rounded `math.fsum` over its cells, each cell's
+count times utility written as terms that sum to it exactly. One loop,
+`world_runs`, makes worlds a chunk at a time (`chunk_worlds`) and runs
+every allocation of an estimate, or of an exact oracle query, on a chunk
+before making the next.
 """
 
 from __future__ import annotations
@@ -152,8 +155,9 @@ def _mixed(z: np.ndarray, shift: int = 11) -> np.ndarray:
 class Adoption(Mapping):
     """``(world, node) -> items`` for every non-empty final adoption of a
     batch, in ascending (world, node) order. The pairs are kept as flat
-    ``world * n + node`` keys with item masks; len() reads the keys, and the
-    dict is built on the first lookup."""
+    ``world * n + node`` keys, in the order they first adopted, with their
+    item masks; len() counts the keys, and the first lookup sorts them and
+    builds the dict."""
 
     def __init__(self, catalog: ItemCatalog, n: int, keys: np.ndarray, masks: np.ndarray):
         self._catalog, self._n, self._keys, self._masks = catalog, n, keys, masks
@@ -163,8 +167,9 @@ class Adoption(Mapping):
 
     @cached_property
     def _pairs(self) -> dict[tuple[int, int], frozenset[str]]:
-        owner, nodes = np.divmod(self._keys, self._n)
-        masks = self._masks.tolist()
+        order = np.argsort(self._keys)
+        owner, nodes = np.divmod(self._keys[order], self._n)
+        masks = self._masks[order].tolist()
         bundles = {mask: frozenset(self._catalog.itemset(mask)) for mask in set(masks)}
         return dict(zip(zip(owner.tolist(), nodes.tolist()), map(bundles.__getitem__, masks)))
 
@@ -184,7 +189,8 @@ class DiffusionResult:
     order: world w's ``welfare[w]``, ``rounds[w]`` and, per item,
     ``item_counts[item][w]`` adopters. ``adoption`` maps ``(w, node)`` to
     the node's final adoption in world w, for every non-empty one, so its
-    len() counts the adopters of the whole batch."""
+    len() counts the adopters of the whole batch; it builds the map only
+    when read."""
 
     adoption: Adoption
     welfare: list[float]
@@ -231,6 +237,23 @@ def _utility_table(catalog: ItemCatalog, noise: np.ndarray) -> np.ndarray:
     return table
 
 
+def _world_sums(
+    owner: np.ndarray, values: np.ndarray, adopters: np.ndarray, count: int
+) -> list[float]:
+    """Each of `count` worlds' welfare from its cells: ``adopters[k]``
+    adopters of utility ``values[k]`` in world ``owner[k]``, `owner`
+    ascending. A cell's product is the exact sum of ``values[k] * 2**j``
+    over the binary digits j of its count, and `math.fsum` rounds a
+    world's exact sum once, so each welfare is the same float as the fsum
+    of the world's utilities adopter by adopter, for any finite utilities
+    and counts whose products and sums stay finite."""
+    width = int(adopters.max(initial=0)).bit_length()
+    cell, digit = np.nonzero(adopters[:, None] >> np.arange(width) & 1)
+    terms = np.ldexp(values[cell], digit).tolist()
+    bounds = np.searchsorted(owner[cell], np.arange(count + 1)).tolist()
+    return [math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def chunk_worlds(graph: Graph, catalog: ItemCatalog) -> int:
     """The most worlds one chunk holds: `CHUNK_CELLS` over the largest of
     the graph's node and edge counts and the catalog's itemset count, and
@@ -261,11 +284,13 @@ def _edge_test(graph: Graph, worlds: Sequence[PossibleWorld]):
 
 
 def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
-    """The rounds of `simulate` in `count` worlds: the adopters' ascending
-    ``w * n + node`` keys, their final adoption masks, and each world's
-    round count. `is_live` is `_edge_test`'s, `seeds` maps each seed node
-    to its items' mask, and ``choose(keys, desired, current)`` gives the
-    new adoption at each key."""
+    """The rounds of `simulate` in `count` worlds: the adopters' ``w * n +
+    node`` keys, in the order they first adopted, and their final adoption
+    masks; the occupied ``w << MAX_SIM_ITEMS | mask`` cells of those masks,
+    ascending, with each cell's adopter count; and each world's round count.
+    `is_live` is `_edge_test`'s, `seeds` maps each seed node to its items'
+    mask, and ``choose(keys, desired, current)`` gives the new adoption at
+    each key."""
     n = graph.n
     desire = np.zeros(count * n, dtype=np.uint16)
     adopt = np.zeros(count * n, dtype=np.uint16)
@@ -275,8 +300,8 @@ def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
     adopt[frontier] = choose(frontier, desire[frontier], adopt[frontier])
     frontier = frontier[adopt[frontier] != 0]
     # a key whose adoption changes holds a non-empty one from then on, so
-    # the keys of every frontier are the adopters, some more than once
-    reached = [frontier]
+    # the keys that adopt while holding none are the adopters, each once
+    fresh = [frontier]
     rounds = np.zeros(count, dtype=np.int64)
     out_ptr, out_dst = graph.out_ptr, graph.out_dst
     round_no = 0
@@ -310,10 +335,15 @@ def _spread(graph: Graph, count: int, is_live, seeds: dict[int, int], choose):
         changed = np.flatnonzero(chosen != current)
         frontier = targets[changed]
         adopt[frontier] = chosen[changed]
-        reached.append(frontier)
-    adopters = np.sort(np.concatenate(reached))
-    adopters = adopters[differs(adopters)]
-    return adopters, adopt[adopters], rounds
+        fresh.append(frontier[current[changed] == 0])
+    adopters = np.concatenate(fresh)
+    masks = adopt[adopters]
+    cells = adopters // n
+    cells <<= MAX_SIM_ITEMS
+    cells |= masks
+    cells.sort()
+    firsts = np.flatnonzero(differs(cells))
+    return adopters, masks, cells[firsts], np.diff(firsts, append=len(cells)), rounds
 
 
 def simulate(
@@ -334,13 +364,19 @@ def simulate(
     source's world and adoption, ORs together the items each target newly
     hears of, and lets those targets re-decide. A decision depends only on
     the world's noise vector, the desire and the current adoption, and is
-    made once per distinct triple. A key whose adoption changed holds a
-    non-empty one from then on, so the adopters are the distinct keys of
-    all the frontiers. Every utility, in a decision and in the welfare
-    of the final adoption, comes from one table (`_utility_table`) with a
-    row per distinct noise vector, bit for bit, and a column per item
-    mask. Callers keep ``len(worlds) * max(n, m, 2^items)`` within
-    `CHUNK_CELLS` (`chunk_worlds`).
+    made once per distinct triple; with one noise vector in the batch, a
+    table indexed by (desire, current) holds the decisions made so far,
+    and a round sorts only the pairs not yet decided. A key whose
+    adoption changed holds a non-empty one from then on, so the keys that
+    adopt while holding none are the adopters, each once. They are
+    counted per occupied (world, final mask) cell; each world's welfare
+    (`_world_sums`) and per-item adopter counts come from those counts,
+    and the welfare is the same float as an fsum over the adopters one by
+    one. Every utility, in a decision and in the welfare, comes from one
+    table (`_utility_table`) with a row per distinct noise vector, bit for
+    bit, and a column per item mask. Callers keep
+    ``len(worlds) * max(n, m, 2^items)`` within `CHUNK_CELLS`
+    (`chunk_worlds`).
     """
     if catalog.m > MAX_SIM_ITEMS:
         raise DiffusionError(f"simulator enumerates itemsets; m <= {MAX_SIM_ITEMS} required")
@@ -361,36 +397,44 @@ def simulate(
     vectors, noise_of = np.unique(noise.view(np.int64), axis=0, return_inverse=True)  # bit for bit
     noise_of = noise_of.reshape(-1)  # its shape differs across numpy versions
     table = _utility_table(catalog, vectors.view(np.float64))  # a row per noise id
+    m, full = catalog.m, (1 << catalog.m) - 1
     choices: dict[int, int] = {}  # (noise id, desire, current) triple -> new adoption
+    # with one noise vector, every decision made so far by (desire, current); 0xFFFF if none
+    known = np.full(1 << 2 * m, 0xFFFF, dtype=np.uint16) if len(vectors) == 1 else None
 
-    def choose(keys: np.ndarray, desired: np.ndarray, current: np.ndarray) -> np.ndarray:
-        triples = desired.astype(np.int64) << MAX_SIM_ITEMS
-        triples |= current
-        if len(vectors) > 1:
-            triples |= noise_of[keys // n] << 2 * MAX_SIM_ITEMS
+    def decide(triples: np.ndarray) -> np.ndarray:
         distinct = np.sort(triples)
         distinct = distinct[differs(distinct)]
         picks = []
         for triple in distinct.tolist():
             if triple not in choices:
                 # its noise id's row, as a memoryview, which reads out Python floats
-                util = memoryview(table[triple >> 2 * MAX_SIM_ITEMS])
-                choices[triple] = _best_feasible(
-                    triple >> MAX_SIM_ITEMS & _MASKS, triple & _MASKS, util
-                )
+                util = memoryview(table[triple >> 2 * m])
+                choices[triple] = _best_feasible(triple >> m & full, triple & full, util)
             picks.append(choices[triple])
         return np.array(picks, dtype=np.uint16)[np.searchsorted(distinct, triples)]
 
-    adopters, masks, rounds = _spread(graph, count, is_live, seeds, choose)
-    owner = adopters // n
-    values = table[noise_of[owner], masks]
-    bounds = np.searchsorted(adopters, np.arange(count + 1) * n).tolist()
-    welfare = [math.fsum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    def choose(keys: np.ndarray, desired: np.ndarray, current: np.ndarray) -> np.ndarray:
+        triples = desired.astype(np.int64) << m
+        triples |= current
+        if known is None:
+            triples |= noise_of[keys // n] << 2 * m
+            return decide(triples)
+        picks = known[triples]
+        unknown = np.flatnonzero(picks == 0xFFFF)
+        if len(unknown):
+            missing = triples[unknown]
+            known[missing] = picks[unknown] = decide(missing)
+        return picks
+
+    keys, held, cells, adopters, rounds = _spread(graph, count, is_live, seeds, choose)
+    owner, masks = cells >> MAX_SIM_ITEMS, cells & _MASKS
+    welfare = _world_sums(owner, table[noise_of[owner], masks], adopters, count)
     counts = {
-        item: np.bincount(owner, masks >> i & 1, count).astype(np.int64).tolist()
+        item: np.bincount(owner, adopters * (masks >> i & 1), count).astype(np.int64).tolist()
         for i, item in enumerate(catalog.items)
     }
-    return DiffusionResult(Adoption(catalog, n, adopters, masks), welfare, counts, rounds.tolist())
+    return DiffusionResult(Adoption(catalog, n, keys, held), welfare, counts, rounds.tolist())
 
 
 class WelfareEstimate(NamedTuple):

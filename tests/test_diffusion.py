@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,9 +28,10 @@ from welfaremax.oracle import SpreadOracle, WelfareOracle
 from welfaremax.ris import sample_rr, sample_weighted_rr
 from welfaremax.rng import _splitmix64, derive_rng, derive_seed
 from welfaremax.selectors import prima_plus
-from welfaremax.utility import ItemCatalog, NoiseSpec, utility
+from welfaremax.utility import ItemCatalog, NoiseSpec, load_catalog_config, utility
 
 from conftest import (
+    CONFIGS,
     graph_from,
     random_allocation,
     random_coverage_catalog,
@@ -454,6 +456,40 @@ def assert_same_result(got, want):
     assert list(got.item_counts) == list(want.item_counts)
 
 
+def test_world_sums_are_the_per_adopter_fsum_bit_for_bit():
+    """`_world_sums` takes each world's welfare from (utility, adopter
+    count) cells; it must be the very float that `math.fsum` gives over the
+    world's utilities adopter by adopter, on values where a product rounded
+    once would differ: `trio_blocking`'s near-cancelling utilities, values
+    near the float range's ends, subnormals, negative and signed-zero
+    utilities, and one cell of 2^20 adopters."""
+    with open(CONFIGS / "trio_blocking.cfg") as f:
+        trio = load_catalog_config(f).catalog
+    pool = sorted(set((trio.values - trio.prices).tolist()))  # 10.1 - 10, 10.11 - 10, ...
+    pool += [10.1, 10.11, -10.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.5e-323,
+             1e-310, -3.3e-311, 0.0, -0.0, 0.1, -0.3, 1.0 / 3.0]
+    rng = random.Random(2 ** 20)
+    cells = []  # (world, utility, count)
+    count = 60
+    for world in range(count):
+        if world % 7 == 3:
+            continue  # a world without adopters
+        for value in rng.sample(pool, rng.randint(1, 6)):
+            cells.append((world, value, rng.choice([1, 2, 3, 7, 255, 1000, rng.randint(1, 5000)])))
+    big = count - 1  # one cell of 2^20 adopters against cells that nearly cancel it
+    cells += [(big, 10.11 - 10.0, 2**20), (big, -(10.1 - 10.0), 2**20 - 3), (big, 1e-300, 5)]
+    cells.sort(key=lambda cell: cell[0])
+    owner = np.array([w for w, _, _ in cells], dtype=np.int64)
+    values = np.array([v for _, v, _ in cells])
+    adopters = np.array([c for _, _, c in cells], dtype=np.int64)
+    got = diffusion._world_sums(owner, values, adopters, count)
+    want = [math.fsum(v for w, value, c in cells if w == world for v in [value] * c)
+            for world in range(count)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert got[3] == 0.0  # no adopters
+    assert diffusion._world_sums(owner[:0], values[:0], adopters[:0], 2) == [0.0, 0.0]
+
+
 def test_simulate_matches_reference_on_sampled_worlds():
     rng = random.Random(2024)
     for trial in range(40):
@@ -621,6 +657,34 @@ def test_one_batch_of_mixed_noise_worlds_matches_reference_world_by_world():
         assert len({w.noise for w in worlds}) == len(worlds)  # a table row per world
         assert_batch_matches_reference(rng, g, cat, worlds)
     assert sizes == {4, 5, 6}  # 16, 32 and 64 table columns
+
+
+def test_many_adopters_of_many_bundles_match_reference_world_by_world():
+    """A batch whose worlds each hold dozens of adopters of several bundles,
+    every world with its own gaussian noise vector: each world's welfare,
+    bit for bit, its adoption and its item counts are the reference's."""
+    rng = random.Random(8)
+    n = 80
+    g = Graph(n, [(u, v, rng.uniform(0.2, 1.0)) for u in range(n) for v in range(n)
+                  if u != v and rng.random() < 0.06])
+    cat = ItemCatalog(
+        ["a", "b", "c"],
+        prices={"a": 1, "b": 1.1, "c": 0.9},
+        valuations={("a",): 3, ("b",): 2.9, ("c",): 2.2, ("a", "b"): 3.5, ("a", "c"): 4.6,
+                    ("b", "c"): 3.9, ("a", "b", "c"): 4.8},
+        noise={it: NoiseSpec.gaussian(0.6) for it in "abc"},
+    )
+    worlds = [PossibleWorld.sample(cat, derive_rng(5, idx)) for idx in range(12)]
+    assert len({w.noise for w in worlds}) == len(worlds)
+    alloc = Allocation.of([(v, it) for v, it in zip(range(0, 30, 2), "abc" * 5)])
+    batch = simulate(g, cat, alloc, worlds)
+    for w, world in enumerate(worlds):
+        live = live_flags(world, g)
+        want = reference_simulate(g, cat, alloc, world.noise, lambda eid, p: live[eid])
+        assert_same_result(world_result(batch, w), want)
+        bundles = list(want.adoption.values())
+        assert len(set(bundles)) >= 2 and max(map(bundles.count, bundles)) >= 20
+    assert len(batch.adoption) > 12 * 60
 
 
 def test_worlds_keep_no_reference_to_their_graph():
@@ -838,3 +902,74 @@ def test_a_small_cascade_costs_little_on_a_large_graph():
     assert all(repr(est) == repr(small) for est, _ in runs)
     assert 0.0 < small.mean < 11.0
     assert min(seconds for _, seconds in runs) < 0.3
+
+
+def test_an_estimate_never_builds_the_adoption_map(monkeypatch):
+    """Monte Carlo reads welfare and adopter counts from the count cells:
+    a 100-world estimate never sorts the adopters' keys into the adoption
+    map, while len() of each result's adoption is the adopter count, and
+    the map, once read, is in ascending (world, node) order."""
+    g = graph_from("0 1 0.5\n1 2 0.7\n2 3 0.5\n3 4 0.3\n0 5 0.5\n5 4 0.7\n4 0 0.6\n")
+    cat = NOISE_CATALOGS[1]
+    alloc = Allocation.of([(0, "a"), (5, "b"), (3, "a")])
+
+    def unread(self):
+        raise AssertionError("the adoption map was built")
+
+    results = []
+    real = diffusion.simulate
+    monkeypatch.setattr(diffusion.Adoption, "_pairs", property(unread))
+    monkeypatch.setattr(diffusion, "simulate", lambda *a: results.append(real(*a)) or results[-1])
+    est = estimate_welfare(g, cat, alloc, 100, seed=4)
+    (result,) = results
+    wants = []
+    for idx in range(100):
+        world = PossibleWorld.sample(cat, derive_rng(4, idx))
+        live = live_flags(world, g)
+        wants.append(reference_simulate(g, cat, alloc, world.noise, lambda eid, p: live[eid]))
+    assert len(result.adoption) == sum(len(want.adoption) for want in wants) > 100
+    assert est.mean == math.fsum(want.welfare[0] for want in wants) / 100
+    monkeypatch.undo()
+    pairs = list(result.adoption)
+    assert pairs == sorted(pairs) and len(pairs) == len(result.adoption)
+    assert [world_result(result, w) for w in range(100)] == wants
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["zero-noise", "gaussian"])
+def test_a_batch_of_ten_item_worlds_at_the_cap_stays_small(noisy):
+    """One `simulate` call at the chunk cap, 8,192 worlds of a 10-item
+    catalog on a 20-node graph, holds its adopters' counts in occupied
+    (world, bundle) cells only. A dense int64 count over every (world,
+    bundle) cell would take 64 MiB alone. Without noise, where hundreds of
+    bundles are adopted, the traced peak stays under half of that; with a
+    gaussian noise vector per world it stays within what the 64 MiB
+    utility table's build takes."""
+    rng = random.Random(5)
+    n = 20
+    g = Graph(n, [(u, v, 0.5) for u in range(n) for v in range(n)
+                  if u != v and rng.random() < 0.15])
+    items = [f"i{k}" for k in range(10)]
+    valuations = {
+        tuple(it for k, it in enumerate(items) if mask >> k & 1):
+            sum(2.0 + 0.1 * k for k in range(10) if mask >> k & 1)
+        for mask in range(1, 1 << 10)
+    }
+    noise = {it: NoiseSpec.gaussian(0.5) for it in items} if noisy else {}
+    cat = ItemCatalog(items, dict.fromkeys(items, 1.0), valuations, noise)
+    alloc = Allocation.of(list(zip(range(2), items)) if noisy else list(enumerate(items)))
+    count = diffusion.chunk_worlds(g, cat)
+    assert count * (1 << cat.m) == diffusion.CHUNK_CELLS
+    worlds = [PossibleWorld.sample(cat, derive_rng(3, idx)) for idx in range(count)]
+    tracemalloc.start()
+    try:
+        result = simulate(g, cat, alloc, worlds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = 8 * count * (1 << cat.m)
+    assert len(result.adoption) > 30_000
+    if noisy:
+        assert peak < 1.5 * dense + (8 << 20)
+    else:
+        assert len(set(result.adoption.values())) > 500
+        assert peak < dense / 2
