@@ -229,11 +229,12 @@ def _utility_table(catalog: ItemCatalog, noise: np.ndarray) -> np.ndarray:
     """``table[k, mask]``: the utility of each item mask under each row k of
     `noise`, its value plus, item by item in index order, the item's noise
     minus its price."""
-    masks = np.arange(1 << catalog.m)
+    m = catalog.m
     table = np.tile(catalog.values, (len(noise), 1))
     for i, price in enumerate(catalog.item_prices):
-        held = masks >> i & 1 != 0
-        table[:, held] += (noise[:, i] - price)[:, None]
+        # the masks with item i, in place: (row, high bits, item i, low bits)
+        with_i = table.reshape(len(noise), 1 << m - 1 - i, 2, 1 << i)[:, :, 1]
+        with_i += (noise[:, i] - price)[:, None, None]
     return table
 
 

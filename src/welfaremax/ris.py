@@ -17,11 +17,13 @@ pool's width and schedule move no draw, only the order in which sets reach
 the collection, in blocks: whenever a pool's worth of sets has ended,
 those sets in root order, and the rest at the end.
 
-A collection is flat: the members of all sets end to end, each set's in
-ascending node order, with per-set offsets and weights. Greedy
-max-coverage groups member slots by node with one plain sort per call
-and works on numpy arrays, adding and subtracting weights in the set order
-a per-set loop would use, so its picks and totals are the same floats.
+A collection is flat: the members of all sets end to end as 4-byte node
+ids (so n < 2**31), each set's in ascending node order, with per-set
+offsets and weights. Greedy max-coverage groups member slots by node with
+one plain sort per call and finds a pick's sets by searching the offsets,
+so it copies no set id per member; the counting greedy copies no weight
+per member either. It adds and subtracts weights in the set order a
+per-set loop would use, so its picks and totals are the same floats.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from welfaremax.utility import ItemCatalog
 MARK_BYTES = 1 << 23  # most bytes of the pool's (slot, node) mark
 CHUNK_SETS = 4096  # most RR sets grown together: the pool's slots
 SKIPS = 3  # geometric-skip candidates per in-edge walk before its plain coins
+GREEDY_SLOTS = 1 << 14  # about the most member slots a greedy pick expands at once
 _BITS = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
 
@@ -56,15 +59,18 @@ class RRCollection:
     """
 
     def __init__(self, n: int):
+        if n >= 1 << 31:
+            raise RISError(f"RR sets hold 4-byte node ids; {n} nodes need n < 2**31")
         self.n = n
-        self.members = array("q")
+        self.members = array("i")
         self.offsets = array("q", [0])
         self.weights = array("d")
         self.empty = 0
 
     def _append(self, members, sizes: np.ndarray, weights, empty: int) -> None:
-        """Append sets of `sizes` members each, from int64 and float64 buffers."""
+        """Append sets of `sizes` members each, from integer and float64 buffers."""
         ends = len(self.members) + np.cumsum(sizes)
+        members = np.asarray(members, dtype=np.int32)  # no copy from another collection
         for dest, src in ((self.offsets, ends), (self.members, members), (self.weights, weights)):
             dest.frombytes(memoryview(src).cast("B"))
         self.empty += empty
@@ -79,7 +85,7 @@ class RRCollection:
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Members and offsets, viewed without a copy; a view must not
         outlive a growth of the collection."""
-        return np.frombuffer(self.members, np.int64), np.frombuffer(self.offsets, np.int64)
+        return np.frombuffer(self.members, np.int32), np.frombuffer(self.offsets, np.int64)
 
     def coverage_fraction(self, seeds: Iterable[int]) -> float:
         if not len(self):
@@ -281,10 +287,10 @@ def sample_weighted_rr(
     """
     if superior not in catalog.index:
         raise RISError(f"unknown superior item {superior!r}")
+    coll = RRCollection(graph.n)
     best = np.zeros(graph.n)  # per node, the best utility among its base items, or 0
     for node, item in base_allocation.pairs:
         best[node] = max(best[node], item_utils[item])
-    coll = RRCollection(graph.n)
     for nodes, sizes, _ in _grown(graph, *_roots(graph, count, rng), base_allocation.seed_nodes()):
         reached = np.maximum.reduceat(best[nodes], np.cumsum(sizes) - sizes)  # no set is empty
         coll._append(nodes, sizes, item_utils[superior] - np.maximum(reached, 0.0), 0)
@@ -301,11 +307,12 @@ def _greedy_selection(
     if k > n:
         raise RISError(f"cannot select {k} seeds from {n} nodes")
     members, offsets = collection._arrays()
-    set_of = np.repeat(np.arange(len(collection)), np.diff(offsets))
-    weights = np.array(collection.weights) if weighted else np.ones(len(collection))
-    slot_weights = weights[set_of]
-    # per node, bincount adds its sets' weights in set order, as a loop would
-    gain = np.bincount(members, slot_weights, n).astype(np.float64, copy=False)
+    if weighted:
+        weights = np.frombuffer(collection.weights)
+        # per node, bincount adds its sets' weights in set order, as a loop would
+        gain = np.bincount(members, np.repeat(weights, np.diff(offsets)), n)
+    else:
+        gain = np.bincount(members, minlength=n).astype(np.float64)
     gain[[v for v in excluded if 0 <= v < n]] = -np.inf
     node_ptr, by_node = csr(n, members)  # a node's slots in set order
     covered = np.zeros(len(collection), dtype=bool)
@@ -318,15 +325,23 @@ def _greedy_selection(
             raise RISError("not enough selectable nodes")
         picks.append(best)
         gain[best] = -np.inf
-        sids = set_of[by_node[node_ptr[best] : node_ptr[best + 1]]]
+        # the sets of its slots; empty sets hold no slot
+        slots = by_node[node_ptr[best] : node_ptr[best + 1]]
+        sids = np.searchsorted(offsets, slots, side="right") - 1
         sids = sids[~covered[sids]]
         covered[sids] = True
-        for w in weights[sids].tolist():
-            total += w
-        # the newly covered sets' member slots, in set order
-        slots, _ = spans(offsets[sids], offsets[sids + 1])
-        np.subtract.at(gain, members[slots], slot_weights[slots])
+        if weighted:
+            for w in weights[sids].tolist():
+                total += w
+        else:
+            total += len(sids)
         prefix.append(total)
+        # the newly covered sets' member slots, in set order, about GREEDY_SLOTS at a time
+        ends = np.cumsum(offsets[sids + 1] - offsets[sids])
+        cuts = np.searchsorted(ends, range(GREEDY_SLOTS, ends[-1:].sum(), GREEDY_SLOTS))
+        for part in np.split(sids, cuts):
+            slots, index = spans(offsets[part], offsets[part + 1])
+            np.subtract.at(gain, members[slots], weights[part][index] if weighted else 1.0)
     return picks, prefix
 
 

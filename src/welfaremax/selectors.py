@@ -249,12 +249,17 @@ def prima_plus(
             f"b_max={b_max} infeasible with {len(fixed)} fixed seeds on {n} nodes"
         )
     params = SamplerParams(n, eps, ell, tuple(budgets))
-    orders: dict[int, list[int]] = {}  # greedy order per x; budgets certified at one x share it
+    # per x, the greedy's order, prefix fractions and the sets it ran on;
+    # budgets certified at one x share them
+    greedy: dict[int, tuple[list[int], list[float], int]] = {}
 
     def estimate(coll: RRCollection, k: int, i: int) -> float:
-        if i not in orders:
-            orders[i], _ = node_selection_count(coll, b_max, excluded=fixed)
-        return n * coll.coverage_fraction(orders[i][:k])
+        if i not in greedy:
+            greedy[i] = (*node_selection_count(coll, b_max, excluded=fixed), len(coll))
+        order, fractions, held = greedy[i]
+        if len(coll) == held:  # the same count over the same sets as a coverage test
+            return n * fractions[k - 1]
+        return n * coll.coverage_fraction(order[:k])
 
     def sample(count: int) -> RRCollection:
         return sample_marginal_rr(graph, fixed, count, rng)

@@ -942,8 +942,8 @@ def test_a_batch_of_ten_item_worlds_at_the_cap_stays_small(noisy):
     (world, bundle) cells only. A dense int64 count over every (world,
     bundle) cell would take 64 MiB alone. Without noise, where hundreds of
     bundles are adopted, the traced peak stays under half of that; with a
-    gaussian noise vector per world it stays within what the 64 MiB
-    utility table's build takes."""
+    gaussian noise vector per world it stays within the 64 MiB utility
+    table, built in place, and the decisions cached beside it."""
     rng = random.Random(5)
     n = 20
     g = Graph(n, [(u, v, 0.5) for u in range(n) for v in range(n)
@@ -969,7 +969,7 @@ def test_a_batch_of_ten_item_worlds_at_the_cap_stays_small(noisy):
     dense = 8 * count * (1 << cat.m)
     assert len(result.adoption) > 30_000
     if noisy:
-        assert peak < 1.5 * dense + (8 << 20)
+        assert peak < dense + (12 << 20)
     else:
         assert len(set(result.adoption.values())) > 500
         assert peak < dense / 2

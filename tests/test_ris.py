@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from typing import NamedTuple
 
@@ -403,14 +404,21 @@ def test_selection_greedy_meets_brute_force_two_cover():
 
 
 def test_weighted_selection_uniform_weights_match_counting():
+    # the counting greedy counts sets where the weighted one adds their 1.0
+    # weights: the same picks, and each fraction is its total over the sets
     rng = random.Random(10)
     sets = [
         (sid % 6, set(rng.sample(range(6), rng.randint(1, 3))), 1.0) for sid in range(30)
     ]
-    coll = _collection(sets, n=6)
-    picks_c, _ = node_selection_count(coll, 3)
-    picks_w, _ = node_selection_weighted(coll, 3)
-    assert picks_c == picks_w
+    sampled = sample_marginal_rr(hub_graph(random.Random(301)), frozenset({7, 8}), 3000, derive_rng(12))
+    assert set(sampled.weights) == {1.0} and sampled.empty
+    for coll, k in ((_collection(sets, n=6), 3), (sampled, 25)):
+        for excluded in ((), {0, 7, 8}):
+            picks_c, fractions = node_selection_count(coll, k, excluded)
+            picks_w, totals = node_selection_weighted(coll, k, excluded)
+            assert picks_c == picks_w
+            assert all(t == int(t) for t in totals)
+            assert fractions == [t / len(coll) for t in totals]
 
 
 def test_weighted_selection_prefers_heavy_set():
@@ -539,7 +547,7 @@ def _both_greedies(n, sets, k, weighted, excluded=()):
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["count", "weighted"])
-def test_array_greedy_equals_loop_greedy_on_sampled_sets(weighted):
+def test_array_greedy_equals_loop_greedy_on_sampled_sets(weighted, monkeypatch):
     rng = random.Random(300)
     graph = hub_graph(rng)
     srng = derive_rng(11)
@@ -550,6 +558,11 @@ def test_array_greedy_equals_loop_greedy_on_sampled_sets(weighted):
     assert any(rr.empty for rr in sets)
     for excluded in ((), fixed, set(range(0, graph.n, 7))):
         _both_greedies(graph.n, sets, 25, weighted, excluded)
+    # batches of about 5 slots split a pick's newly covered sets, a larger
+    # set going whole, and still subtract in set order
+    assert max(len(rr.members) for rr in sets) > 5
+    monkeypatch.setattr(ris, "GREEDY_SLOTS", 5)
+    _both_greedies(graph.n, sets, 25, weighted)
 
 
 def test_array_greedy_adds_and_subtracts_weights_in_set_order():
@@ -579,6 +592,49 @@ def test_array_greedy_adds_and_subtracts_weights_in_set_order():
     assert _both_greedies(5, sets, 3, True, excluded={4}) == [2, 0, 1]
     with pytest.raises(RISError, match="not enough selectable nodes"):
         node_selection_weighted(_collection([(0, {1}, 1.0)], n=3), 3, excluded={0})
+
+
+def test_counting_greedy_peak_is_at_most_16_bytes_per_member():
+    """The counting greedy keeps one by-node order of the member slots (8
+    bytes per member) and expands the slots of newly covered sets a bounded
+    batch at a time, so its traced peak is at most 16 bytes per member plus
+    O(n + sets), even where its first pick covers most sets. A per-member
+    set id and slot weight beside that order would take 24."""
+    n = 1000
+    rng = random.Random(31)
+    graph = Graph(n, [(u, v, 0.3) for v in range(n) for u in rng.sample(range(n), 6) if u != v])
+    coll = sample_rr(graph, 500, derive_rng(31))
+    members = len(coll.members)
+    assert members > 100 * (n + len(coll))
+    tracemalloc.start()
+    try:
+        _, fractions = node_selection_count(coll, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fractions[0] > 0.5
+    assert peak <= 16 * members + 64 * (n + len(coll))
+
+
+def test_node_ids_past_int32_are_refused_before_anything_is_allocated():
+    class HugeGraph:  # all a sampler reads before it allocates
+        n = 2**31
+
+    cat = _two_item_catalog()
+    base = Allocation.of([(0, "inf")])
+    tracemalloc.start()
+    try:
+        with pytest.raises(RISError, match="n < 2\\*\\*31"):
+            RRCollection(2**31)
+        with pytest.raises(RISError, match="n < 2\\*\\*31"):
+            sample_marginal_rr(HugeGraph(), frozenset(), 10, random.Random(1))
+        with pytest.raises(RISError, match="n < 2\\*\\*31"):
+            sample_weighted_rr(HugeGraph(), base, "sup", cat, 10, random.Random(1), {"sup": 1.0, "inf": 0.1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert len(RRCollection(2**31 - 1)) == 0  # the largest graph a collection holds
 
 
 # -- the batch sampler on a graph with every kind of node ----------------------
